@@ -19,6 +19,7 @@ import (
 
 	"drmap/client"
 	"drmap/internal/cluster"
+	"drmap/internal/obs"
 )
 
 // clockTicks is USER_HZ, the unit of utime/stime in /proc/<pid>/stat;
@@ -201,6 +202,34 @@ func (s *stack) rssPeakMB() (float64, error) {
 		sum += v
 	}
 	return sum, nil
+}
+
+// workerPlanMisses sums drmap_plan_cache_misses_total over the stack's
+// workers: the count-plan columns they have counted.
+func (s *stack) workerPlanMisses(ctx context.Context) (float64, error) {
+	var sum float64
+	for _, d := range s.daemons[1:] {
+		exp, err := d.metrics(ctx)
+		if err != nil {
+			return 0, err
+		}
+		v, _ := exp.Value("drmap_plan_cache_misses_total", nil)
+		sum += v
+	}
+	return sum, nil
+}
+
+// metrics scrapes and parses the daemon's /metrics.
+func (d *daemon) metrics(ctx context.Context) (*obs.Exposition, error) {
+	text, err := getText(ctx, d.url+"/metrics")
+	if err != nil {
+		return nil, err
+	}
+	exp, err := obs.ParseExposition(text)
+	if err != nil {
+		return nil, fmt.Errorf("%s /metrics: %w", d.name, err)
+	}
+	return exp, nil
 }
 
 // clusterWorkers is how many worker processes cluster-mix runs.

@@ -312,8 +312,9 @@ func genSimNet(rng *rand.Rand, backends []string) *Workload {
 // genClusterMix emits blocks of eight ops: six 8-backend batches and
 // two network simulates, at seeded positions. Batches come in pairs on
 // one fresh custom stack and batch size: the first of a pair counts
-// once per die geometry and reprices the backends sharing one, the
-// second (another objective) reprices every backend. Simulates walk a
+// once per die geometry and reprices the backends sharing one; the
+// second (another objective) finds those plans only on the worker that
+// counted them. Simulates walk a
 // permutation of cache keys over the three cheaper built-in networks.
 func genClusterMix(rng *rand.Rand, backends []string) *Workload {
 	w := &Workload{Name: "cluster-mix", Clients: 1, Cluster: true}
@@ -370,99 +371,13 @@ func customStack(rng *rand.Rand) []service.LayerJSON {
 	return layers
 }
 
-// keyOf is a request's identity for the category model: its JSON form.
-// Generated requests always spell out objective and batch, so equal
-// keys mean equal server-side cache keys.
+// keyOf is a request's identity: its JSON form. Generated requests
+// always spell out objective and batch, so equal keys mean equal
+// server-side cache keys.
 func keyOf(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
 		panic(err) // request types always encode
 	}
 	return string(b)
-}
-
-// Category classifies an op by the cache state its keys predict.
-type Category int
-
-const (
-	CatResultHit Category = iota // every DSE key answered before
-	CatReprice                   // new result keys, every count signature seen
-	CatCold                      // at least one count signature never seen
-	CatSimFresh                  // simulate key never seen
-	CatSimRepeat                 // simulate key seen before
-	numCategories
-)
-
-var categoryNames = [numCategories]string{"result_hit", "plan_reprice", "cold_count", "sim_fresh", "sim_repeat"}
-
-// cacheHorizon is how many ops back the category model remembers a
-// key: roughly what the daemon's result cache (256 entries) and plan
-// cache (512 columns) retain under these workloads.
-const cacheHorizon = 128
-
-// Classifier replays ops in stream order against a model of the result
-// and count-plan caches that remembers each key for cacheHorizon ops.
-type Classifier struct {
-	n       int
-	results map[string]int // key -> index of its last use
-	counts  map[string]int
-}
-
-// NewClassifier returns a classifier whose history holds w's prime ops.
-func NewClassifier(w *Workload) *Classifier {
-	c := &Classifier{results: map[string]int{}, counts: map[string]int{}}
-	for _, op := range w.Prime {
-		c.Next(op)
-	}
-	return c
-}
-
-// touch records a use of key and reports whether it was remembered.
-func (c *Classifier) touch(m map[string]int, key string) bool {
-	last, ok := m[key]
-	m[key] = c.n
-	return ok && c.n-last <= cacheHorizon
-}
-
-// Next classifies op and adds its keys to the history.
-func (c *Classifier) Next(op Op) Category {
-	defer func() { c.n++ }()
-	if op.Sim != nil {
-		s := *op.Sim
-		s.Engine = ""
-		if c.touch(c.results, keyOf(s)) {
-			return CatSimRepeat
-		}
-		return CatSimFresh
-	}
-	jobs := []client.DSERequest{}
-	if op.Batch != nil {
-		jobs = op.Batch.Jobs
-	} else {
-		jobs = append(jobs, *op.DSE)
-	}
-	cat := CatResultHit
-	for _, j := range jobs {
-		if c.touch(c.results, keyOf(j)) {
-			continue
-		}
-		if !c.touch(c.counts, countSignature(j)) {
-			cat = CatCold
-		} else if cat == CatResultHit {
-			cat = CatReprice
-		}
-	}
-	return cat
-}
-
-// countSignature is the part of a DSE request the count plan depends
-// on: the workload, the batch and the backend's die geometry.
-func countSignature(r client.DSERequest) string {
-	b, _ := dram.Lookup(r.Arch)
-	return keyOf(struct {
-		Network string
-		Layers  []service.LayerJSON
-		Batch   int
-		Geom    dram.Geometry
-	}{r.Network, r.Layers, r.Batch, b.Config.Geometry})
 }

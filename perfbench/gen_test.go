@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
+	"drmap/client"
 	"drmap/internal/accel"
 	"drmap/internal/core"
+	"drmap/internal/dram"
 	"drmap/internal/mapping"
+	"drmap/internal/service"
 	"drmap/internal/tiling"
 )
 
@@ -47,26 +50,36 @@ func TestUnknownWorkload(t *testing.T) {
 	}
 }
 
-// classify classifies the first n timed ops.
-func classify(t *testing.T, name string, seed int64, n int) [numCategories]int {
-	t.Helper()
-	w, err := Generate(name, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var counts [numCategories]int
-	cl := NewClassifier(w)
-	for i := 0; i < n; i++ {
-		counts[cl.Next(w.Op(i))]++
-	}
-	return counts
+// countSignature is the part of a DSE request the count plan depends
+// on: the workload, the batch and the backend's die geometry.
+func countSignature(r client.DSERequest) string {
+	b, _ := dram.Lookup(r.Arch)
+	return keyOf(struct {
+		Network string
+		Layers  []service.LayerJSON
+		Batch   int
+		Geom    dram.Geometry
+	}{r.Network, r.Layers, r.Batch, b.Config.Geometry})
 }
 
 func TestDSEHotIsAllResultHitsAfterPriming(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		c := classify(t, "dse-hot", seed, 20000)
-		if c[CatResultHit] != 20000 {
-			t.Errorf("seed %d: %d of 20000 ops are result hits, want all: %v", seed, c[CatResultHit], c)
+		w, err := Generate("dse-hot", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primed := map[string]bool{}
+		for _, op := range w.Prime {
+			primed[keyOf(*op.DSE)] = true
+		}
+		if len(primed) != len(w.Prime) || len(primed) > service.DefaultCacheEntries/4 {
+			t.Fatalf("seed %d: %d distinct of %d primed requests, want all distinct and well inside the %d-entry result cache",
+				seed, len(primed), len(w.Prime), service.DefaultCacheEntries)
+		}
+		for i, op := range w.Ops {
+			if !op.V1 || !primed[keyOf(*op.DSE)] {
+				t.Fatalf("seed %d op %d: not a primed v1 request, so not a result-cache hit", seed, i)
+			}
 		}
 	}
 }
@@ -76,13 +89,17 @@ func TestSimNetHasNoKeyRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := classify(t, "sim-net", 3, len(w.Ops))
-	if c[CatSimRepeat] != 0 || c[CatSimFresh] != len(w.Ops) {
-		t.Errorf("sim-net stream of %d ops: %v, want only fresh keys", len(w.Ops), c)
-	}
+	seen := map[string]bool{}
 	engines := map[string]int{}
-	for _, op := range w.Ops {
+	for i, op := range w.Ops {
 		engines[op.Sim.Engine]++
+		s := *op.Sim
+		s.Engine = "" // not part of the server's cache key
+		if k := keyOf(s); seen[k] {
+			t.Fatalf("op %d repeats a simulate cache key", i)
+		} else {
+			seen[k] = true
+		}
 	}
 	if engines["serial"] != engines["parallel"] {
 		t.Errorf("engine split %v, want half each", engines)
@@ -90,9 +107,28 @@ func TestSimNetHasNoKeyRepeats(t *testing.T) {
 }
 
 func TestDSEMixResultHitsAreRare(t *testing.T) {
-	c := classify(t, "dse-mix", 4, 300)
-	if c[CatResultHit] != 0 || c[CatReprice] == 0 || c[CatCold] == 0 {
-		t.Errorf("dse-mix first 300 ops: %v, want no result hits and both reprices and cold counts", c)
+	w, err := Generate("dse-mix", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, counts := map[string]bool{}, map[string]bool{}
+	fresh, repeated := 0, 0
+	for i := 0; i < 300; i++ {
+		req := *w.Op(i).DSE
+		if k := keyOf(req); results[k] {
+			t.Fatalf("op %d repeats a result key", i)
+		} else {
+			results[k] = true
+		}
+		if k := countSignature(req); counts[k] {
+			repeated++
+		} else {
+			counts[k] = true
+			fresh++
+		}
+	}
+	if fresh == 0 || repeated == 0 {
+		t.Errorf("dse-mix first 300 ops: %d fresh and %d repeated count signatures, want both", fresh, repeated)
 	}
 }
 

@@ -17,14 +17,83 @@ import (
 // outcome is one executed op as the load generator saw it.
 type outcome struct {
 	index   int
+	sim     bool
 	lat     time.Duration       // send until body read (v1) or terminal state event (v2)
 	first   time.Duration       // until the first result-bearing event (v1: the body)
-	queue   float64             // the job's timings.queue_seconds (v2 only)
-	cached  bool                // v1 responses only
+	timings *client.JobTimings  // the daemon's timings event (v2 only)
+	lookups int                 // result lookups: one per DSE, batch item or simulate (v2: set by verify)
+	hits    int                 // lookups the server answered from its result cache
+	misses  float64             // cluster workers' plan-cache misses during the op
 	v1      *client.DSEResponse // kept only when asked, see execOp
 	result  json.RawMessage     // v2 result event payload
 	err     error
 	started time.Time
+}
+
+// Category is an op's cache outcome as the server reported it.
+type Category int
+
+const (
+	CatResultHit Category = iota // every result lookup hit the result cache
+	CatReprice                   // a lookup missed, and the server counted no column
+	CatCold                      // the server counted at least one column
+	CatSimFresh                  // simulate answered by a fresh simulation
+	CatSimRepeat                 // simulate answered from the result cache
+	numCategories
+	// CatUnknown is a v1 miss: a v1 response carries no timings, so it
+	// does not tell a reprice from a cold count.
+	CatUnknown Category = -1
+)
+
+var categoryNames = [numCategories]string{"result_hit", "plan_reprice", "cold_count", "sim_fresh", "sim_repeat"}
+
+// category classifies a successful op from what the server reported:
+// the results' cached flags, the job's count_seconds (a standalone
+// daemon counts in-process) and, on a cluster, the workers' plan-cache
+// misses (the workers count, so the coordinator's count_seconds is 0).
+func (o outcome) category() Category {
+	switch {
+	case o.sim && o.hits == o.lookups:
+		return CatSimRepeat
+	case o.sim:
+		return CatSimFresh
+	case o.hits == o.lookups:
+		return CatResultHit
+	case o.timings == nil:
+		return CatUnknown
+	case o.timings.CountSeconds > 0 || o.misses > 0:
+		return CatCold
+	}
+	return CatReprice
+}
+
+// countHits reads the cached flags of a v2 result: the result's own
+// (DSE, simulate) or each batch item's.
+func countHits(result json.RawMessage) (hits, lookups int, err error) {
+	var r struct {
+		Cached  *bool `json:"cached"`
+		Results []struct {
+			Result *struct {
+				Cached bool `json:"cached"`
+			} `json:"result"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(result, &r); err != nil {
+		return 0, 0, err
+	}
+	if r.Cached != nil {
+		lookups++
+		if *r.Cached {
+			hits++
+		}
+	}
+	for _, item := range r.Results {
+		lookups++
+		if item.Result != nil && item.Result.Cached {
+			hits++
+		}
+	}
+	return hits, lookups, nil
 }
 
 // keepV1Results bounds how many v1 responses a run keeps for the
@@ -35,7 +104,7 @@ const keepV1Results = 64
 // v1 response for the reference check; v2 results are always kept.
 func execOp(ctx context.Context, api *client.Client, op Op, keepV1 bool) outcome {
 	start := time.Now()
-	o := outcome{started: start}
+	o := outcome{started: start, sim: op.Sim != nil}
 	if op.V1 {
 		resp, err := api.DSE(ctx, *op.DSE)
 		o.lat = time.Since(start)
@@ -44,7 +113,10 @@ func execOp(ctx context.Context, api *client.Client, op Op, keepV1 bool) outcome
 			o.err = err
 			return o
 		}
-		o.cached = resp.Cached
+		o.lookups = 1
+		if resp.Cached {
+			o.hits = 1
+		}
 		if keepV1 {
 			o.v1 = resp
 		}
@@ -81,9 +153,7 @@ func execOp(ctx context.Context, api *client.Client, op Op, keepV1 bool) outcome
 		case client.EventError:
 			failure = ev.Error
 		case client.EventTimings:
-			if ev.Timings != nil {
-				o.queue = ev.Timings.QueueSeconds
-			}
+			o.timings = ev.Timings
 		case client.EventState:
 			switch string(ev.State) {
 			case client.JobSucceeded:
@@ -92,8 +162,11 @@ func execOp(ctx context.Context, api *client.Client, op Op, keepV1 bool) outcome
 					// A cached result commits without per-layer events.
 					o.first = o.lat
 				}
-				if o.result == nil {
+				switch {
+				case o.result == nil:
 					o.err = fmt.Errorf("job %s succeeded without a result event", job.ID)
+				case o.timings == nil:
+					o.err = fmt.Errorf("job %s succeeded without a timings event", job.ID)
 				}
 				return o
 			case client.JobFailed, client.JobCanceled:

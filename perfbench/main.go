@@ -28,9 +28,15 @@ import (
 	"time"
 )
 
-// setupRuns is how many times a run sets the stack up; setup_s is the
-// median, and the last stack serves the load.
-const setupRuns = 5
+// A run sets the stack up setupsBefore times before the load (the last
+// of these serves it) and setupsAfter times after it; setup_s is the
+// median of all of them. The machine's speed drifts between fast and
+// slow spells that last from under a second to minutes, so set-ups taken
+// on both sides of the load sample more of them than back-to-back ones.
+const (
+	setupsBefore = 4
+	setupsAfter  = 5
+)
 
 // checkSample is how many served responses per run are compared with
 // the in-process reference.
@@ -98,25 +104,35 @@ func (b *bench) put(name string, v float64, unit string) {
 	b.m[name] = metric{Value: v, Unit: unit}
 }
 
-// withStack sets the stack up times times, keeping the last one (each
-// earlier stack is stopped), primes it, runs body against it and stops
-// it. A stop that is not clean fails the run.
-func (b *bench) withStack(ctx context.Context, times int, body func(st *stack) error) (setup []float64, err error) {
-	var st *stack
-	for i := 0; i < times; i++ {
-		s, d, err := setUp(ctx, b.bins, b.w)
+// setUpAndStop sets the stack up n times, stopping each, and returns
+// the set-up times in seconds.
+func (b *bench) setUpAndStop(ctx context.Context, n int) ([]float64, error) {
+	var setup []float64
+	for i := 0; i < n; i++ {
+		st, d, err := setUp(ctx, b.bins, b.w)
 		if err != nil {
 			return nil, err
 		}
 		setup = append(setup, d.Seconds())
-		if i < times-1 {
-			if err := s.stop(); err != nil {
-				return nil, err
-			}
-			continue
+		if err := st.stop(); err != nil {
+			return nil, err
 		}
-		st = s
 	}
+	return setup, nil
+}
+
+// withStack sets the stack up times times, keeping the last one (each
+// earlier stack is stopped), primes it, runs body against it and stops
+// it. A stop that is not clean fails the run.
+func (b *bench) withStack(ctx context.Context, times int, body func(st *stack) error) (setup []float64, err error) {
+	if setup, err = b.setUpAndStop(ctx, times-1); err != nil {
+		return nil, err
+	}
+	st, d, err := setUp(ctx, b.bins, b.w)
+	if err != nil {
+		return nil, err
+	}
+	setup = append(setup, d.Seconds())
 	b.logf("set up %d times: %s s", times, fmtList(setup))
 	defer func() {
 		err = errors.Join(err, st.stop())
@@ -131,19 +147,49 @@ func (b *bench) withStack(ctx context.Context, times int, body func(st *stack) e
 	return setup, body(st)
 }
 
+// exec returns the closed loop's op function. On a cluster it also reads
+// the workers' plan-cache misses after every op, because there the
+// workers count and the coordinator's timings show no count time. With
+// one client the delta since the previous read is exactly that op's.
+func (b *bench) exec(ctx context.Context, st *stack) (func(int, Op) outcome, error) {
+	plain := func(i int, op Op) outcome { return execOp(ctx, st.api, op, i < keepV1Results) }
+	if !b.w.Cluster {
+		return plain, nil
+	}
+	if b.w.Clients != 1 {
+		return nil, fmt.Errorf("%s: per-op plan-cache misses need one client, not %d", b.w.Name, b.w.Clients)
+	}
+	last, err := st.workerPlanMisses(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(i int, op Op) outcome {
+		o := plain(i, op)
+		n, err := st.workerPlanMisses(ctx)
+		if err != nil {
+			o.err = errors.Join(o.err, err)
+			return o
+		}
+		o.misses, last = n-last, n
+		return o
+	}, nil
+}
+
 // run is the untraced run: the end-to-end metrics.
 func (b *bench) run(ctx context.Context) (*result, error) {
 	var win window
 	var cpu, rss float64
 	var next atomic.Int64
-	setup, err := b.withStack(ctx, setupRuns, func(st *stack) error {
+	setup, err := b.withStack(ctx, setupsBefore, func(st *stack) error {
+		exec, err := b.exec(ctx, st)
+		if err != nil {
+			return err
+		}
 		cpu0, err := st.cpuSeconds()
 		if err != nil {
 			return err
 		}
-		win = runClosedLoop(ctx, b.w, &next, b.window, func(i int, op Op) outcome {
-			return execOp(ctx, st.api, op, i < keepV1Results)
-		})
+		win = runClosedLoop(ctx, b.w, &next, b.window, exec)
 		cpu1, err := st.cpuSeconds()
 		if err != nil {
 			return err
@@ -155,6 +201,12 @@ func (b *bench) run(ctx context.Context) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	after, err := b.setUpAndStop(ctx, setupsAfter)
+	if err != nil {
+		return nil, err
+	}
+	b.logf("set up %d more times: %s s", setupsAfter, fmtList(after))
+	setup = append(setup, after...)
 	res, err := b.verify(ctx, win)
 	if err != nil {
 		return nil, err
@@ -186,22 +238,26 @@ func (b *bench) run(ctx context.Context) (*result, error) {
 
 // verify counts failures - transport and job errors plus a seeded
 // sample of responses that differ from the in-process reference - and
-// checks the exact cycle certificates. It prints the op category
-// shares.
+// checks the exact cycle certificates. It reads the v2 results' cached
+// flags, out of the timed window, and prints the op category shares.
 func (b *bench) verify(ctx context.Context, win window) (*result, error) {
 	res := &result{Correct: true, Attempted: len(win.outcomes)}
 	if res.Attempted == 0 {
 		return nil, fmt.Errorf("no op completed")
 	}
 	var ok []outcome
-	for _, o := range win.outcomes {
+	for i := range win.outcomes {
+		o := &win.outcomes[i]
+		if o.err == nil && o.timings != nil {
+			o.hits, o.lookups, o.err = countHits(o.result)
+		}
 		if o.err != nil {
 			res.Failed++
 			fmt.Fprintf(os.Stderr, "op %d failed: %v\n", o.index, o.err)
 			continue
 		}
 		if o.v1 != nil || o.result != nil {
-			ok = append(ok, o)
+			ok = append(ok, *o)
 		}
 	}
 	sort.Slice(ok, func(i, j int) bool { return ok[i].index < ok[j].index })
@@ -225,79 +281,43 @@ func (b *bench) verify(ctx context.Context, win window) (*result, error) {
 	if res.Failed > 0 {
 		res.Correct = false
 	}
-	printShares(b.w, win)
+	printShares(win)
 	return res, nil
 }
 
-// shares returns the share of completed ops in each cache category of
-// the generator's key-history model.
-func shares(w *Workload, win window) [numCategories]float64 {
-	maxIndex := 0
-	for _, o := range win.outcomes {
-		maxIndex = max(maxIndex, o.index)
+// shares returns the share of successful ops in each category, as the
+// server reported it, and how many ops it could not classify.
+func shares(win window) (out [numCategories]float64, unknown int) {
+	ok := win.ok()
+	for _, o := range ok {
+		if c := o.category(); c == CatUnknown {
+			unknown++
+		} else {
+			out[c] += 1 / float64(len(ok))
+		}
 	}
-	cl := NewClassifier(w)
-	cats := make([]Category, maxIndex+1)
-	for i := range cats {
-		cats[i] = cl.Next(w.Op(i))
-	}
-	var out [numCategories]float64
-	for _, o := range win.outcomes {
-		out[cats[o.index]] += 1 / float64(len(win.outcomes))
-	}
-	return out
+	return out, unknown
 }
 
-// printShares prints the category shares, plus the result hits the
-// server itself reported.
-func printShares(w *Workload, win window) {
+// printShares prints the category shares and the result lookups they
+// rest on.
+func printShares(win window) {
+	s, unknown := shares(win)
 	var parts []string
-	for c, v := range shares(w, win) {
+	for c, v := range s {
 		parts = append(parts, fmt.Sprintf("%s %.3f", categoryNames[c], v))
 	}
 	hits, lookups := servedHits(win)
-	fmt.Printf("  op shares (n=%d): %s; server-reported result hits %d of %d lookups\n",
-		len(win.outcomes), strings.Join(parts, ", "), hits, lookups)
+	fmt.Printf("  server-reported op shares (n=%d): %s; unclassified v1 misses %d; result hits %d of %d lookups\n",
+		len(win.ok()), strings.Join(parts, ", "), unknown, hits, lookups)
 }
 
-// servedHits counts the result lookups of the successful ops - one
-// per DSE, batch item or simulate - and how many the server answered
-// from its result cache, from the responses' cached flags.
+// servedHits sums the result lookups of the successful ops and how
+// many the server answered from its result cache.
 func servedHits(win window) (hits, lookups int) {
-	for _, o := range win.outcomes {
-		if o.err != nil {
-			continue
-		}
-		if o.result == nil { // a v1 op: its flag was kept, its body maybe not
-			lookups++
-			if o.cached {
-				hits++
-			}
-			continue
-		}
-		var r struct {
-			Cached  *bool `json:"cached"`
-			Results []struct {
-				Result *struct {
-					Cached bool `json:"cached"`
-				} `json:"result"`
-			} `json:"results"`
-		}
-		if json.Unmarshal(o.result, &r) != nil {
-			continue
-		}
-		if r.Cached != nil {
-			lookups++
-			if *r.Cached {
-				hits++
-			}
-		}
-		for _, item := range r.Results {
-			lookups++
-			if item.Result != nil && item.Result.Cached {
-				hits++
-			}
-		}
+	for _, o := range win.ok() {
+		hits += o.hits
+		lookups += o.lookups
 	}
 	return hits, lookups
 }

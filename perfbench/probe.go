@@ -3,13 +3,10 @@ package main
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"drmap/internal/accel"
 	"drmap/internal/cli"
-	"drmap/internal/cluster"
 	"drmap/internal/cnn"
 	"drmap/internal/core"
 	"drmap/internal/dram"
@@ -27,29 +24,25 @@ const probeOps = 2
 // probe times calls into each module's public functions on a
 // workload's first ops, the way the serving path composes them:
 // grid -> count -> flatten -> price -> reduce for the analytic pick,
-// SimulateNetwork on both engines, Controller.Run and address
-// generation on the same tile streams, and the cluster coordinator over
-// two in-process workers.
+// SimulateNetwork on both engines, and Controller.Run and address
+// generation on the same tile streams. The cluster's figures come from
+// the daemons themselves (see putService and scrape).
 type probe struct {
 	acc      accel.Config
 	profiles map[string]*profile.Profile
 	charMS   map[string]float64
 
-	ops                 int
-	gridMS              float64
-	countMS, flattenUS  float64
-	countCols           int
-	priceUS             float64
-	priceCols           int
-	reduceUS            float64
-	reduces             int
-	simnetMS            [2]float64 // serial, parallel
-	memctrlMS, addrMS   float64
-	cmds, reqs          int64
-	dispatchMS, mergeMS float64
-	clusterOps          int
-	coordinatorCounters counters  // the probe coordinator's, from zero
-	daemonShards        *counters // cluster-mix: the daemon coordinator's counters
+	ops                int
+	gridMS             float64
+	countMS, flattenUS float64
+	countCols          int
+	priceUS            float64
+	priceCols          int
+	reduceUS           float64
+	reduces            int
+	simnetMS           [2]float64 // serial, parallel
+	memctrlMS, addrMS  float64
+	cmds, reqs         int64
 }
 
 var engineNames = [2]string{"serial", "parallel"}
@@ -58,59 +51,6 @@ func newProbe() *probe {
 	return &probe{
 		acc: accel.TableII(), profiles: map[string]*profile.Profile{}, charMS: map[string]float64{},
 	}
-}
-
-// probeCluster is a coordinator with two in-process workers, each with
-// a pool of one, on loopback test servers.
-type probeCluster struct {
-	coord   *cluster.Coordinator
-	servers []*httptest.Server
-	members []cluster.WorkerInfo
-}
-
-func newProbeCluster() *probeCluster {
-	pc := &probeCluster{coord: cluster.NewCoordinator(cluster.CoordinatorOptions{})}
-	for i := 1; i <= clusterWorkers; i++ {
-		w := cluster.NewWorker(service.New(service.Options{Workers: 1}), cluster.WorkerOptions{ID: fmt.Sprintf("probe-w%d", i)})
-		mux := http.NewServeMux()
-		w.Mount(mux)
-		srv := httptest.NewServer(mux)
-		pc.servers = append(pc.servers, srv)
-		pc.members = append(pc.members, cluster.WorkerInfo{ID: w.ID(), URL: srv.URL, Capacity: 1})
-	}
-	return pc
-}
-
-// heartbeat keeps the probe workers live for the next dispatch.
-func (pc *probeCluster) heartbeat() {
-	for _, m := range pc.members {
-		pc.coord.Membership().Heartbeat(m)
-	}
-}
-
-func (pc *probeCluster) close() {
-	for _, s := range pc.servers {
-		s.Close()
-	}
-}
-
-func (pc *probeCluster) counters() counters {
-	var c counters
-	for _, m := range pc.coord.Metrics() {
-		v := float64(m.Value)
-		switch m.Name {
-		case "drmap_cluster_shards_completed_total":
-			c.shards = v
-		case "drmap_cluster_shard_retries_total":
-			c.retries = v
-		case "drmap_cluster_shard_cache_hits_total":
-			c.shardHits += v
-			c.shardLookups += v
-		case "drmap_cluster_shard_cache_misses_total":
-			c.shardLookups += v
-		}
-	}
-	return c
 }
 
 // run characterizes every backend, then probes the workload's first
@@ -142,21 +82,18 @@ func (p *probe) run(ctx context.Context, w *Workload) error {
 			ops = append(ops, w.Op(i))
 		}
 	}
-	pc := newProbeCluster()
-	defer pc.close()
 	for _, op := range ops {
-		if err := p.probeOp(ctx, pc, op); err != nil {
+		if err := p.probeOp(ctx, op); err != nil {
 			return err
 		}
 		p.ops++
 	}
-	p.coordinatorCounters = pc.counters()
 	return nil
 }
 
-func (p *probe) probeOp(ctx context.Context, pc *probeCluster, op Op) error {
+func (p *probe) probeOp(ctx context.Context, op Op) error {
 	if op.Sim != nil {
-		return p.probeSim(ctx, pc, *op.Sim)
+		return p.probeSim(ctx, *op.Sim)
 	}
 	jobs := []service.DSERequest{}
 	if op.Batch != nil {
@@ -179,23 +116,15 @@ func (p *probe) probeOp(ctx context.Context, pc *probeCluster, op Op) error {
 	}
 	batch := batchOf(first.Batch)
 	policies := mapping.TableI()
-	grids, layers, cells, err := p.analytic(net, archs, tiling.Schedules, policies, obj, batch)
+	layers, err := p.analytic(net, archs, tiling.Schedules, policies, obj, batch)
 	if err != nil {
 		return err
 	}
 	b, _ := dram.Lookup(first.Arch)
-	specs := specsOf(layers, batch)
-	if err := p.simulate(ctx, b.Config, mapping.DRMap(), specs, memctrl.Options{}); err != nil {
-		return err
-	}
-	job := service.DSEJob{
-		Backend: b, Accel: p.acc, Network: net, Schedules: tiling.Schedules,
-		Policies: policies, Objective: obj, Batch: batch,
-	}
-	return p.clusterDSE(ctx, pc, job, grids, cells)
+	return p.simulate(ctx, b.Config, mapping.DRMap(), specsOf(layers, batch), memctrl.Options{})
 }
 
-func (p *probe) probeSim(ctx context.Context, pc *probeCluster, req service.SimulateRequest) error {
+func (p *probe) probeSim(ctx context.Context, req service.SimulateRequest) error {
 	pol, err := policyOf(req.Policy)
 	if err != nil {
 		return err
@@ -206,7 +135,7 @@ func (p *probe) probeSim(ctx context.Context, pc *probeCluster, req service.Simu
 	}
 	batch := batchOf(req.Batch)
 	// The per-policy pick a network simulate runs first.
-	_, layers, _, err := p.analytic(net, []string{req.Arch}, []tiling.Schedule{tiling.AdaptiveReuse}, []mapping.Policy{pol}, core.MinimizeEDP, batch)
+	layers, err := p.analytic(net, []string{req.Arch}, []tiling.Schedule{tiling.AdaptiveReuse}, []mapping.Policy{pol}, core.MinimizeEDP, batch)
 	if err != nil {
 		return err
 	}
@@ -218,15 +147,7 @@ func (p *probe) probeSim(ctx context.Context, pc *probeCluster, req service.Simu
 		opt.PagePolicy = memctrl.ClosedRow
 	}
 	b, _ := dram.Lookup(req.Arch)
-	specs := specsOf(layers, batch)
-	if err := p.simulate(ctx, b.Config, pol, specs, opt); err != nil {
-		return err
-	}
-	job := service.SimulateJob{
-		Backend: b, Policy: pol, Specs: specs, BytesPerElement: p.acc.BytesPerElement,
-		PagePolicy: opt.PagePolicy, Scheduler: opt.Scheduler, Parallel: req.Engine == "parallel",
-	}
-	return p.clusterSim(ctx, pc, job)
+	return p.simulate(ctx, b.Config, pol, specsOf(layers, batch), opt)
 }
 
 func specsOf(layers []core.LayerResult, batch int) []core.LayerSpec {
@@ -239,13 +160,13 @@ func specsOf(layers []core.LayerResult, batch int) []core.LayerSpec {
 
 // analytic runs the count -> price pipeline the service runs: the grid
 // once, each count signature's columns counted and flattened once, and
-// every backend's columns repriced and reduced. It returns the grid and
-// the first backend's layer picks and cells.
-func (p *probe) analytic(net cnn.Network, archs []string, schedules []tiling.Schedule, policies []mapping.Policy, obj core.Objective, batch int) ([]core.LayerGrid, []core.LayerResult, []core.CellResult, error) {
+// every backend's columns repriced and reduced. It returns the first
+// backend's layer picks.
+func (p *probe) analytic(net cnn.Network, archs []string, schedules []tiling.Schedule, policies []mapping.Policy, obj core.Objective, batch int) ([]core.LayerResult, error) {
 	start := time.Now()
 	grids, err := core.DSEGridFor(net, p.acc, schedules, policies)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	p.gridMS += ms(time.Since(start))
 	type group struct {
@@ -257,7 +178,7 @@ func (p *probe) analytic(net cnn.Network, archs []string, schedules []tiling.Sch
 	for i, arch := range archs {
 		ev, err := core.NewEvaluator(p.profiles[arch], p.acc, batch)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		var g *group
 		for _, x := range groups {
@@ -272,7 +193,6 @@ func (p *probe) analytic(net cnn.Network, archs []string, schedules []tiling.Sch
 		g.evs = append(g.evs, ev)
 	}
 	var layers []core.LayerResult
-	var cells []core.CellResult
 	for _, g := range groups {
 		// One signature's plans at a time bounds the probe's memory.
 		flats := make([]*core.FlatColumn, 0, len(grids)*len(schedules))
@@ -304,12 +224,11 @@ func (p *probe) analytic(net cnn.Network, archs []string, schedules []tiling.Sch
 				p.reduces++
 				if g.first && ei == 0 {
 					layers = append(layers, lr)
-					cells = append(cells, perLayer[li]...)
 				}
 			}
 		}
 	}
-	return grids, layers, cells, nil
+	return layers, nil
 }
 
 // simulate times SimulateNetwork on both engines, then Controller.Run
@@ -367,72 +286,6 @@ func (p *probe) simulate(ctx context.Context, cfg dram.Config, pol mapping.Polic
 	return nil
 }
 
-// clusterDSE times Coordinator.RunDSE over the probe workers against
-// the local parallel executor, and cluster.Merge on the job's cells.
-func (p *probe) clusterDSE(ctx context.Context, pc *probeCluster, job service.DSEJob, grids []core.LayerGrid, cells []core.CellResult) error {
-	pc.heartbeat()
-	start := time.Now()
-	remote, err := pc.coord.RunDSE(ctx, job)
-	if err != nil {
-		return err
-	}
-	total := time.Since(start)
-	ev, err := core.NewEvaluator(p.profiles[job.Backend.ID], p.acc, job.Batch)
-	if err != nil {
-		return err
-	}
-	start = time.Now()
-	local, err := service.ParallelDSE(ctx, job.Network, ev, job.Schedules, job.Policies, job.Objective, clusterWorkers)
-	if err != nil {
-		return err
-	}
-	p.dispatchMS += ms(total - time.Since(start))
-	if ok, err := sameJSON(remote.Layers, local.Layers); err != nil || !ok {
-		return fmt.Errorf("cluster DSE differs from the local executor (err %v)", err)
-	}
-	start = time.Now()
-	if _, err := cluster.Merge(job, grids, cells); err != nil {
-		return err
-	}
-	p.mergeMS += ms(time.Since(start))
-	p.clusterOps++
-	return nil
-}
-
-// clusterSim times Coordinator.RunSimulate against the local engine and
-// cluster.MergeSim on per-layer shards of the local result.
-func (p *probe) clusterSim(ctx context.Context, pc *probeCluster, job service.SimulateJob) error {
-	pc.heartbeat()
-	start := time.Now()
-	remote, err := pc.coord.RunSimulate(ctx, job)
-	if err != nil {
-		return err
-	}
-	total := time.Since(start)
-	start = time.Now()
-	local, err := core.SimulateNetwork(ctx, job.Backend.Config, job.Policy, job.Specs, core.SimOptions{
-		Controller: job.ControllerOptions(), Parallel: job.Parallel, BytesPerElement: job.BytesPerElement,
-	})
-	if err != nil {
-		return err
-	}
-	p.dispatchMS += ms(total - time.Since(start))
-	if ok, err := sameJSON(remote, local); err != nil || !ok {
-		return fmt.Errorf("cluster simulate differs from the local engine (err %v)", err)
-	}
-	shards := make([][]core.SimLayerResult, len(local))
-	for i := range local {
-		shards[i] = local[i : i+1]
-	}
-	start = time.Now()
-	if _, err := cluster.MergeSim(len(local), shards); err != nil {
-		return err
-	}
-	p.mergeMS += ms(time.Since(start))
-	p.clusterOps++
-	return nil
-}
-
 // report puts the probe's per-layer metrics.
 func (p *probe) report(b *bench) {
 	n := float64(max(p.ops, 1))
@@ -443,10 +296,12 @@ func (p *probe) report(b *bench) {
 	b.put("core.price_us_per_col", p.priceUS/float64(max(p.priceCols, 1)), "us")
 	b.put("core.price_cols", float64(p.priceCols), "count")
 	b.put("core.reduce_us", p.reduceUS/float64(max(p.reduces, 1)), "us")
-	runMS := p.memctrlMS / n
+	// SimulateNetwork generates addresses as it runs the controllers, so
+	// the engine's own time is what is left after both.
+	runMS, addrMS := p.memctrlMS/n, p.addrMS/n
 	for e, name := range engineNames {
 		b.put("core.simnet_ms."+name, p.simnetMS[e]/n, "ms")
-		b.put("sim.engine_overhead_ms."+name, p.simnetMS[e]/n-runMS, "ms")
+		b.put("sim.engine_overhead_ms."+name, p.simnetMS[e]/n-runMS-addrMS, "ms")
 	}
 	b.put("memctrl.run_ms", runMS, "ms")
 	b.put("memctrl.cmds", float64(p.cmds), "count")
@@ -455,16 +310,6 @@ func (p *probe) report(b *bench) {
 	for id, v := range p.charMS {
 		b.put("profile.characterize_ms."+id, v, "ms")
 	}
-	cn := float64(max(p.clusterOps, 1))
-	b.put("cluster.dispatch_ms", p.dispatchMS/cn, "ms")
-	b.put("cluster.merge_ms", p.mergeMS/cn, "ms")
-	c := p.coordinatorCounters
-	if p.daemonShards != nil {
-		c = *p.daemonShards
-	}
-	b.put("cluster.shards", c.shards, "count")
-	b.put("cluster.retries", c.retries, "count")
-	b.put("cluster.shard_cache_hit_ratio", ratio(c.shardHits, c.shardLookups), "ratio")
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
