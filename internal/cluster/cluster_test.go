@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,6 +141,57 @@ func (tw *testWorker) register(c *Coordinator) {
 	c.Membership().Heartbeat(WorkerInfo{ID: tw.worker.ID(), URL: tw.server.URL, Capacity: 2})
 }
 
+// kindCase is one sharded job kind as the shared-dispatcher tests drive
+// it: run submits the kind's job to a coordinator, want computes the
+// single-process reference result it must merge to.
+type kindCase struct {
+	kind string
+	run  func(ctx context.Context, c *Coordinator) (any, error)
+	want func(t *testing.T) any
+}
+
+// kindCases returns one LeNet-5 case per sharded job kind on a backend,
+// so a dispatcher test covers DSE and simulate as two table rows.
+func kindCases(t *testing.T, backendID string) []kindCase {
+	t.Helper()
+	net := cnn.LeNet5()
+	dse := jobFor(t, backendID, net)
+	sim := simJobFor(t, backendID, net, true)
+	return []kindCase{
+		{"dse",
+			func(ctx context.Context, c *Coordinator) (any, error) { return c.RunDSE(ctx, dse) },
+			func(t *testing.T) any { return serialDSE(t, backendID, net) }},
+		{"simulate",
+			func(ctx context.Context, c *Coordinator) (any, error) { return c.RunSimulate(ctx, sim) },
+			func(t *testing.T) any { return localSim(t, sim) }},
+	}
+}
+
+// goroutineBaseline records the live goroutine count and returns a
+// check that fails the test unless the count falls back to it: every
+// fan-out, cache-wait and retry goroutine the coordinator started must
+// exit. Idle keep-alive connections are closed first, since their
+// reader/writer goroutines outlive a job by design.
+func goroutineBaseline(t *testing.T, c *Coordinator) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			c.client.CloseIdleConnections()
+			n := runtime.NumGoroutine()
+			if n <= base {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines still running, %d before the job:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+				return
+			}
+		}
+	}
+}
+
 // TestDistributedDSEMatchesSerialAllPaperBackends is the tentpole
 // acceptance contract: coordinator + 2 workers, AlexNet, all four paper
 // backends - the merged distributed result is bit-for-bit identical to
@@ -180,10 +232,13 @@ func TestDistributedDSESurvivesWorkerDeathMidRun(t *testing.T) {
 
 	net := cnn.AlexNet()
 	serial := serialDSE(t, "ddr3", net)
-	dist, err := coord.RunDSE(context.Background(), jobFor(t, "ddr3", net))
+	job := jobFor(t, "ddr3", net)
+	checkLeaks := goroutineBaseline(t, coord)
+	dist, err := coord.RunDSE(context.Background(), job)
 	if err != nil {
 		t.Fatalf("distributed RunDSE with dying worker: %v", err)
 	}
+	checkLeaks()
 	if !reflect.DeepEqual(serial, dist) {
 		t.Error("distributed DSE diverged from serial after worker death")
 	}
@@ -249,7 +304,8 @@ func TestDuplicateShardDelivery(t *testing.T) {
 }
 
 // TestMergeRejectsForeignCells: cells outside the job's grid (a worker
-// answering for a different job) fail the merge instead of silently
+// answering for a different job), cells with a non-finite EDP, and a
+// grid cell no shard delivered fail the merge instead of silently
 // corrupting the reduction.
 func TestMergeRejectsForeignCells(t *testing.T) {
 	job := jobFor(t, "ddr3", cnn.LeNet5())
@@ -257,15 +313,27 @@ func TestMergeRejectsForeignCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := service.New(service.Options{Workers: 2, CacheEntries: 8})
+	cells, err := svc.EvaluateShard(context.Background(), job, core.ColumnSpan{Start: 0, End: job.Columns(grids)})
+	if err != nil {
+		t.Fatalf("EvaluateShard: %v", err)
+	}
+	if _, err := Merge(job, grids, cells); err != nil {
+		t.Fatalf("well-formed merge rejected: %v", err)
+	}
 	for _, bad := range []core.CellResult{
 		{LayerIndex: len(grids), Value: 1},
 		{ScheduleIndex: len(job.Schedules), Value: 1},
 		{PolicyIndex: -1, Value: 1},
 		{TilingIndex: 1 << 30, Value: 1},
+		{Cost: core.LayerEDP{Cycles: 1e300, Energy: 1e300}, Value: 1},
 	} {
-		if _, err := Merge(job, grids, []core.CellResult{bad}); err == nil {
+		if _, err := Merge(job, grids, append(cells[:len(cells):len(cells)], bad)); err == nil {
 			t.Errorf("merge accepted foreign cell %+v", bad)
 		}
+	}
+	if _, err := Merge(job, grids, cells[1:]); err == nil {
+		t.Error("merge accepted a grid with a cell missing from every shard")
 	}
 }
 
@@ -494,33 +562,38 @@ func TestShardRequestRoundTripsExactly(t *testing.T) {
 // TestFrozenWorkerTimesOutAndRetries: a worker that freezes mid-shard
 // (accepts the request, never answers - TCP stays healthy) is cut off
 // by the shard timeout and its shards retry on the survivor, keeping
-// the result bit-for-bit equal to serial instead of hanging the job
+// either kind's result bit-for-bit equal to the single-process run
+// instead of hanging the job
 // (and its single-flight cache entry) forever.
 func TestFrozenWorkerTimesOutAndRetries(t *testing.T) {
-	// The timeout must be long enough that a healthy worker's LeNet5
-	// shard (milliseconds) never trips it even on a loaded -race CI
-	// box, and short enough to keep the test brisk.
-	coord := NewCoordinator(CoordinatorOptions{ShardTimeout: 2 * time.Second})
-	healthy := newTestWorker(t, "healthy", nil)
-	frozen, unfreeze := newFrozenWorker(t, "frozen", func(int64) bool { return true })
-	defer unfreeze()
-	healthy.register(coord)
-	frozen.register(coord)
+	for _, kc := range kindCases(t, "ddr3") {
+		t.Run(kc.kind, func(t *testing.T) {
+			// The timeout must be long enough that a healthy worker's
+			// LeNet5 shard (milliseconds) never trips it even on a loaded
+			// -race CI box, and short enough to keep the test brisk.
+			coord := NewCoordinator(CoordinatorOptions{ShardTimeout: 2 * time.Second})
+			healthy := newTestWorker(t, "healthy", nil)
+			frozen, unfreeze := newFrozenWorker(t, "frozen", func(int64) bool { return true })
+			defer unfreeze()
+			healthy.register(coord)
+			frozen.register(coord)
 
-	serial := serialDSE(t, "ddr3", cnn.LeNet5())
-	start := time.Now()
-	dist, err := coord.RunDSE(context.Background(), jobFor(t, "ddr3", cnn.LeNet5()))
-	if err != nil {
-		t.Fatalf("RunDSE with frozen worker: %v", err)
-	}
-	if !reflect.DeepEqual(serial, dist) {
-		t.Error("distributed DSE diverged from serial after worker froze")
-	}
-	if coord.retries.Load() == 0 {
-		t.Error("expected retries after shard timeouts")
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("job took %s; the frozen worker was not timed out", elapsed)
+			want := kc.want(t)
+			start := time.Now()
+			dist, err := kc.run(context.Background(), coord)
+			if err != nil {
+				t.Fatalf("%s with frozen worker: %v", kc.kind, err)
+			}
+			if !reflect.DeepEqual(want, dist) {
+				t.Errorf("distributed %s diverged from the single-process run after worker froze", kc.kind)
+			}
+			if coord.retries.Load() == 0 {
+				t.Error("expected retries after shard timeouts")
+			}
+			if elapsed := time.Since(start); elapsed > 30*time.Second {
+				t.Errorf("job took %s; the frozen worker was not timed out", elapsed)
+			}
+		})
 	}
 }
 

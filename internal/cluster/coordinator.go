@@ -1,13 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,10 +79,11 @@ type CoordinatorOptions struct {
 	Logger *slog.Logger
 }
 
-// Coordinator partitions DSE jobs into shards, dispatches them to
-// registered workers, and merges the results. It implements
-// service.DSERunner, so installing it as a Service's Runner makes
-// POST /api/v1/dse and /api/v1/batch cluster-distributed transparently.
+// Coordinator partitions DSE and simulate jobs into shards, dispatches
+// them to registered workers through one span dispatcher (runShards),
+// and merges the results. It implements service.DSERunner and
+// service.SimulateRunner, so installing it as a Service's Runner makes
+// DSE, batch and simulate requests cluster-distributed transparently.
 // It is safe for concurrent use.
 type Coordinator struct {
 	members         *Membership
@@ -154,9 +156,9 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		shardCache:      shardCache,
 		logger:          logger,
 		dispatchSeconds: reg.Histogram("drmap_cluster_shard_dispatch_seconds",
-			"Time to dispatch one shard to a worker and receive its cells.", nil).With(),
+			"Time to dispatch one shard (DSE or simulate) to a worker and receive its results.", nil).With(),
 		mergeSeconds: reg.Histogram("drmap_cluster_merge_seconds",
-			"Time to merge all shard cells into one DSE result.", nil).With(),
+			"Time to merge one job's shard results (DSE or simulate) into its result.", nil).With(),
 	}
 }
 
@@ -215,233 +217,40 @@ func (c *Coordinator) Metrics() []service.Metric {
 	}
 }
 
-// RunDSE distributes one resolved DSE job across the live workers and
-// merges the shards into a DSEResult bit-for-bit identical to serial
-// core.RunDSE. With no live workers it returns an error wrapping
-// service.ErrNoWorkers, which the owning Service answers from its local
-// pool - a cluster degrades to standalone rather than failing.
-//
-// A progress sink on ctx (core.WithProgress) receives the column total
-// up front, one ColumnsDone per merged shard, and every layer's pick
-// after the merge - so an async v2 job distributed over the cluster
-// streams shard completions as progress events.
+// RunDSE distributes one resolved DSE job across the live workers by
+// (layer, schedule) column span and merges the shards into a DSEResult
+// bit-for-bit identical to serial core.RunDSE; with no live workers it
+// wraps service.ErrNoWorkers. A progress sink on ctx
+// (core.WithProgress) sees the columns as runShards reports them, then
+// every layer's pick after the merge, so a distributed v2 job streams
+// shard completions as progress events.
 func (c *Coordinator) RunDSE(ctx context.Context, job service.DSEJob) (*core.DSEResult, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
-	}
-	live := c.members.Live()
-	if len(live) == 0 {
-		return nil, fmt.Errorf("cluster: %w", service.ErrNoWorkers)
 	}
 	grids, err := job.Grid() // Validate checks only cheap fields; the (one) enumeration happens here
 	if err != nil {
 		return nil, err
 	}
-	prog := core.ProgressFrom(ctx)
-	columns := job.Columns(grids)
-	if prog != nil {
-		prog.StartColumns(columns)
-	}
-	spans := core.ColumnShards(columns, len(live)*c.shardsPerWorker)
-	// One content hash per job run: the shard cache keys every span
-	// under it, so re-running an identical resolved job (a retried v2
-	// job, a batch item that missed the result cache) hits instead of
-	// re-dispatching. An unfingerprintable job just skips the cache.
-	jobFP := ""
-	if c.shardCache != nil {
-		if fp, err := service.Fingerprint(job); err == nil {
-			jobFP = fp
-		}
-	}
-	start := time.Now()
-	cells, done, err := c.dispatchAll(ctx, jobFP, job, spans)
-	if err != nil {
-		// Withdraw this attempt's announced and completed columns: when
-		// the owning service falls back to its local pool (ErrNoWorkers),
-		// that run announces the same columns again, and an accumulating
-		// sink would otherwise double-count the job's total.
-		if prog != nil {
-			prog.ColumnsDone(-done)
-			prog.StartColumns(-columns)
-		}
-		c.logger.Warn("cluster dispatch failed",
-			"trace_id", obs.TraceFrom(ctx), "shards", len(spans), "err", err)
-		return nil, err
-	}
-	mergeStart := time.Now()
-	res, err := Merge(job, grids, cells)
-	mergeDur := time.Since(mergeStart)
-	c.mergeSeconds.Observe(mergeDur.Seconds())
-	if rec := core.PhasesFrom(ctx); rec != nil {
-		rec.RecordPhase(core.PhaseShardMerge, mergeDur)
-	}
-	obs.RecordSpan(ctx, "shard.merge", mergeStart, mergeStart.Add(mergeDur),
-		obs.Int("shards", len(spans)), obs.Int("cells", len(cells)))
+	res, err := runShards(ctx, c, shardJob[core.CellResult, *core.DSEResult]{
+		kind: "dse", job: job, units: job.Columns(grids),
+		request: func(span core.ColumnSpan, shard, total int) ShardRequest {
+			return ShardRequest{Job: job, Span: span, Shard: shard, Total: total}
+		},
+		payload: func(sr ShardResponse) []core.CellResult { return sr.Cells },
+		merge: func(shards [][]core.CellResult) (*core.DSEResult, error) {
+			return Merge(job, grids, slices.Concat(shards...))
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	if prog != nil {
+	if prog := core.ProgressFrom(ctx); prog != nil {
 		for li, lr := range res.Layers {
 			prog.LayerDone(li, len(res.Layers), lr)
 		}
 	}
-	c.logger.Info("cluster job merged",
-		"trace_id", obs.TraceFrom(ctx), "columns", columns, "shards", len(spans),
-		"workers", len(live), "duration_ms", time.Since(start).Milliseconds())
 	return res, nil
-}
-
-// dispatchAll runs every shard concurrently (each with its own retry
-// loop) and returns the union of their cells plus how many columns it
-// reported to the context's progress sink (so a failing caller can
-// withdraw them). The first failure cancels the remaining dispatches.
-func (c *Coordinator) dispatchAll(ctx context.Context, jobFP string, job service.DSEJob, spans []core.ColumnSpan) ([]core.CellResult, int, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	prog := core.ProgressFrom(ctx)
-	results := make([][]core.CellResult, len(spans))
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, span := range spans {
-		wg.Add(1)
-		go func(i int, span core.ColumnSpan) {
-			defer wg.Done()
-			cells, err := c.dispatchShard(ctx, jobFP, job, i, len(spans), span)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-				return
-			}
-			results[i] = cells
-			done.Add(int64(span.Len()))
-			if prog != nil {
-				prog.ColumnsDone(span.Len())
-			}
-		}(i, span)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, int(done.Load()), firstErr
-	}
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	cells := make([]core.CellResult, 0, total)
-	for _, r := range results {
-		cells = append(cells, r...)
-	}
-	return cells, int(done.Load()), nil
-}
-
-// dispatchShard resolves one shard: from the shard result cache when an
-// identical (job, span) has completed before (or is completing right
-// now - identical in-flight shards coalesce), else by remote dispatch,
-// whose successful cells are retained for the next duplicate.
-func (c *Coordinator) dispatchShard(ctx context.Context, jobFP string, job service.DSEJob, shard, total int, span core.ColumnSpan) ([]core.CellResult, error) {
-	if c.shardCache == nil || jobFP == "" {
-		return c.dispatchShardRemote(ctx, job, shard, total, span)
-	}
-	key := fmt.Sprintf("%s:%d:%d", jobFP, span.Start, span.End)
-	// The wait is bounded by this caller's context (as service.doBounded
-	// does): a coalesced caller must not block behind a foreign flight's
-	// dispatch - potentially attempts x timeout long - after its own job
-	// was canceled.
-	type outcome struct {
-		cells  []core.CellResult
-		shared bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, shared, err := c.shardCache.Do(key, func() (any, error) {
-			return c.dispatchShardRemote(ctx, job, shard, total, span)
-		})
-		if err != nil {
-			ch <- outcome{shared: shared, err: err}
-			return
-		}
-		ch <- outcome{cells: v.([]core.CellResult), shared: shared}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			if o.shared && ctx.Err() == nil {
-				// The error belongs to a coalesced peer's flight (its
-				// context died, its job failed elsewhere) - not to this
-				// caller, whose context is still live. Dispatch for
-				// ourselves rather than failing an innocent job with a
-				// foreign cancellation.
-				return c.dispatchShardRemote(ctx, job, shard, total, span)
-			}
-			return nil, o.err
-		}
-		return o.cells, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("cluster: shard %d/%d canceled: %w", shard, total, ctx.Err())
-	}
-}
-
-// dispatchShardRemote sends one shard to a live worker, retrying on
-// another worker when a dispatch fails or times out (the failed worker
-// is marked dead until its next heartbeat). Running out of live workers
-// or attempts surfaces as service.ErrNoWorkers so the job as a whole
-// fails over to the owning service's local pool.
-func (c *Coordinator) dispatchShardRemote(ctx context.Context, job service.DSEJob, shard, total int, span core.ColumnSpan) ([]core.CellResult, error) {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d/%d canceled: %w", shard, total, err)
-		}
-		w, ok := c.pickWorker()
-		if !ok {
-			if lastErr != nil {
-				return nil, fmt.Errorf("cluster: shard %d/%d: every live worker failed (last: %v): %w", shard, total, lastErr, service.ErrNoWorkers)
-			}
-			return nil, fmt.Errorf("cluster: shard %d/%d: %w", shard, total, service.ErrNoWorkers)
-		}
-		start := time.Now()
-		// One dispatch span per attempt: a failed attempt records as a
-		// failed span, and the worker's returned spans splice in under
-		// the successful one.
-		sctx, dspan := obs.StartSpan(ctx, "shard.dispatch",
-			obs.Str("worker", w.ID), obs.Int("shard", shard), obs.Int("of", total),
-			obs.Int("span_start", span.Start), obs.Int("span_end", span.End),
-			obs.Int("attempt", attempt+1))
-		cells, workerSpans, err := c.callShard(sctx, w, ShardRequest{Job: job, Span: span, Shard: shard, Total: total})
-		if err == nil {
-			dspan.End()
-			obs.ForwardSpans(ctx, workerSpans)
-			dur := time.Since(start)
-			c.dispatchSeconds.Observe(dur.Seconds())
-			if rec := core.PhasesFrom(ctx); rec != nil {
-				rec.RecordPhase(core.PhaseShardDispatch, dur)
-			}
-			c.completed.Add(1)
-			return cells, nil
-		}
-		dspan.Fail(err)
-		dspan.End()
-		if ctx.Err() != nil {
-			// The caller gave up; the worker is not at fault.
-			return nil, fmt.Errorf("cluster: shard %d/%d canceled: %w", shard, total, ctx.Err())
-		}
-		lastErr = fmt.Errorf("worker %s: %w", w.ID, err)
-		c.members.MarkDead(w.ID)
-		c.retries.Add(1)
-		c.logger.Warn("shard dispatch retrying",
-			"trace_id", obs.TraceFrom(ctx), "shard", shard, "of", total,
-			"worker", w.ID, "attempt", attempt+1, "err", err)
-	}
-	return nil, fmt.Errorf("cluster: shard %d/%d failed after %d attempts (last: %v): %w", shard, total, c.maxAttempts, lastErr, service.ErrNoWorkers)
 }
 
 // maxDispatchWeight caps one worker's weight in the dispatch sequence,
@@ -524,77 +333,35 @@ func weightedSlots(live []WorkerInfo) []WorkerInfo {
 	return out
 }
 
-// callShard performs one DSE shard HTTP round trip, returning the
-// worker's cells plus the worker-recorded spans riding the response.
-func (c *Coordinator) callShard(ctx context.Context, w WorkerInfo, req ShardRequest) ([]core.CellResult, []obs.Span, error) {
-	sr, err := c.postShard(ctx, w, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sr.Cells, sr.Spans, nil
-}
-
-// postShard performs one shard HTTP round trip - DSE or simulate,
-// whichever the request carries - bounded by the shard timeout so a
-// frozen worker surfaces as a retryable failure.
-func (c *Coordinator) postShard(ctx context.Context, w WorkerInfo, req ShardRequest) (ShardResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
-	defer cancel()
-	body, err := json.Marshal(req)
-	if err != nil {
-		return ShardResponse{}, fmt.Errorf("encode shard: %w", err)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.URL+PathShard, bytes.NewReader(body))
-	if err != nil {
-		return ShardResponse{}, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if trace := obs.TraceFrom(ctx); trace != "" {
-		// The shard inherits the job's trace ID, so one batch run is one
-		// trace across coordinator and worker logs and metrics.
-		httpReq.Header.Set(obs.TraceHeader, trace)
-	}
-	if span := obs.SpanIDFrom(ctx); span != "" {
-		// The dispatch span's ID rides along so the worker's spans
-		// parent under it in the assembled tree.
-		httpReq.Header.Set(obs.SpanHeader, span)
-	}
-	resp, err := c.client.Do(httpReq)
-	if err != nil {
-		return ShardResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return ShardResponse{}, fmt.Errorf("shard endpoint returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	var sr ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return ShardResponse{}, fmt.Errorf("decode shard response: %w", err)
-	}
-	return sr, nil
-}
-
 // Merge folds shard cells into the job's DSEResult. The reduction is
 // core.ReduceCells - the exact code the serial scan and the single-host
 // parallel executor reduce through - so the merged result is bit-for-bit
 // identical to theirs regardless of shard order, interleaving, or
 // duplicate delivery (a duplicated cell can never beat itself under the
-// serial tie-break). Cells with out-of-range indices are rejected: they
-// indicate a worker evaluating a different job than the coordinator cut.
+// serial tie-break). Cells outside the job's grid or with a non-finite
+// EDP are rejected, and so is a (layer, schedule, policy) cell no shard
+// delivered - every grid layer has a feasible tiling, so every such
+// cell is finite: they indicate a faulty worker or one evaluating a
+// different job than the coordinator cut.
 func Merge(job service.DSEJob, grids []core.LayerGrid, cells []core.CellResult) (*core.DSEResult, error) {
+	tm := job.Backend.Config.Timing
 	perLayer := make([][]core.CellResult, len(grids))
+	covered := make([]bool, len(grids)*len(job.Schedules)*len(job.Policies))
 	for _, cell := range cells {
 		if cell.LayerIndex < 0 || cell.LayerIndex >= len(grids) ||
 			cell.ScheduleIndex < 0 || cell.ScheduleIndex >= len(job.Schedules) ||
 			cell.PolicyIndex < 0 || cell.PolicyIndex >= len(job.Policies) ||
-			cell.TilingIndex < 0 || cell.TilingIndex >= len(grids[cell.LayerIndex].Tilings) {
-			return nil, fmt.Errorf("cluster: merge: cell %+v outside the job's grid", cell)
+			cell.TilingIndex < 0 || cell.TilingIndex >= len(grids[cell.LayerIndex].Tilings) ||
+			math.IsInf(cell.Cost.EDP(tm), 0) || math.IsNaN(cell.Cost.EDP(tm)) {
+			return nil, fmt.Errorf("cluster: merge: cell %+v outside the job's grid or not finite", cell)
 		}
 		perLayer[cell.LayerIndex] = append(perLayer[cell.LayerIndex], cell)
+		covered[(cell.LayerIndex*len(job.Schedules)+cell.ScheduleIndex)*len(job.Policies)+cell.PolicyIndex] = true
+	}
+	if i := slices.Index(covered, false); i >= 0 {
+		return nil, fmt.Errorf("cluster: merge: (layer, schedule, policy) cell %d missing from every shard", i)
 	}
 	res := &core.DSEResult{Backend: job.Backend, Arch: job.Backend.Config.Arch}
-	tm := job.Backend.Config.Timing
 	for li, lg := range grids {
 		res.Layers = append(res.Layers, core.ReduceCells(lg, job.Schedules, job.Policies, perLayer[li], tm))
 	}

@@ -30,7 +30,9 @@
 // workers need no shared registry state; they characterize the backend
 // themselves through their content-addressed cache. Cells are
 // self-locating (layer/schedule/policy/tiling indices), which makes the
-// merge order-independent and idempotent under redelivery.
+// merge order-independent and idempotent under redelivery. Simulate
+// jobs shard over layer indices through the same dispatcher. Shard
+// bodies are capped at MaxShardBytes in both directions.
 package cluster
 
 import (
@@ -45,6 +47,12 @@ const (
 	PathShard    = "/cluster/v1/shard"
 	PathWorkers  = "/cluster/v1/workers"
 )
+
+// MaxShardBytes caps shard request bodies on the worker and shard
+// response bodies on the coordinator. Built-in shard messages are tens
+// of kilobytes (job JSON, cells or layers, at most
+// obs.DefaultSpanBufferCap spans): two orders of magnitude of headroom.
+const MaxShardBytes = 1 << 22
 
 // RegisterRequest announces (and re-announces: it is the heartbeat) a
 // worker to the coordinator.

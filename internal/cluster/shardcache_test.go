@@ -5,54 +5,55 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"drmap/internal/cnn"
 )
 
 // TestShardCacheSkipsDuplicateDispatch: re-running an identical
 // resolved job re-dispatches nothing - every span is answered from the
 // coordinator's shard result cache - and the merged result is
-// bit-for-bit the first run's (and serial RunDSE's).
+// bit-for-bit the first run's (and the single-process run's), for
+// both sharded job kinds.
 func TestShardCacheSkipsDuplicateDispatch(t *testing.T) {
-	tw := newTestWorker(t, "w1", nil)
-	defer tw.server.Close()
-	c := NewCoordinator(CoordinatorOptions{})
-	c.Membership().Heartbeat(WorkerInfo{ID: "w1", URL: tw.server.URL})
+	for _, kc := range kindCases(t, "salp2") {
+		t.Run(kc.kind, func(t *testing.T) {
+			tw := newTestWorker(t, "w1", nil)
+			defer tw.server.Close()
+			c := NewCoordinator(CoordinatorOptions{})
+			c.Membership().Heartbeat(WorkerInfo{ID: "w1", URL: tw.server.URL})
 
-	net := cnn.LeNet5()
-	job := jobFor(t, "salp2", net)
-	first, err := c.RunDSE(context.Background(), job)
-	if err != nil {
-		t.Fatalf("RunDSE: %v", err)
-	}
-	served := tw.worker.ShardsServed()
-	if served == 0 {
-		t.Fatal("no shards dispatched on the first run")
-	}
-	if ss := c.ShardCacheStats(); ss.Misses != served || ss.Entries != int(served) {
-		t.Errorf("first run: cache stats %+v, want %d misses/entries", ss, served)
-	}
+			first, err := kc.run(context.Background(), c)
+			if err != nil {
+				t.Fatalf("%s: %v", kc.kind, err)
+			}
+			served := tw.worker.ShardsServed()
+			if served == 0 {
+				t.Fatal("no shards dispatched on the first run")
+			}
+			if ss := c.ShardCacheStats(); ss.Misses != served || ss.Entries != int(served) {
+				t.Errorf("first run: cache stats %+v, want %d misses/entries", ss, served)
+			}
 
-	second, err := c.RunDSE(context.Background(), job)
-	if err != nil {
-		t.Fatalf("RunDSE (repeat): %v", err)
-	}
-	if again := tw.worker.ShardsServed(); again != served {
-		t.Errorf("duplicate job dispatched shards: %d -> %d", served, again)
-	}
-	if ss := c.ShardCacheStats(); ss.Hits != served {
-		t.Errorf("duplicate job: cache hits = %d, want %d", ss.Hits, served)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("cached rerun diverged from the first run")
-	}
-	if serial := serialDSE(t, "salp2", net); !reflect.DeepEqual(first, serial) {
-		t.Error("distributed result diverged from serial RunDSE")
+			second, err := kc.run(context.Background(), c)
+			if err != nil {
+				t.Fatalf("%s (repeat): %v", kc.kind, err)
+			}
+			if again := tw.worker.ShardsServed(); again != served {
+				t.Errorf("duplicate job dispatched shards: %d -> %d", served, again)
+			}
+			if ss := c.ShardCacheStats(); ss.Hits != served {
+				t.Errorf("duplicate job: cache hits = %d, want %d", ss.Hits, served)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Error("cached rerun diverged from the first run")
+			}
+			if !reflect.DeepEqual(first, kc.want(t)) {
+				t.Errorf("distributed %s diverged from the single-process run", kc.kind)
+			}
+		})
 	}
 
 	// The shard-cache gauges ride along on the coordinator metrics.
 	names := map[string]bool{}
-	for _, m := range c.Metrics() {
+	for _, m := range NewCoordinator(CoordinatorOptions{}).Metrics() {
 		names[m.Name] = true
 	}
 	for _, want := range []string{
@@ -69,38 +70,40 @@ func TestShardCacheSkipsDuplicateDispatch(t *testing.T) {
 }
 
 // TestShardCacheDisabled: a negative bound turns the cache off - every
-// run dispatches - without touching result equivalence.
+// run of either kind dispatches - without touching result equivalence.
 func TestShardCacheDisabled(t *testing.T) {
-	tw := newTestWorker(t, "w1", nil)
-	defer tw.server.Close()
-	c := NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1})
-	c.Membership().Heartbeat(WorkerInfo{ID: "w1", URL: tw.server.URL})
+	for _, kc := range kindCases(t, "ddr3") {
+		t.Run(kc.kind, func(t *testing.T) {
+			tw := newTestWorker(t, "w1", nil)
+			defer tw.server.Close()
+			c := NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1})
+			c.Membership().Heartbeat(WorkerInfo{ID: "w1", URL: tw.server.URL})
 
-	net := cnn.LeNet5()
-	job := jobFor(t, "ddr3", net)
-	first, err := c.RunDSE(context.Background(), job)
-	if err != nil {
-		t.Fatalf("RunDSE: %v", err)
-	}
-	served := tw.worker.ShardsServed()
-	second, err := c.RunDSE(context.Background(), job)
-	if err != nil {
-		t.Fatalf("RunDSE (repeat): %v", err)
-	}
-	if again := tw.worker.ShardsServed(); again != 2*served {
-		t.Errorf("disabled cache should re-dispatch: served %d then %d", served, again)
-	}
-	if ss := c.ShardCacheStats(); ss.Hits != 0 || ss.Misses != 0 || ss.Entries != 0 {
-		t.Errorf("disabled cache reports stats %+v", ss)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("reruns diverged")
+			first, err := kc.run(context.Background(), c)
+			if err != nil {
+				t.Fatalf("%s: %v", kc.kind, err)
+			}
+			served := tw.worker.ShardsServed()
+			second, err := kc.run(context.Background(), c)
+			if err != nil {
+				t.Fatalf("%s (repeat): %v", kc.kind, err)
+			}
+			if again := tw.worker.ShardsServed(); again != 2*served {
+				t.Errorf("disabled cache should re-dispatch: served %d then %d", served, again)
+			}
+			if ss := c.ShardCacheStats(); ss.Hits != 0 || ss.Misses != 0 || ss.Entries != 0 {
+				t.Errorf("disabled cache reports stats %+v", ss)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Error("reruns diverged")
+			}
+		})
 	}
 
 	// Disabled or not, the gauges stay present (zero-valued) so
 	// dashboards do not lose series.
 	var metricsText strings.Builder
-	for _, m := range c.Metrics() {
+	for _, m := range NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1}).Metrics() {
 		metricsText.WriteString(m.Name + "\n")
 	}
 	if !strings.Contains(metricsText.String(), "drmap_cluster_shard_cache_hits_total") {

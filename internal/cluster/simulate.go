@@ -3,74 +3,35 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"drmap/internal/core"
-	"drmap/internal/obs"
 	"drmap/internal/service"
 )
 
 // RunSimulate distributes one resolved simulate job across the live
-// workers, one shard per contiguous span of layer indices, and merges
-// the returned layers by placement into a result bit-for-bit identical
-// to the local engines (layers share no simulation state, so a span is
-// exact wherever it runs). With no live workers it returns an error
-// wrapping service.ErrNoWorkers, and the owning Service falls back to
-// its local event engine - simulate degrades to standalone exactly
-// like DSE.
-//
-// A progress sink on ctx receives the layer total up front and one
-// ColumnsDone per merged shard span; a sim-layer sink
-// (core.WithSimLayers) receives every layer in index order after the
-// merge, so a distributed v2 simulate job streams the same sim_layer
-// events as a local one.
+// workers by layer-index span, through the same dispatcher as RunDSE,
+// and merges the layers by placement into a result bit-for-bit
+// identical to the local engines (layers share no simulation state, so
+// a span is exact wherever it runs); with no live workers it wraps
+// service.ErrNoWorkers. Progress counts layers as units; a sim-layer
+// sink (core.WithSimLayers) receives every layer in index order after
+// the merge, so a distributed v2 simulate job streams the same
+// sim_layer events as a local one.
 func (c *Coordinator) RunSimulate(ctx context.Context, job service.SimulateJob) ([]core.SimLayerResult, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	live := c.members.Live()
-	if len(live) == 0 {
-		return nil, fmt.Errorf("cluster: %w", service.ErrNoWorkers)
-	}
-	prog := core.ProgressFrom(ctx)
 	layers := len(job.Specs)
-	if prog != nil {
-		prog.StartColumns(layers)
-	}
-	spans := core.ColumnShards(layers, len(live)*c.shardsPerWorker)
-	// The shard cache shares its keyspace with DSE shards; the "sim:"
-	// prefix keeps the two job kinds' fingerprints from ever colliding.
-	jobFP := ""
-	if c.shardCache != nil {
-		if fp, err := service.Fingerprint(job); err == nil {
-			jobFP = "sim:" + fp
-		}
-	}
-	start := time.Now()
-	shardResults, done, err := c.dispatchAllSim(ctx, jobFP, job, spans)
-	if err != nil {
-		// Withdraw this attempt's announced and completed columns, as
-		// RunDSE does: the local fallback announces the same layers
-		// again, and an accumulating sink would double-count.
-		if prog != nil {
-			prog.ColumnsDone(-done)
-			prog.StartColumns(-layers)
-		}
-		c.logger.Warn("cluster sim dispatch failed",
-			"trace_id", obs.TraceFrom(ctx), "shards", len(spans), "err", err)
-		return nil, err
-	}
-	mergeStart := time.Now()
-	res, err := MergeSim(layers, shardResults)
-	mergeDur := time.Since(mergeStart)
-	c.mergeSeconds.Observe(mergeDur.Seconds())
-	if rec := core.PhasesFrom(ctx); rec != nil {
-		rec.RecordPhase(core.PhaseShardMerge, mergeDur)
-	}
-	obs.RecordSpan(ctx, "shard.merge", mergeStart, mergeStart.Add(mergeDur),
-		obs.Int("shards", len(spans)), obs.Int("layers", layers))
+	res, err := runShards(ctx, c, shardJob[core.SimLayerResult, []core.SimLayerResult]{
+		kind: "simulate", job: job, units: layers,
+		request: func(span core.ColumnSpan, shard, total int) ShardRequest {
+			return ShardRequest{Sim: &job, Span: span, Shard: shard, Total: total}
+		},
+		payload: func(sr ShardResponse) []core.SimLayerResult { return sr.SimLayers },
+		merge: func(shards [][]core.SimLayerResult) ([]core.SimLayerResult, error) {
+			return MergeSim(layers, shards)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -79,157 +40,7 @@ func (c *Coordinator) RunSimulate(ctx context.Context, job service.SimulateJob) 
 			sink(lr, layers)
 		}
 	}
-	c.logger.Info("cluster simulate merged",
-		"trace_id", obs.TraceFrom(ctx), "layers", layers, "shards", len(spans),
-		"workers", len(live), "duration_ms", time.Since(start).Milliseconds())
 	return res, nil
-}
-
-// dispatchAllSim runs every simulate shard concurrently (each with its
-// own retry loop) and returns the per-shard layer results plus how many
-// columns it reported to the context's progress sink. The first failure
-// cancels the remaining dispatches.
-func (c *Coordinator) dispatchAllSim(ctx context.Context, jobFP string, job service.SimulateJob, spans []core.ColumnSpan) ([][]core.SimLayerResult, int, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	prog := core.ProgressFrom(ctx)
-	results := make([][]core.SimLayerResult, len(spans))
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, span := range spans {
-		wg.Add(1)
-		go func(i int, span core.ColumnSpan) {
-			defer wg.Done()
-			layers, err := c.dispatchShardSim(ctx, jobFP, job, i, len(spans), span)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-				return
-			}
-			results[i] = layers
-			done.Add(int64(span.Len()))
-			if prog != nil {
-				prog.ColumnsDone(span.Len())
-			}
-		}(i, span)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, int(done.Load()), firstErr
-	}
-	return results, int(done.Load()), nil
-}
-
-// dispatchShardSim resolves one simulate shard: from the shard result
-// cache when an identical (job, span) has completed before (or is
-// completing right now - identical in-flight shards coalesce), else by
-// remote dispatch. The cache is sound here for the same reason it is
-// for DSE: the engines are bit-for-bit deterministic, so a cached
-// span's layers are the layers any re-dispatch would produce.
-func (c *Coordinator) dispatchShardSim(ctx context.Context, jobFP string, job service.SimulateJob, shard, total int, span core.ColumnSpan) ([]core.SimLayerResult, error) {
-	if c.shardCache == nil || jobFP == "" {
-		return c.dispatchShardSimRemote(ctx, job, shard, total, span)
-	}
-	key := fmt.Sprintf("%s:%d:%d", jobFP, span.Start, span.End)
-	type outcome struct {
-		layers []core.SimLayerResult
-		shared bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, shared, err := c.shardCache.Do(key, func() (any, error) {
-			return c.dispatchShardSimRemote(ctx, job, shard, total, span)
-		})
-		if err != nil {
-			ch <- outcome{shared: shared, err: err}
-			return
-		}
-		ch <- outcome{layers: v.([]core.SimLayerResult), shared: shared}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			if o.shared && ctx.Err() == nil {
-				// A coalesced peer's flight failed on its own context,
-				// not ours; dispatch for ourselves (see dispatchShard).
-				return c.dispatchShardSimRemote(ctx, job, shard, total, span)
-			}
-			return nil, o.err
-		}
-		return o.layers, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("cluster: sim shard %d/%d canceled: %w", shard, total, ctx.Err())
-	}
-}
-
-// dispatchShardSimRemote sends one simulate shard to a live worker,
-// retrying on another worker when a dispatch fails or times out (the
-// failed worker is marked dead until its next heartbeat). Running out
-// of live workers or attempts surfaces as service.ErrNoWorkers so the
-// whole job fails over to the owning service's local engine.
-func (c *Coordinator) dispatchShardSimRemote(ctx context.Context, job service.SimulateJob, shard, total int, span core.ColumnSpan) ([]core.SimLayerResult, error) {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: sim shard %d/%d canceled: %w", shard, total, err)
-		}
-		w, ok := c.pickWorker()
-		if !ok {
-			if lastErr != nil {
-				return nil, fmt.Errorf("cluster: sim shard %d/%d: every live worker failed (last: %v): %w", shard, total, lastErr, service.ErrNoWorkers)
-			}
-			return nil, fmt.Errorf("cluster: sim shard %d/%d: %w", shard, total, service.ErrNoWorkers)
-		}
-		start := time.Now()
-		sctx, dspan := obs.StartSpan(ctx, "shard.dispatch",
-			obs.Str("worker", w.ID), obs.Int("shard", shard), obs.Int("of", total),
-			obs.Int("span_start", span.Start), obs.Int("span_end", span.End),
-			obs.Int("attempt", attempt+1), obs.Str("kind", "simulate"))
-		layers, workerSpans, err := c.callShardSim(sctx, w, ShardRequest{Sim: &job, Span: span, Shard: shard, Total: total})
-		if err == nil {
-			dspan.End()
-			obs.ForwardSpans(ctx, workerSpans)
-			dur := time.Since(start)
-			c.dispatchSeconds.Observe(dur.Seconds())
-			if rec := core.PhasesFrom(ctx); rec != nil {
-				rec.RecordPhase(core.PhaseShardDispatch, dur)
-			}
-			c.completed.Add(1)
-			return layers, nil
-		}
-		dspan.Fail(err)
-		dspan.End()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("cluster: sim shard %d/%d canceled: %w", shard, total, ctx.Err())
-		}
-		lastErr = fmt.Errorf("worker %s: %w", w.ID, err)
-		c.members.MarkDead(w.ID)
-		c.retries.Add(1)
-		c.logger.Warn("sim shard dispatch retrying",
-			"trace_id", obs.TraceFrom(ctx), "shard", shard, "of", total,
-			"worker", w.ID, "attempt", attempt+1, "err", err)
-	}
-	return nil, fmt.Errorf("cluster: sim shard %d/%d failed after %d attempts (last: %v): %w", shard, total, c.maxAttempts, lastErr, service.ErrNoWorkers)
-}
-
-// callShardSim performs one simulate-shard HTTP round trip, bounded by
-// the shard timeout. It returns the worker's layer results plus the
-// worker-recorded spans riding the shard response.
-func (c *Coordinator) callShardSim(ctx context.Context, w WorkerInfo, req ShardRequest) ([]core.SimLayerResult, []obs.Span, error) {
-	sr, err := c.postShard(ctx, w, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sr.SimLayers, sr.Spans, nil
 }
 
 // MergeSim assembles shard layer results into the job's layer order by

@@ -106,10 +106,12 @@ func TestDistributedSimulateSurvivesWorkerDeathMidShard(t *testing.T) {
 
 	job := simJobFor(t, "ddr3", cnn.LeNet5(), true)
 	serial := localSim(t, job)
+	checkLeaks := goroutineBaseline(t, coord)
 	dist, err := coord.RunSimulate(context.Background(), job)
 	if err != nil {
 		t.Fatalf("distributed RunSimulate with dying worker: %v", err)
 	}
+	checkLeaks()
 	if !reflect.DeepEqual(serial, dist) {
 		t.Error("distributed simulate diverged from local serial after worker death")
 	}

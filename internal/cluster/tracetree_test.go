@@ -154,6 +154,12 @@ func TestTraceTreeAcrossCluster(t *testing.T) {
 			t.Errorf("tree has %d %q spans, want >= %d (all: %v)", counts[name], name, min, counts)
 		}
 	}
+	// The shared dispatcher stamps the job kind on its spans.
+	for _, s := range spans {
+		if kind, _ := s.Attr("kind"); (s.Name == "shard.dispatch" || s.Name == "shard.merge") && kind != "dse" {
+			t.Errorf("%s span %s carries kind=%q, want dse", s.Name, s.SpanID, kind)
+		}
+	}
 	// The shard/count/price spans crossed the process boundary inside
 	// the shard responses: they carry the worker's process name.
 	for _, name := range []string{"shard.evaluate", "count", "price"} {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"drmap/internal/cnn"
@@ -130,26 +131,35 @@ func (p *progressRecorder) LayerDone(index, layers int, lr core.LayerResult) {
 // TestFailedDispatchWithdrawsProgress: a distributed attempt that dies
 // mid-run takes back the columns it announced and completed, so the
 // local-pool fallback's re-announcement does not double-count the
-// job's progress.
+// job's progress, publishes no layer events, and leaves no goroutine
+// of the canceled fan-out behind - for both sharded job kinds.
 func TestFailedDispatchWithdrawsProgress(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{MaxAttempts: 1})
-	// The worker survives exactly one shard request, then dies.
-	w := newTestWorker(t, "w1", func(reqNum int64) bool { return reqNum > 1 })
-	w.register(coord)
+	for _, kc := range kindCases(t, "ddr3") {
+		t.Run(kc.kind, func(t *testing.T) {
+			coord := NewCoordinator(CoordinatorOptions{MaxAttempts: 1})
+			// The worker survives exactly one shard request, then dies.
+			w := newTestWorker(t, "w1", func(reqNum int64) bool { return reqNum > 1 })
+			w.register(coord)
 
-	net := cnn.LeNet5()
-	rec := &progressRecorder{}
-	_, err := coord.RunDSE(core.WithProgress(context.Background(), rec), jobFor(t, "ddr3", net))
-	if !errors.Is(err, service.ErrNoWorkers) {
-		t.Fatalf("RunDSE err %v, want ErrNoWorkers", err)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.total != 0 || rec.done != 0 {
-		t.Errorf("failed dispatch left progress total=%d done=%d, want 0/0 (withdrawn)", rec.total, rec.done)
-	}
-	if len(rec.layers) != 0 {
-		t.Errorf("failed dispatch reported %d layer events", len(rec.layers))
+			rec := &progressRecorder{}
+			var simLayers atomic.Int64
+			ctx := core.WithProgress(context.Background(), rec)
+			ctx = core.WithSimLayers(ctx, func(core.SimLayerResult, int) { simLayers.Add(1) })
+			checkLeaks := goroutineBaseline(t, coord)
+			_, err := kc.run(ctx, coord)
+			if !errors.Is(err, service.ErrNoWorkers) {
+				t.Fatalf("%s err %v, want ErrNoWorkers", kc.kind, err)
+			}
+			checkLeaks()
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if rec.total != 0 || rec.done != 0 {
+				t.Errorf("failed dispatch left progress total=%d done=%d, want 0/0 (withdrawn)", rec.total, rec.done)
+			}
+			if len(rec.layers) != 0 || simLayers.Load() != 0 {
+				t.Errorf("failed dispatch reported %d layer and %d sim-layer events", len(rec.layers), simLayers.Load())
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -131,10 +132,15 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	ctx, trace := obs.EnsureTrace(r.Context(), r.Header.Get(obs.TraceHeader))
 	rw.Header().Set(obs.TraceHeader, trace)
 	var req ShardRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<22)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, MaxShardBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		w.rejected.Add(1)
 		w.logger.Warn("shard rejected", "trace_id", trace, "err", err)
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "bad shard body: " + err.Error()})
+		writeJSON(rw, status, map[string]string{"error": "bad shard body: " + err.Error()})
 		return
 	}
 	// The shard's spans are recorded twice over: into a bounded buffer

@@ -111,6 +111,11 @@ func (s *Service) runJob(ctx context.Context, job DSEJob) (*core.DSEResult, erro
 // a coordinator can merge shards in any order, with any duplication,
 // and still reduce to the serial scan's pick.
 func (s *Service) EvaluateShard(ctx context.Context, job DSEJob, span core.ColumnSpan) ([]core.CellResult, error) {
+	// The job arrives off the wire: validate it as the coordinator did
+	// before the grid enumeration divides by its buffer sizes.
+	if err := job.Validate(); err != nil {
+		return nil, err
+	}
 	grids, err := s.gridFor(job)
 	if err != nil {
 		return nil, err
