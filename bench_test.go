@@ -625,6 +625,34 @@ func BenchmarkRepriceFlat(b *testing.B) {
 	})
 }
 
+// BenchmarkCountColumn measures the whole-network count phase of one
+// DSE: every (layer, schedule) column of the four-schedule Table I grid
+// counted with CountScheduleColumn and flattened for repricing, the
+// work a plan-cache miss costs the serving daemon. Grid construction
+// is outside the timer. -benchmem pins the kernel's allocation
+// discipline: the per-call burst-length memo and reused tile-group
+// buffer keep allocs/op at a few per column, not a few per tiling.
+func BenchmarkCountColumn(b *testing.B) {
+	ev := benchEvaluators(b)[0]
+	schedules, policies := drmap.Schedules(), drmap.TableIPolicies()
+	for _, net := range []drmap.Network{drmap.AlexNet(), drmap.VGG16()} {
+		grids, err := core.DSEGrid(net, ev, schedules, policies)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(net.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, lg := range grids {
+					for si, s := range schedules {
+						ev.CountScheduleColumn(lg, si, s, policies).Flatten()
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRegistrySweep measures the delta-repricing trajectory of the
 // whole-registry scan (internal/sweep's plan cache): the DRMap-policy
 // AlexNet DSE across every registered backend. Three paths, all with

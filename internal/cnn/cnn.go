@@ -5,7 +5,11 @@
 // loop bounds of the paper's Fig. 3 pseudo-code.
 package cnn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // LayerKind distinguishes convolutional from fully-connected layers.
 // An FC layer is the degenerate convolution H = W = P = Q = 1.
@@ -59,10 +63,62 @@ func (l Layer) Validate() error {
 	if l.Pad < 0 {
 		return fmt.Errorf("cnn: layer %s: negative padding %d", l.Name, l.Pad)
 	}
+	if l.Pad >= l.P || l.Pad >= l.Q {
+		return fmt.Errorf("cnn: layer %s: padding %d must be smaller than the %dx%d kernel", l.Name, l.Pad, l.P, l.Q)
+	}
 	if l.Kind == FC && (l.H != 1 || l.W != 1 || l.P != 1 || l.Q != 1) {
 		return fmt.Errorf("cnn: layer %s: FC layers need H=W=P=Q=1", l.Name)
 	}
+	return l.checkSizes()
+}
+
+// checkSizes rejects a layer whose stored input would be empty or whose
+// derived sizes - the ifms, weights and ofms element counts and the
+// MACs - overflow int64, so every count derived from a valid layer is
+// exact. It assumes the positivity and padding checks passed.
+func (l Layer) checkSizes() error {
+	inH, okH := inputExtent(l.H, l.Stride, l.P, l.Pad)
+	inW, okW := inputExtent(l.W, l.Stride, l.Q, l.Pad)
+	if okH && okW && (inH < 1 || inW < 1) {
+		return fmt.Errorf("cnn: layer %s: padding %d leaves a %dx%d stored input", l.Name, l.Pad, inH, inW)
+	}
+	_, okIfm := checkedProduct(inH, inW, int64(l.I))
+	_, okWgt := checkedProduct(int64(l.P), int64(l.Q), int64(l.I), int64(l.J))
+	ofm, okOfm := checkedProduct(int64(l.H), int64(l.W), int64(l.J))
+	_, okMACs := checkedProduct(ofm, int64(l.I), int64(l.P), int64(l.Q))
+	if !okH || !okW || !okIfm || !okWgt || !okOfm || !okMACs {
+		return fmt.Errorf("cnn: layer %s: dimensions too large: the ifms, weights and ofms element counts and the MACs must each fit in int64", l.Name)
+	}
 	return nil
+}
+
+// inputExtent returns the stored input rows (or columns) of one spatial
+// dimension, (out-1)*stride + kernel - 2*pad, and false when computing
+// it overflows int. It needs 0 <= pad < kernel.
+func inputExtent(out, stride, kernel, pad int) (int64, bool) {
+	span, ok := checkedProduct(int64(out-1), int64(stride))
+	if !ok {
+		return 0, false
+	}
+	sum, carry := bits.Add64(uint64(span), uint64(kernel-pad), 0)
+	if carry != 0 || sum > math.MaxInt {
+		return 0, false
+	}
+	return int64(sum) - int64(pad), true
+}
+
+// checkedProduct multiplies non-negative factors and reports false when
+// the product overflows int64.
+func checkedProduct(factors ...int64) (int64, bool) {
+	p := uint64(1)
+	for _, f := range factors {
+		hi, lo := bits.Mul64(p, uint64(f))
+		if hi != 0 || lo > math.MaxInt64 {
+			return 0, false
+		}
+		p = lo
+	}
+	return int64(p), true
 }
 
 // InputHeight returns the stored ifms height: the receptive field of the

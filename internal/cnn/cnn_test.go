@@ -1,6 +1,7 @@
 package cnn
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -120,10 +121,35 @@ func TestValidateRejectsBadLayers(t *testing.T) {
 		{Name: "pad", Kind: Conv, H: 1, W: 1, J: 1, I: 1, P: 1, Q: 1, Stride: 1, Pad: -1},
 		{Name: "fc", Kind: FC, H: 2, W: 1, J: 1, I: 1, P: 1, Q: 1, Stride: 1},
 		{Name: "stride", Kind: Conv, H: 1, W: 1, J: 1, I: 1, P: 1, Q: 1, Stride: 0},
+		// Padding as wide as the kernel or wider.
+		{Name: "pad-p", Kind: Conv, H: 4, W: 4, J: 4, I: 4, P: 1, Q: 1, Stride: 1, Pad: 5},
+		{Name: "pad-q", Kind: Conv, H: 4, W: 4, J: 4, I: 4, P: 5, Q: 3, Stride: 1, Pad: 3},
+		// Pad < kernel, but the single output row needs 5-8 = -3 input rows.
+		{Name: "empty-input", Kind: Conv, H: 1, W: 1, J: 1, I: 1, P: 5, Q: 5, Stride: 1, Pad: 4},
+		// Element counts and MACs past int64.
+		{Name: "huge", Kind: Conv, H: 1 << 30, W: 1 << 30, J: 1 << 30, I: 1 << 30, P: 3, Q: 3, Stride: 1, Pad: 1},
+		{Name: "huge-fc", Kind: FC, H: 1, W: 1, J: 1 << 32, I: 1 << 32, P: 1, Q: 1, Stride: 1},
+		{Name: "huge-stride", Kind: Conv, H: 1 << 40, W: 1, J: 1, I: 1, P: 1, Q: 1, Stride: 1 << 40},
+		{Name: "huge-kernel", Kind: Conv, H: 2, W: 1, J: 1, I: 1, P: math.MaxInt, Q: 1, Stride: math.MaxInt},
 	}
 	for _, l := range bads {
 		if err := l.Validate(); err == nil {
 			t.Errorf("layer %s accepted: %+v", l.Name, l)
+		}
+	}
+}
+
+// TestValidateAcceptsLargeExactLayers: the size bound rejects only
+// layers whose derived counts overflow, not large ones that fit.
+func TestValidateAcceptsLargeExactLayers(t *testing.T) {
+	for _, l := range []Layer{
+		// 2^40 ofm elements, ~2^53 MACs.
+		{Name: "big", H: 1 << 15, W: 1 << 15, J: 1 << 10, I: 1 << 10, P: 3, Q: 3, Stride: 1, Pad: 1},
+		// The perfbench custom-stack shape: 3x3, pad 1.
+		{Name: "stack", H: 14, W: 14, J: 64, I: 32, P: 3, Q: 3, Stride: 1, Pad: 1},
+	} {
+		if err := l.Validate(); err != nil {
+			t.Errorf("%s: valid layer rejected: %v", l.Name, err)
 		}
 	}
 }

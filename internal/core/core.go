@@ -135,20 +135,22 @@ func (ev *Evaluator) burstsOf(elems int64) int64 {
 	return (bytes + per - 1) / per
 }
 
+// streamCounts splits one stream of `bursts` accesses into the access
+// categories under the evaluator's counting convention: the paper's
+// loop-level Counts, or PhysicalCounts when UsePhysicalCounts is set.
+func (ev *Evaluator) streamCounts(pol mapping.Policy, bursts int64) mapping.Counts {
+	if ev.UsePhysicalCounts {
+		return pol.PhysicalCounts(bursts, ev.Profile.Config.Geometry)
+	}
+	return pol.Counts(bursts, ev.Profile.Config.Geometry)
+}
+
 // GroupCounts accumulates the access-category counts of a set of tile
 // streams under a mapping policy.
 func (ev *Evaluator) GroupCounts(pol mapping.Policy, groups []tiling.TileGroup) mapping.Counts {
-	g := ev.Profile.Config.Geometry
 	var total mapping.Counts
 	for _, grp := range groups {
-		bursts := ev.burstsOf(grp.Elems)
-		var c mapping.Counts
-		if ev.UsePhysicalCounts {
-			c = pol.PhysicalCounts(bursts, g)
-		} else {
-			c = pol.Counts(bursts, g)
-		}
-		total.Add(c, grp.Loads)
+		total.Add(ev.streamCounts(pol, ev.burstsOf(grp.Elems)), grp.Loads)
 	}
 	return total
 }
@@ -182,15 +184,8 @@ func (ev *Evaluator) PriceRW(read, write mapping.Counts) LayerEDP {
 
 // GroupCountsRW is GroupCounts with the split by transfer direction.
 func (ev *Evaluator) GroupCountsRW(pol mapping.Policy, groups []tiling.TileGroup) (read, write mapping.Counts) {
-	g := ev.Profile.Config.Geometry
 	for _, grp := range groups {
-		bursts := ev.burstsOf(grp.Elems)
-		var c mapping.Counts
-		if ev.UsePhysicalCounts {
-			c = pol.PhysicalCounts(bursts, g)
-		} else {
-			c = pol.Counts(bursts, g)
-		}
+		c := ev.streamCounts(pol, ev.burstsOf(grp.Elems))
 		if grp.Write {
 			write.Add(c, grp.Loads)
 		} else {

@@ -93,24 +93,57 @@ func (ev *Evaluator) CountKey() CountKey {
 }
 
 // CountScheduleColumn computes one grid column's count plan: for every
-// candidate tiling it expands the tile groups once and accumulates the
+// candidate tiling it expands the tile groups and accumulates the
 // read/write access-category counts of every policy - the expensive
 // phase of EvaluateScheduleColumn, and the part that is valid for every
-// evaluator sharing this evaluator's CountKey. The evaluator is only
-// read, so one evaluator may serve many concurrent calls.
+// evaluator sharing this evaluator's CountKey.
+//
+// A stream's counts depend only on (policy, bursts), and a column's
+// thousands of tilings repeat a few hundred burst lengths, so the call
+// keeps a memo from burst length to the counts of every policy (one
+// slab, len(policies) entries per length) and each tiling only
+// accumulates Loads x memo[bursts]. Integer accumulation is exact, so
+// every cell equals GroupCountsRW over TileGroups bit for bit. The memo
+// and the reused group buffer are local to the call and the evaluator
+// is only read, so one evaluator may serve many concurrent calls.
 func (ev *Evaluator) CountScheduleColumn(lg LayerGrid, scheduleIdx int, s tiling.Schedule, policies []mapping.Policy) *CountColumn {
+	np := len(policies)
 	cc := &CountColumn{
 		LayerIndex:    lg.Index,
 		ScheduleIndex: scheduleIdx,
-		Policies:      len(policies),
-		Cells:         make([]CellCounts, len(lg.Tilings)*len(policies)),
+		Policies:      np,
+		Cells:         make([]CellCounts, len(lg.Tilings)*np),
 	}
+	memo := make(map[int64]int) // bursts -> offset of its counts in slab
+	var slab []mapping.Counts
+	var groups []tiling.TileGroup
 	for ti, tl := range lg.Tilings {
-		groups := tiling.TileGroups(lg.Layer, tl, s, ev.Batch)
-		row := cc.Cells[ti*len(policies) : (ti+1)*len(policies)]
-		for pi, pol := range policies {
-			read, write := ev.GroupCountsRW(pol, groups)
-			row[pi] = CellCounts{Read: read, Write: write}
+		groups = tiling.AppendTileGroups(groups[:0], lg.Layer, tl, s, ev.Batch)
+		row := cc.Cells[ti*np : (ti+1)*np]
+		// An ofm tile's read and write streams are adjacent groups of
+		// one length, so the previous group's lookup often still holds.
+		lastElems, off := int64(-1), 0
+		for _, grp := range groups {
+			if grp.Elems != lastElems {
+				bursts := ev.burstsOf(grp.Elems)
+				var ok bool
+				if off, ok = memo[bursts]; !ok {
+					off = len(slab)
+					for _, pol := range policies {
+						slab = append(slab, ev.streamCounts(pol, bursts))
+					}
+					memo[bursts] = off
+				}
+				lastElems = grp.Elems
+			}
+			counts := slab[off : off+np]
+			for pi := range row {
+				if grp.Write {
+					row[pi].Write.Add(counts[pi], grp.Loads)
+				} else {
+					row[pi].Read.Add(counts[pi], grp.Loads)
+				}
+			}
 		}
 	}
 	return cc

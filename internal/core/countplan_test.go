@@ -279,3 +279,97 @@ func TestFig9SeriesMatchesPerEvaluatorScan(t *testing.T) {
 		t.Fatalf("Fig9Series diverged from the per-evaluator scan (%d vs %d points)", len(got), len(want))
 	}
 }
+
+// remainderGrids is a custom two-layer stack whose hand-picked tilings
+// do not divide the layer dimensions, so every column mixes full and
+// remainder tiles (Enumerate only yields divisor tilings).
+func remainderGrids() []LayerGrid {
+	conv := cnn.Layer{Name: "rem-conv", H: 13, W: 13, J: 100, I: 60, P: 3, Q: 3, Stride: 1, Pad: 1}
+	strided := cnn.Layer{Name: "rem-strided", H: 27, W: 27, J: 48, I: 3, P: 7, Q: 7, Stride: 2, Pad: 3}
+	return []LayerGrid{
+		{Index: 0, Layer: conv, Tilings: []tiling.Tiling{
+			{Th: 5, Tw: 4, Tj: 7, Ti: 9}, {Th: 13, Tw: 13, Tj: 33, Ti: 60},
+			{Th: 1, Tw: 6, Tj: 100, Ti: 11}, {Th: 5, Tw: 4, Tj: 7, Ti: 8},
+			{Th: 6, Tw: 6, Tj: 30, Ti: 25},
+		}},
+		{Index: 1, Layer: strided, Tilings: []tiling.Tiling{
+			{Th: 10, Tw: 4, Tj: 5, Ti: 2}, {Th: 27, Tw: 27, Tj: 48, Ti: 3},
+			{Th: 8, Tw: 8, Tj: 10, Ti: 1},
+		}},
+	}
+}
+
+// TestCountColumnMatchesUnmemoizedGroups is the oracle for the count
+// kernel's per-call burst-length memo: every cell of
+// CountScheduleColumn equals GroupCountsRW over TileGroups for that
+// (tiling, policy) - the unmemoized definition - across the built-in
+// networks and a remainder-tiling stack, every registered geometry,
+// batch 1 and 4, both counting conventions, and Table I plus the
+// default policy.
+func TestCountColumnMatchesUnmemoizedGroups(t *testing.T) {
+	policies := append(mapping.TableI(), mapping.Default())
+	evs := registryEvaluators(t)
+	grids := remainderGrids()
+	// Repeated blocks (ResNet-18's stages, VGG-16's conv5) give
+	// identical columns; check each distinct layer shape once.
+	shapes := make(map[cnn.Layer]bool)
+	for _, net := range []cnn.Network{cnn.LeNet5(), cnn.AlexNet(), cnn.ResNet18(), cnn.VGG16()} {
+		gs, err := DSEGrid(net, evs[0], tiling.Schedules, policies)
+		if err != nil {
+			t.Fatalf("%s: DSEGrid: %v", net.Name, err)
+		}
+		for _, lg := range gs {
+			shape := lg.Layer
+			shape.Name = ""
+			if !shapes[shape] {
+				shapes[shape] = true
+				grids = append(grids, lg)
+			}
+		}
+	}
+	seen := make(map[dram.Geometry]bool)
+	for _, base := range evs {
+		if seen[base.Profile.Config.Geometry] {
+			continue
+		}
+		seen[base.Profile.Config.Geometry] = true
+		t.Run(base.Label(), func(t *testing.T) {
+			t.Parallel()
+			for _, batch := range []int{1, 4} {
+				for _, physical := range []bool{false, true} {
+					ev := *base
+					ev.Batch = batch
+					ev.UsePhysicalCounts = physical
+					for _, lg := range grids {
+						for si, s := range tiling.Schedules {
+							checkCountColumn(t, &ev, lg, si, s, policies)
+						}
+					}
+				}
+			}
+		})
+	}
+	if len(seen) < 2 {
+		t.Fatalf("registry covers %d geometries; the oracle needs at least two", len(seen))
+	}
+}
+
+// checkCountColumn compares one memoized count column with the
+// unmemoized per-(tiling, policy) definition.
+func checkCountColumn(t *testing.T, ev *Evaluator, lg LayerGrid, si int, s tiling.Schedule, policies []mapping.Policy) {
+	t.Helper()
+	cc := ev.CountScheduleColumn(lg, si, s, policies)
+	if cc.Tilings() != len(lg.Tilings) || cc.Policies != len(policies) {
+		t.Fatalf("%s: plan is %dx%d, want %dx%d", lg.Layer.Name, cc.Tilings(), cc.Policies, len(lg.Tilings), len(policies))
+	}
+	for ti, tl := range lg.Tilings {
+		groups := tiling.TileGroups(lg.Layer, tl, s, ev.Batch)
+		for pi, pol := range policies {
+			read, write := ev.GroupCountsRW(pol, groups)
+			if got := cc.At(ti, pi); got != (CellCounts{Read: read, Write: write}) {
+				t.Fatalf("batch %d physical %v layer %s %v %v policy %s: memoized %+v, unmemoized read %+v write %+v",
+					ev.Batch, ev.UsePhysicalCounts, lg.Layer.Name, s, tl, pol.Name, got, read, write)
+			}
+		}
+	}
+}

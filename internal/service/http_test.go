@@ -220,6 +220,33 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsUnboundedCustomLayers: a custom layer padded as wide
+// as its kernel, or one whose element counts overflow int64, is a 400
+// with the validation message on v1 DSE and on v2 submit - not a job
+// priced from a clamped or wrapped geometry.
+func TestHTTPRejectsUnboundedCustomLayers(t *testing.T) {
+	ts := newTestServer(t, New(Options{Workers: 1, CacheEntries: 4}))
+	layers := []struct{ layer, want string }{
+		{`{"name":"wide-pad","h":4,"w":4,"j":4,"i":4,"p":1,"q":1,"stride":1,"pad":5}`, "smaller than the 1x1 kernel"},
+		{`{"name":"huge","h":1073741824,"w":1073741824,"j":1073741824,"i":1073741824,"p":3,"q":3,"stride":1,"pad":1}`, "too large"},
+	}
+	for _, l := range layers {
+		dse := `{"arch":"ddr3","layers":[` + l.layer + `]}`
+		for _, c := range []struct{ path, body string }{
+			{"/api/v1/dse", dse},
+			{"/api/v2/jobs", `{"kind":"dse","dse":` + dse + `}`},
+		} {
+			resp, body := postJSON(t, ts.URL+c.path, c.body)
+			var e errorJSON
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s %s: status %d, want 400 (%s)", c.path, l.layer, resp.StatusCode, body)
+			} else if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, l.want) {
+				t.Errorf("POST %s: error body %q lacks %q", c.path, body, l.want)
+			}
+		}
+	}
+}
+
 func TestHTTPSweepAndSimulate(t *testing.T) {
 	ts := newTestServer(t, New(Options{Workers: 2, CacheEntries: 8}))
 	resp, body := postJSON(t, ts.URL+"/api/v1/sweep", `{"kind":"subarrays","values":[2,4],"network":"lenet5"}`)

@@ -171,26 +171,20 @@ func splitDim(total, step int) span {
 	return span{full: step, nFull: int64(total / step), rem: total % step}
 }
 
-// sizes iterates the distinct (size, count) pairs of the span.
-func (s span) sizes() [](struct {
+// spanSize is one distinct tile size along a span and how many tiles
+// have it.
+type spanSize struct {
 	Size  int
 	Count int64
-}) {
-	out := make([]struct {
-		Size  int
-		Count int64
-	}, 0, 2)
-	if s.nFull > 0 {
-		out = append(out, struct {
-			Size  int
-			Count int64
-		}{s.full, s.nFull})
-	}
+}
+
+// sizes returns the distinct (size, count) pairs of the span: the full
+// tiles, then the remainder tile. An absent entry has Count 0, so loops
+// over the pairs skip it (or add nothing) without allocating.
+func (s span) sizes() [2]spanSize {
+	out := [2]spanSize{{s.full, s.nFull}}
 	if s.rem > 0 {
-		out = append(out, struct {
-			Size  int
-			Count int64
-		}{s.rem, 1})
+		out[1] = spanSize{s.rem, 1}
 	}
 	return out
 }
@@ -212,25 +206,37 @@ type TensorGroups struct {
 	Ofm []TileGroup
 }
 
-// All flattens the three tensors' groups.
-func (tg TensorGroups) All() []TileGroup {
-	out := make([]TileGroup, 0, len(tg.Ifm)+len(tg.Wgt)+len(tg.Ofm))
-	out = append(out, tg.Ifm...)
-	out = append(out, tg.Wgt...)
-	out = append(out, tg.Ofm...)
-	return out
-}
-
 // TileGroups expands a (layer, tiling, schedule) combination into the
 // distinct DRAM tile streams it generates for one batch of images,
 // with exact edge-tile sizes. AdaptiveReuse resolves to the concrete
 // schedule minimizing total traffic before expansion.
 func TileGroups(l cnn.Layer, t Tiling, s Schedule, batch int) []TileGroup {
-	return TileGroupsByTensor(l, t, s, batch).All()
+	return AppendTileGroups(nil, l, t, s, batch)
 }
 
 // TileGroupsByTensor is TileGroups with the per-tensor split retained.
 func TileGroupsByTensor(l cnn.Layer, t Tiling, s Schedule, batch int) TensorGroups {
+	all, nIfm, nWgt := appendTileGroups(nil, l, t, s, batch)
+	return TensorGroups{
+		Ifm: all[:nIfm:nIfm],
+		Wgt: all[nIfm : nIfm+nWgt : nIfm+nWgt],
+		Ofm: all[nIfm+nWgt:],
+	}
+}
+
+// AppendTileGroups appends TileGroups(l, t, s, batch) to dst and
+// returns the extended slice, so a caller expanding many tilings - the
+// count kernel scans thousands per grid column - reuses one buffer
+// (pass dst[:0]) instead of allocating per tiling.
+func AppendTileGroups(dst []TileGroup, l cnn.Layer, t Tiling, s Schedule, batch int) []TileGroup {
+	dst, _, _ = appendTileGroups(dst, l, t, s, batch)
+	return dst
+}
+
+// appendTileGroups is the one expansion of the tile-stream loop nest:
+// it appends the ifms, then weights, then ofms groups to dst and also
+// reports how many ifms and weights groups it appended.
+func appendTileGroups(dst []TileGroup, l cnn.Layer, t Tiling, s Schedule, batch int) (out []TileGroup, nIfm, nWgt int) {
 	if s == AdaptiveReuse {
 		s = ResolveAdaptive(l, t, batch)
 	}
@@ -263,42 +269,55 @@ func TileGroupsByTensor(l cnn.Layer, t Tiling, s Schedule, batch int) TensorGrou
 		panic(fmt.Sprintf("tiling: unresolved schedule %v", s))
 	}
 
-	var out TensorGroups
+	hsz, wsz, jsz, isz := hs.sizes(), ws.sizes(), js.sizes(), is.sizes()
+	start := len(dst)
 	// ifms tiles: indexed by (h, w, i); each image has its own set.
-	for _, sh := range hs.sizes() {
-		for _, sw := range ws.sizes() {
-			for _, si := range is.sizes() {
+	for _, sh := range hsz {
+		for _, sw := range wsz {
+			for _, si := range isz {
+				tiles := sh.Count * sw.Count * si.Count
+				if tiles == 0 {
+					continue
+				}
 				elems := int64(ifmSpan(sh.Size, l.Stride, l.P)) *
 					int64(ifmSpan(sw.Size, l.Stride, l.Q)) * int64(si.Size)
-				count := sh.Count * sw.Count * si.Count * b
-				out.Ifm = append(out.Ifm, TileGroup{Elems: elems, Loads: count * ifmLoads})
+				dst = append(dst, TileGroup{Elems: elems, Loads: tiles * b * ifmLoads})
 			}
 		}
 	}
+	nIfm = len(dst) - start
 	// weights tiles: indexed by (i, j); re-fetched per image because the
 	// batch loop is outermost in Fig. 3.
-	for _, si := range is.sizes() {
-		for _, sj := range js.sizes() {
+	for _, si := range isz {
+		for _, sj := range jsz {
+			tiles := si.Count * sj.Count
+			if tiles == 0 {
+				continue
+			}
 			elems := int64(l.P) * int64(l.Q) * int64(si.Size) * int64(sj.Size)
-			count := si.Count * sj.Count * b
-			out.Wgt = append(out.Wgt, TileGroup{Elems: elems, Loads: count * wgtLoads})
+			dst = append(dst, TileGroup{Elems: elems, Loads: tiles * b * wgtLoads})
 		}
 	}
+	nWgt = len(dst) - start - nIfm
 	// ofms tiles: indexed by (h, w, j) per image; reads and writes are
 	// separate streams.
-	for _, sh := range hs.sizes() {
-		for _, sw := range ws.sizes() {
-			for _, sj := range js.sizes() {
-				elems := int64(sh.Size) * int64(sw.Size) * int64(sj.Size)
-				count := sh.Count * sw.Count * sj.Count * b
-				if ofmReads > 0 {
-					out.Ofm = append(out.Ofm, TileGroup{Elems: elems, Loads: count * ofmReads})
+	for _, sh := range hsz {
+		for _, sw := range wsz {
+			for _, sj := range jsz {
+				tiles := sh.Count * sw.Count * sj.Count
+				if tiles == 0 {
+					continue
 				}
-				out.Ofm = append(out.Ofm, TileGroup{Elems: elems, Loads: count * ofmWrites, Write: true})
+				elems := int64(sh.Size) * int64(sw.Size) * int64(sj.Size)
+				count := tiles * b
+				if ofmReads > 0 {
+					dst = append(dst, TileGroup{Elems: elems, Loads: count * ofmReads})
+				}
+				dst = append(dst, TileGroup{Elems: elems, Loads: count * ofmWrites, Write: true})
 			}
 		}
 	}
-	return out
+	return dst, nIfm, nWgt
 }
 
 // Traffic aggregates the DRAM element volumes of a layer under a

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -343,5 +344,75 @@ func TestTilingString(t *testing.T) {
 	s := Tiling{Th: 1, Tw: 2, Tj: 3, Ti: 4}.String()
 	if s != "Th=1 Tw=2 Tj=3 Ti=4" {
 		t.Errorf("Tiling.String() = %q", s)
+	}
+}
+
+// TestAppendTileGroupsMatchesTileGroups: the append-style expansion
+// into a reused, dirty buffer yields exactly TileGroups (order
+// included) after the prefix it was given, and the per-tensor split
+// concatenates back to the same sequence - on remainder tilings and
+// every schedule.
+func TestAppendTileGroupsMatchesTileGroups(t *testing.T) {
+	l := alexConv2(t)
+	tilings := []Tiling{
+		{Th: 10, Tw: 27, Tj: 256, Ti: 96}, // remainder in H only
+		{Th: 5, Tw: 4, Tj: 100, Ti: 7},    // remainder in every dim
+		{Th: 27, Tw: 27, Tj: 256, Ti: 96}, // one tile per dim
+		{Th: 1, Tw: 13, Tj: 33, Ti: 96},   // remainder in W and J
+	}
+	strided := cnn.AlexNet().Layers[0] // 11x11 stride 4
+	buf := []TileGroup{{Elems: -1, Loads: -1, Write: true}}
+	for _, tc := range []struct {
+		l  cnn.Layer
+		tl Tiling
+	}{
+		{l, tilings[0]}, {l, tilings[1]}, {l, tilings[2]}, {l, tilings[3]},
+		{strided, Tiling{Th: 7, Tw: 11, Tj: 40, Ti: 2}},
+	} {
+		for _, s := range Schedules {
+			for _, batch := range []int{1, 4} {
+				want := TileGroups(tc.l, tc.tl, s, batch)
+				// Leave stale groups behind in the buffer's backing array.
+				buf = append(buf[:1], want...)
+				buf = append(buf, TileGroup{Elems: 99, Loads: 99})
+				got := AppendTileGroups(buf[:1], tc.l, tc.tl, s, batch)
+				if !reflect.DeepEqual(got[1:], want) || got[0] != (TileGroup{Elems: -1, Loads: -1, Write: true}) {
+					t.Fatalf("%s %v %v batch %d: AppendTileGroups = %v, want prefix + %v", tc.l.Name, tc.tl, s, batch, got, want)
+				}
+				buf = got
+				tg := TileGroupsByTensor(tc.l, tc.tl, s, batch)
+				joined := append(append(append([]TileGroup(nil), tg.Ifm...), tg.Wgt...), tg.Ofm...)
+				if !reflect.DeepEqual(joined, want) {
+					t.Fatalf("%s %v %v batch %d: TileGroupsByTensor splits %v, want %v", tc.l.Name, tc.tl, s, batch, tg, want)
+				}
+				for _, g := range tg.Ofm {
+					if g.Elems <= 0 || g.Loads <= 0 {
+						t.Fatalf("%s %v %v: empty ofm group %+v", tc.l.Name, tc.tl, s, g)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTileGroupsRemainderSplit pins the expansion of a tiling with a
+// remainder in every dimension: each distinct tile size is one group,
+// ifms then weights then ofms.
+func TestTileGroupsRemainderSplit(t *testing.T) {
+	l := cnn.Layer{Name: "r", H: 5, W: 3, J: 5, I: 3, P: 3, Q: 3, Stride: 1, Pad: 1}
+	tg := TileGroupsByTensor(l, Tiling{Th: 2, Tw: 2, Tj: 4, Ti: 2}, OfmsReuse, 1)
+	// H: 2x2 + 1, W: 1x2 + 1, I: 1x2 + 1, J: 1x4 + 1.
+	if len(tg.Ifm) != 8 || len(tg.Wgt) != 4 || len(tg.Ofm) != 8 {
+		t.Fatalf("groups per tensor = %d/%d/%d, want 8/4/8", len(tg.Ifm), len(tg.Wgt), len(tg.Ofm))
+	}
+	// First ifms group: full tiles everywhere, (2-1)+3=4 rows and
+	// columns x 2 channels, 2 H tiles x 1 W tile x 1 I tile x Nj=2.
+	if want := (TileGroup{Elems: 4 * 4 * 2, Loads: 2 * 2}); tg.Ifm[0] != want {
+		t.Errorf("ifm[0] = %+v, want %+v", tg.Ifm[0], want)
+	}
+	// Last weights group: the 1-channel x 1-filter remainder tile,
+	// fetched once per (h, w) tile pair: 3 x 2 = 6.
+	if want := (TileGroup{Elems: 9, Loads: 6}); tg.Wgt[3] != want {
+		t.Errorf("wgt[3] = %+v, want %+v", tg.Wgt[3], want)
 	}
 }
