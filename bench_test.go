@@ -581,12 +581,10 @@ func BenchmarkCountsClosedForm(b *testing.B) {
 // daemon's warm path runs per (column, backend): one AlexNet column
 // (the layer with the most candidate tilings, adaptive-reuse, all six
 // Table I policies) is counted once outside the timer, then repriced
-// per iteration through the struct path (PriceCellsInto over the
-// CountColumn) and the vectorized path (PriceFlatInto over the packed
-// FlatColumn planes), both into reused scratch. -benchmem pins the
-// steady-state contract: 0 allocs/op on either path; the ns/op ratio is
-// the win of the branch-light linear scan. Equivalence is asserted
-// outside the timer and pinned bit-for-bit by core's flat-plan tests.
+// per iteration with PriceFlatInto over the packed FlatColumn planes
+// into reused scratch. -benchmem pins the steady-state contract:
+// 0 allocs/op. Equivalence with the direct per-tiling scan is pinned
+// bit-for-bit by core's count/price tests.
 func BenchmarkRepriceFlat(b *testing.B) {
 	evs := benchEvaluators(b)
 	ev := evs[0]
@@ -602,19 +600,7 @@ func BenchmarkRepriceFlat(b *testing.B) {
 		}
 	}
 	si := len(schedules) - 1 // adaptive-reuse
-	counts := ev.CountScheduleColumn(lg, si, schedules[si], policies)
-	flat := counts.Flatten()
-	if !reflect.DeepEqual(ev.PriceCells(counts, drmap.MinimizeEDP), ev.PriceFlat(flat, drmap.MinimizeEDP)) {
-		b.Fatal("flat repricing diverged from the struct path")
-	}
-	b.Run("struct", func(b *testing.B) {
-		out := ev.PriceCellsInto(counts, drmap.MinimizeEDP, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out = ev.PriceCellsInto(counts, drmap.MinimizeEDP, out)
-		}
-	})
+	flat := ev.CountScheduleColumn(lg, si, schedules[si], policies)
 	b.Run("flat", func(b *testing.B) {
 		out := ev.PriceFlatInto(flat, drmap.MinimizeEDP, nil)
 		b.ReportAllocs()
@@ -627,11 +613,12 @@ func BenchmarkRepriceFlat(b *testing.B) {
 
 // BenchmarkCountColumn measures the whole-network count phase of one
 // DSE: every (layer, schedule) column of the four-schedule Table I grid
-// counted with CountScheduleColumn and flattened for repricing, the
-// work a plan-cache miss costs the serving daemon. Grid construction
-// is outside the timer. -benchmem pins the kernel's allocation
-// discipline: the per-call burst-length memo and reused tile-group
-// buffer keep allocs/op at a few per column, not a few per tiling.
+// counted with CountScheduleColumn into its flat plan, ready for
+// repricing - the work a plan-cache miss costs the serving daemon.
+// Grid construction is outside the timer. -benchmem pins the kernel's
+// allocation discipline: the per-call burst-length memo and reused
+// tile-group buffer keep allocs/op at a few per column, not a few per
+// tiling.
 func BenchmarkCountColumn(b *testing.B) {
 	ev := benchEvaluators(b)[0]
 	schedules, policies := drmap.Schedules(), drmap.TableIPolicies()
@@ -645,7 +632,7 @@ func BenchmarkCountColumn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, lg := range grids {
 					for si, s := range schedules {
-						ev.CountScheduleColumn(lg, si, s, policies).Flatten()
+						ev.CountScheduleColumn(lg, si, s, policies)
 					}
 				}
 			}

@@ -18,6 +18,12 @@
 // recorded without memory stats does not fail fresh runs. A benchmark
 // missing from the baseline passes with a notice - a freshly added
 // benchmark has nothing to regress against.
+//
+// Certificates are custom metrics that pin an output, not a cost: the
+// simulated cycle counts "sim-cycles" and "ctrl-cycles". For every
+// selected benchmark, each certificate the baseline reports must
+// appear in the current run with exactly the baseline's value, and
+// every repetition of a run must agree on it.
 package main
 
 import (
@@ -26,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -41,7 +48,8 @@ type testEvent struct {
 
 // benchStats is the per-benchmark minimum of each reported dimension.
 // Bytes and Allocs are only meaningful when HasMem is set (the run
-// used -benchmem); custom metrics between ns/op and B/op are ignored.
+// used -benchmem). Custom metrics between ns/op and B/op are not cost
+// dimensions; parseBench collects the certificates among them apart.
 type benchStats struct {
 	Ns     float64
 	Bytes  float64
@@ -54,6 +62,13 @@ type benchStats struct {
 // The memory columns are optional (-benchmem), and custom metrics such
 // as "2818328 sim-cycles" may sit between the time and memory columns.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+
+// certMetric matches one certificate metric of a result line, e.g.
+// "2818328 sim-cycles". The set of certificate units is fixed here.
+var certMetric = regexp.MustCompile(`\s([0-9.eE+-]+) (sim-cycles|ctrl-cycles)(?:\s|$)`)
+
+// certKey names one certificate: a benchmark and a certificate unit.
+type certKey struct{ Bench, Unit string }
 
 // procsSuffix is the "-8" GOMAXPROCS suffix go test appends to
 // benchmark names on multi-core machines. It is stripped before
@@ -70,9 +85,12 @@ var procsSuffix = regexp.MustCompile(`-\d+$`)
 // output fragments are reassembled into lines before matching. Each
 // dimension's minimum is taken independently: the cheapest repetition
 // in time need not be the cheapest in bytes, and the guard compares
-// best case against best case per dimension.
-func parseBench(r io.Reader) (map[string]benchStats, error) {
+// best case against best case per dimension. Certificates are returned
+// separately, one value per (benchmark, unit); a certificate whose
+// repetitions disagree is recorded as NaN, which equals nothing.
+func parseBench(r io.Reader) (map[string]benchStats, map[certKey]float64, error) {
 	best := map[string]benchStats{}
+	certs := map[certKey]float64{}
 	record := func(line string) error {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -105,6 +123,17 @@ func parseBench(r io.Reader) (map[string]benchStats, error) {
 			st.HasMem = true
 		}
 		best[name] = st
+		for _, cm := range certMetric.FindAllStringSubmatch(line, -1) {
+			v, err := strconv.ParseFloat(cm[1], 64)
+			if err != nil {
+				return fmt.Errorf("bad %s in %q: %w", cm[2], line, err)
+			}
+			k := certKey{Bench: name, Unit: cm[2]}
+			if prev, ok := certs[k]; ok && prev != v {
+				v = math.NaN()
+			}
+			certs[k] = v
+		}
 		return nil
 	}
 	sc := bufio.NewScanner(r)
@@ -114,13 +143,13 @@ func parseBench(r io.Reader) (map[string]benchStats, error) {
 		raw := sc.Text()
 		if !strings.HasPrefix(raw, "{") {
 			if err := record(raw); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			continue
 		}
 		var ev testEvent
 		if err := json.Unmarshal([]byte(raw), &ev); err != nil {
-			return nil, fmt.Errorf("bad test2json line %q: %w", raw, err)
+			return nil, nil, fmt.Errorf("bad test2json line %q: %w", raw, err)
 		}
 		if ev.Action != "output" {
 			continue
@@ -132,22 +161,22 @@ func parseBench(r io.Reader) (map[string]benchStats, error) {
 				break
 			}
 			if err := record(pending[:i]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			pending = pending[i+1:]
 		}
 	}
 	if err := record(pending); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return best, sc.Err()
+	return best, certs, sc.Err()
 }
 
 // parseBenchFile is parseBench over a file path.
-func parseBenchFile(path string) (map[string]benchStats, error) {
+func parseBenchFile(path string) (map[string]benchStats, map[certKey]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	return parseBench(f)
@@ -220,6 +249,33 @@ func guard(baseline, current map[string]benchStats, pattern *regexp.Regexp, max 
 	return failures
 }
 
+// guardCerts checks every baseline certificate of a benchmark matching
+// pattern: the current run must report it with exactly the baseline's
+// value. It returns the failures and writes a verdict line per
+// certificate.
+func guardCerts(baseline, current map[certKey]float64, pattern *regexp.Regexp, report io.Writer) (failures int) {
+	for k, base := range baseline {
+		if !pattern.MatchString(k.Bench) {
+			continue
+		}
+		cur, ok := current[k]
+		switch {
+		case !ok:
+			fmt.Fprintf(report, "benchguard: %s: baseline %.0f %s, missing from current run CERTIFICATE MISSING\n", k.Bench, base, k.Unit)
+			failures++
+		case math.IsNaN(cur):
+			fmt.Fprintf(report, "benchguard: %s: baseline %.0f %s, current repetitions disagree CERTIFICATE UNSTABLE\n", k.Bench, base, k.Unit)
+			failures++
+		case cur != base:
+			fmt.Fprintf(report, "benchguard: %s: baseline %.0f %s, current %.0f %s CERTIFICATE CHANGED\n", k.Bench, base, k.Unit, cur, k.Unit)
+			failures++
+		default:
+			fmt.Fprintf(report, "benchguard: %s: %.0f %s matches baseline exactly ok\n", k.Bench, cur, k.Unit)
+		}
+	}
+	return failures
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "", "committed go test -json bench output to compare against")
 	currentPath := flag.String("current", "", "fresh go test -json bench output")
@@ -238,18 +294,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard: bad -bench:", err)
 		os.Exit(2)
 	}
-	baseline, err := parseBenchFile(*baselinePath)
+	baseline, baseCerts, err := parseBenchFile(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard: baseline:", err)
 		os.Exit(2)
 	}
-	current, err := parseBenchFile(*currentPath)
+	current, curCerts, err := parseBenchFile(*currentPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard: current:", err)
 		os.Exit(2)
 	}
 	max := ratios{Ns: *maxRatio, Bytes: *maxBytes, Allocs: *maxAllocs}
-	if failures := guard(baseline, current, pattern, max, os.Stdout); failures > 0 {
+	failures := guard(baseline, current, pattern, max, os.Stdout)
+	failures += guardCerts(baseCerts, curCerts, pattern, os.Stdout)
+	if failures > 0 {
 		os.Exit(1)
 	}
 }

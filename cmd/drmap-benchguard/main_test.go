@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ const jsonStream = `{"Action":"output","Output":"goos: linux\n"}
 `
 
 func TestParseBenchJSONStream(t *testing.T) {
-	got, err := parseBench(strings.NewReader(jsonStream))
+	got, _, err := parseBench(strings.NewReader(jsonStream))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestParseBenchMemAndCustomMetrics(t *testing.T) {
 	// dimension's minimum is taken independently across repetitions.
 	stream := "BenchmarkSimulateSerial   \t       1\t   5000000 ns/op\t   2818328 sim-cycles\t  500000 B/op\t     300 allocs/op\n" +
 		"BenchmarkSimulateSerial   \t       1\t   6000000 ns/op\t   2818328 sim-cycles\t  455560 B/op\t     290 allocs/op\n"
-	got, err := parseBench(strings.NewReader(stream))
+	got, _, err := parseBench(strings.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestParseBenchSplitEvents(t *testing.T) {
 {"Action":"run","Test":"noise"}
 {"Action":"output","Output":"       1\t  27483031 ns/op\n"}
 `
-	got, err := parseBench(strings.NewReader(split))
+	got, _, err := parseBench(strings.NewReader(split))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestParseBenchSplitEvents(t *testing.T) {
 }
 
 func TestParseBenchPlainText(t *testing.T) {
-	got, err := parseBench(strings.NewReader(
+	got, _, err := parseBench(strings.NewReader(
 		"BenchmarkX-4   1000   500 ns/op\nok  \tdrmap\t1.0s\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -157,5 +158,71 @@ func TestGuardMemoryDimensions(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "skipping B/op") {
 		t.Errorf("report does not note the skipped memory gate: %s", rep.String())
+	}
+}
+
+func TestParseBenchCertificates(t *testing.T) {
+	stream := "BenchmarkSimulateSerial   \t       1\t   5000000 ns/op\t   2818328 sim-cycles\t  500000 B/op\t     300 allocs/op\n" +
+		"BenchmarkSimulateSerial   \t       1\t   6000000 ns/op\t   2818328 sim-cycles\t  455560 B/op\t     290 allocs/op\n" +
+		"BenchmarkMemctrlRun-8     \t       1\t   5000000 ns/op\t    152566 ctrl-cycles\n" +
+		"BenchmarkFlaky            \t       1\t   5000000 ns/op\t       100 sim-cycles\n" +
+		"BenchmarkFlaky            \t       1\t   5000000 ns/op\t       101 sim-cycles\n" +
+		"BenchmarkCounted          \t       1\t   5000000 ns/op\t         3 count-passes\n"
+	_, certs, err := parseBench(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(certs) != 3 {
+		t.Fatalf("parsed certificates %v, want sim-cycles, ctrl-cycles and the flaky one only", certs)
+	}
+	if v := certs[certKey{"BenchmarkSimulateSerial", "sim-cycles"}]; v != 2818328 {
+		t.Errorf("sim-cycles = %v, want 2818328", v)
+	}
+	if v := certs[certKey{"BenchmarkMemctrlRun", "ctrl-cycles"}]; v != 152566 {
+		t.Errorf("ctrl-cycles = %v, want 152566", v)
+	}
+	if v := certs[certKey{"BenchmarkFlaky", "sim-cycles"}]; !math.IsNaN(v) {
+		t.Errorf("repetitions that disagree parsed as %v, want NaN", v)
+	}
+}
+
+func TestGuardCertificates(t *testing.T) {
+	pat := regexp.MustCompile("BenchmarkSimulateSerial$|BenchmarkMemctrlRun$")
+	base := map[certKey]float64{
+		{"BenchmarkSimulateSerial", "sim-cycles"}:     2818328,
+		{"BenchmarkMemctrlRun", "ctrl-cycles"}:        152566,
+		{"BenchmarkSimulateSerial/pre", "sim-cycles"}: 2818328, // not selected
+	}
+	equal := map[certKey]float64{
+		{"BenchmarkSimulateSerial", "sim-cycles"}: 2818328,
+		{"BenchmarkMemctrlRun", "ctrl-cycles"}:    152566,
+	}
+	var rep strings.Builder
+	if f := guardCerts(base, equal, pat, &rep); f != 0 {
+		t.Errorf("equal certificates failed: %s", rep.String())
+	}
+
+	rep.Reset()
+	changed := map[certKey]float64{
+		{"BenchmarkSimulateSerial", "sim-cycles"}: 2818329,
+		{"BenchmarkMemctrlRun", "ctrl-cycles"}:    152566,
+	}
+	if f := guardCerts(base, changed, pat, &rep); f != 1 || !strings.Contains(rep.String(), "CERTIFICATE CHANGED") {
+		t.Errorf("changed sim-cycles: failures=%d: %s", f, rep.String())
+	}
+
+	rep.Reset()
+	missing := map[certKey]float64{{"BenchmarkSimulateSerial", "sim-cycles"}: 2818328}
+	if f := guardCerts(base, missing, pat, &rep); f != 1 || !strings.Contains(rep.String(), "CERTIFICATE MISSING") {
+		t.Errorf("missing ctrl-cycles: failures=%d: %s", f, rep.String())
+	}
+
+	rep.Reset()
+	flaky := map[certKey]float64{
+		{"BenchmarkSimulateSerial", "sim-cycles"}: math.NaN(),
+		{"BenchmarkMemctrlRun", "ctrl-cycles"}:    152566,
+	}
+	if f := guardCerts(base, flaky, pat, &rep); f != 1 {
+		t.Errorf("repetitions that disagree passed: %s", rep.String())
 	}
 }

@@ -267,31 +267,29 @@ type (
 // The count/price split: a design point's access-count structure is
 // independent of the DRAM device's characterization - only the
 // per-access costs change (DRMap Sec. V-B). Evaluator.CountScheduleColumn
-// computes a grid column's counts once; Evaluator.PriceCells and
-// Evaluator.MinOverColumn reprice them under any evaluator whose
+// computes a grid column's counts once as a FlatColumn;
+// Evaluator.PriceFlatInto reprices it under any evaluator whose
 // CountKey matches (the paper's four architectures share one), with
 // results bit-for-bit identical to the direct scan. The service's
 // count-plan cache, Fig9Series and the registry sweep are built on it.
 type (
 	// CellCounts is the read/write access-count structure of one
-	// (tiling, policy) design point.
+	// (tiling, policy) design point (FlatColumn.At).
 	CellCounts = core.CellCounts
-	// CountColumn is the backend-independent count plan of one
-	// (layer, schedule) grid column.
-	CountColumn = core.CountColumn
 	// CountKey is the projection of an evaluator its counts depend on;
 	// equal keys mean interchangeable count plans.
 	CountKey = core.CountKey
-	// FlatColumn is a CountColumn vectorized into packed per-category
-	// planes (CountColumn.Flatten); Evaluator.PriceFlat/PriceFlatInto
-	// reprice it as a branch-light linear scan, bit-for-bit equal to
-	// PriceCells. The service's plan cache stores columns in this form.
+	// FlatColumn is the backend-independent count plan of one
+	// (layer, schedule) grid column, stored as packed per-category
+	// planes; Evaluator.PriceFlatInto reprices it as a branch-light
+	// linear scan. The service's plan cache stores columns in this form.
 	FlatColumn = core.FlatColumn
 )
 
 // SimulateLayer prices a layer by running its tile streams through the
 // cycle-accurate controller and energy model instead of the analytical
-// category counts - the validation path of the paper's tool flow.
+// category counts - the validation path of the paper's tool flow. It is
+// a one-layer SimulateNetwork on the serial engine.
 func SimulateLayer(cfg DRAMConfig, pol MappingPolicy, spec LayerSpec, bytesPerElement int) (LayerEDP, error) {
 	return core.SimulateLayer(cfg, pol, spec, bytesPerElement)
 }

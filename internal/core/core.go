@@ -216,15 +216,26 @@ func (ev *Evaluator) EvaluateLayer(l cnn.Layer, tl tiling.Tiling, s tiling.Sched
 // mapping) combination, searching the given candidate tilings. It is
 // the count -> price pipeline over a single-policy column; callers
 // scanning many policies or DRAM systems over one tiling set should
-// count once with CountScheduleColumn and reprice with MinOverColumn.
+// count once with CountScheduleColumn and reprice with PriceFlatInto.
+// With no finite-EDP tiling it returns the zero tiling and an infinite
+// cost.
 func (ev *Evaluator) MinOverTilings(l cnn.Layer, tilings []tiling.Tiling, s tiling.Schedule, pol mapping.Policy) (tiling.Tiling, LayerEDP) {
 	lg := LayerGrid{Layer: l, Tilings: tilings}
-	ti, best := ev.MinOverColumn(ev.CountScheduleColumn(lg, 0, s, []mapping.Policy{pol}), 0)
-	var bestTiling tiling.Tiling
-	if ti >= 0 {
-		bestTiling = tilings[ti]
+	best := ev.PriceFlatInto(ev.CountScheduleColumn(lg, 0, s, []mapping.Policy{pol}), MinimizeEDP, nil)[0]
+	if math.IsInf(best.Value, 1) {
+		return tiling.Tiling{}, minCost(best)
 	}
-	return bestTiling, best
+	return tilings[best.TilingIndex], best.Cost
+}
+
+// minCost returns a cell's winning cost, or an infinite cost when no
+// tiling had a finite objective value (PriceFlatInto leaves such a
+// cell's cost zero).
+func minCost(c CellResult) LayerEDP {
+	if math.IsInf(c.Value, 1) {
+		return LayerEDP{Cycles: math.Inf(1), Energy: math.Inf(1)}
+	}
+	return c.Cost
 }
 
 // Combo identifies one DSE design point.
@@ -333,10 +344,11 @@ const TotalLayerName = "Total"
 //
 // The series runs the count -> price split per layer: each distinct
 // CountKey among the evaluators counts the (tiling x policy) plan once,
-// and every evaluator reprices its group's plan - so the four paper
-// architectures (which share one die geometry) expand and count every
-// layer's tile streams once instead of four times, with points
-// bit-for-bit identical to the per-evaluator scan.
+// and every evaluator prices its group's plan in one scan over all
+// policies - so the four paper architectures (which share one die
+// geometry) expand and count every layer's tile streams once instead of
+// four times, with points bit-for-bit identical to the per-evaluator
+// scan.
 func Fig9Series(net cnn.Network, s tiling.Schedule, evs []*Evaluator, policies []mapping.Policy) ([]Fig9Point, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -351,21 +363,24 @@ func Fig9Series(net cnn.Network, s tiling.Schedule, evs []*Evaluator, policies [
 		arch    dram.Arch
 	}
 	totals := make(map[key]*Fig9Point)
+	cells := make([][]CellResult, len(evs)) // per evaluator, reused across layers
 	for _, layer := range net.Layers {
 		tilings := tiling.Enumerate(layer, evs[0].Accel)
 		if len(tilings) == 0 {
 			return nil, fmt.Errorf("core: layer %s: no partitioning fits the buffers", layer.Name)
 		}
 		lg := LayerGrid{Layer: layer, Tilings: tilings}
-		plans := make(map[CountKey]*CountColumn, len(evs))
-		for _, ev := range evs {
-			if k := ev.CountKey(); plans[k] == nil {
+		plans := make(map[CountKey]*FlatColumn, len(evs))
+		for ei, ev := range evs {
+			k := ev.CountKey()
+			if plans[k] == nil {
 				plans[k] = ev.CountScheduleColumn(lg, 0, s, policies)
 			}
+			cells[ei] = ev.PriceFlatInto(plans[k], MinimizeEDP, cells[ei])
 		}
 		for pi, pol := range policies {
-			for _, ev := range evs {
-				_, cost := ev.MinOverColumn(plans[ev.CountKey()], pi)
+			for ei, ev := range evs {
+				cost := minCost(cells[ei][pi])
 				tm := ev.Timing()
 				p := Fig9Point{
 					Layer:   layer.Name,

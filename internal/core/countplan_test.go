@@ -63,24 +63,27 @@ func directScheduleColumn(ev *Evaluator, lg LayerGrid, scheduleIdx int, s tiling
 }
 
 // TestCountPriceSplitMatchesDirectScan: the split EvaluateScheduleColumn
-// equals the pre-refactor direct scan bit for bit, on every registered
-// backend, every schedule and every objective.
+// (PriceFlatInto over CountScheduleColumn) equals the pre-refactor
+// direct scan bit for bit, on every registered backend, every pricing
+// convention (evaluatorVariants), every schedule and every objective.
 func TestCountPriceSplitMatchesDirectScan(t *testing.T) {
 	net := cnn.LeNet5()
 	policies := mapping.TableI()
-	for _, ev := range registryEvaluators(t) {
-		grids, err := DSEGrid(net, ev, tiling.Schedules, policies)
-		if err != nil {
-			t.Fatalf("%s: DSEGrid: %v", ev.Label(), err)
-		}
-		for _, lg := range grids {
-			for si, s := range tiling.Schedules {
-				for _, obj := range Objectives {
-					got := ev.EvaluateScheduleColumn(lg, si, s, policies, obj)
-					want := directScheduleColumn(ev, lg, si, s, policies, obj)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s layer %s schedule %v obj %v: split diverged from direct scan\ngot  %+v\nwant %+v",
-							ev.Label(), lg.Layer.Name, s, obj, got, want)
+	for _, base := range registryEvaluators(t) {
+		for _, ev := range evaluatorVariants(base) {
+			grids, err := DSEGrid(net, ev, tiling.Schedules, policies)
+			if err != nil {
+				t.Fatalf("%s: DSEGrid: %v", ev.Label(), err)
+			}
+			for _, lg := range grids {
+				for si, s := range tiling.Schedules {
+					for _, obj := range Objectives {
+						got := ev.EvaluateScheduleColumn(lg, si, s, policies, obj)
+						want := directScheduleColumn(ev, lg, si, s, policies, obj)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s (write=%v phys=%v) layer %s schedule %v obj %v: split diverged from direct scan\ngot  %+v\nwant %+v",
+								ev.Label(), ev.UseWriteCosts, ev.UsePhysicalCounts, lg.Layer.Name, s, obj, got, want)
+						}
 					}
 				}
 			}
@@ -88,53 +91,34 @@ func TestCountPriceSplitMatchesDirectScan(t *testing.T) {
 	}
 }
 
-// TestCountPriceSplitHonorsEvaluatorFlags: the refinement flags
-// (direction-aware write pricing, physical counts) flow through the
-// split identically to the direct path.
-func TestCountPriceSplitHonorsEvaluatorFlags(t *testing.T) {
-	base := evaluatorFor(t, dram.SALPMASA)
-	layer := cnn.LeNet5().Layers[1]
-	lg := LayerGrid{Layer: layer, Tilings: tiling.Enumerate(layer, base.Accel)}
-	policies := mapping.TableI()
-	for _, variant := range []struct {
-		name            string
-		write, physical bool
-	}{
-		{"write-costs", true, false},
-		{"physical-counts", false, true},
-		{"both", true, true},
-	} {
-		ev := *base
-		ev.UseWriteCosts = variant.write
-		ev.UsePhysicalCounts = variant.physical
-		got := ev.EvaluateScheduleColumn(lg, 0, tiling.AdaptiveReuse, policies, MinimizeEDP)
-		want := directScheduleColumn(&ev, lg, 0, tiling.AdaptiveReuse, policies, MinimizeEDP)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: split diverged from direct scan", variant.name)
-		}
-	}
-}
-
 // TestPlanRepricesAcrossBackends: a plan counted under one backend,
 // priced under another backend with an equal CountKey, equals the other
-// backend's own scan - the reuse the service's plan cache relies on.
+// backend's own scan - the reuse the service's plan cache relies on -
+// across the registry, where the paper four share one die geometry.
 func TestPlanRepricesAcrossBackends(t *testing.T) {
-	evs := evaluators(t) // the paper four: one shared die geometry
 	layer := cnn.AlexNet().Layers[0]
-	lg := LayerGrid{Layer: layer, Tilings: tiling.Enumerate(layer, evs[0].Accel)}
 	policies := mapping.TableI()
-	plan := evs[0].CountScheduleColumn(lg, 2, tiling.Schedules[2], policies)
-	for _, ev := range evs[1:] {
-		if ev.CountKey() != evs[0].CountKey() {
-			t.Fatalf("%s: paper backends must share a CountKey", ev.Label())
+	s := tiling.Schedules[2]
+	plans := map[CountKey]*FlatColumn{}
+	shared := 0
+	for _, ev := range registryEvaluators(t) {
+		lg := LayerGrid{Layer: layer, Tilings: tiling.Enumerate(layer, ev.Accel)}
+		k := ev.CountKey()
+		if plans[k] == nil {
+			plans[k] = ev.CountScheduleColumn(lg, 2, s, policies)
+		} else {
+			shared++
 		}
 		for _, obj := range Objectives {
-			got := ev.PriceCells(plan, obj)
-			want := ev.EvaluateScheduleColumn(lg, 2, tiling.Schedules[2], policies, obj)
+			got := ev.PriceFlatInto(plans[k], obj, nil)
+			want := ev.EvaluateScheduleColumn(lg, 2, s, policies, obj)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s obj %v: repriced foreign plan diverged from own scan", ev.Label(), obj)
+				t.Errorf("%s obj %v: repriced shared plan diverged from own scan", ev.Label(), obj)
 			}
 		}
+	}
+	if shared < 3 {
+		t.Fatalf("%d backends reused a plan; the paper four should share one die geometry", shared)
 	}
 }
 

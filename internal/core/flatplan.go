@@ -1,18 +1,13 @@
-// The vectorized form of a count plan. A CountColumn stores one
-// CellCounts struct per design point - 8 int64 fields that pricing
-// multiplies into float64 cost scalars cell by cell. That layout walks
-// 128 bytes of struct per cell and converts every count on every
-// reprice, which is wasted work on the warm path, where one plan is
-// repriced for many backends and objectives.
-//
-// FlatColumn stores the same plan as packed []float64 planes, one per
-// access category and transfer direction, in one contiguous backing
-// array: repricing becomes a branch-light linear scan over 4 (or 8)
-// sequential streams with a precomputed cost vector, no per-cell struct
-// walks and no integer conversions. The read-cost convention's summed
-// counts are precomputed at flatten time from the exact int64 sums, so
-// both pricing conventions are served by one plan and both remain
-// bit-for-bit identical to the struct path (see PriceFlatInto).
+// The count plan's storage. A FlatColumn holds a column's counts as
+// packed []float64 planes, one per access category and transfer
+// direction, in one contiguous backing array: repricing is a
+// branch-light linear scan over 4 (or 8) sequential streams with a
+// precomputed cost vector, no per-cell struct walks and no integer
+// conversions - the warm path, where one plan is repriced for many
+// backends and objectives. The read-cost convention's summed counts are
+// stored from the exact int64 sums, so both pricing conventions are
+// served by one plan and both stay bit-for-bit identical to pricing the
+// integer counts directly (see PriceFlatInto).
 package core
 
 import (
@@ -40,18 +35,20 @@ const (
 	flatPlanes
 )
 
-// FlatColumn is the vectorized count plan of one (layer, schedule) grid
-// column: CountColumn's cells transposed into contiguous column-major
-// float64 planes, cell (ti, pi) at index ti*Policies+pi of every plane.
-// It carries the read, write and precomputed read+write count of each
-// access category, so one flat plan reprices under either pricing
-// convention (UseWriteCosts on or off). Build one with
-// CountColumn.Flatten; a FlatColumn is immutable after construction and
-// safe for concurrent repricing.
+// FlatColumn is the count plan of one (layer, schedule) grid column:
+// the counts of every (tiling, policy) design point the column searches,
+// as contiguous column-major float64 planes, cell (ti, pi) at index
+// ti*Policies+pi of every plane. It carries the read, write and
+// read+write count of each access category, so one plan reprices under
+// either pricing convention (UseWriteCosts on or off). It retains
+// per-tiling counts rather than a pre-reduced winner because the argmin
+// depends on the objective value, which is priced per backend. Build one
+// with Evaluator.CountScheduleColumn; a FlatColumn is immutable after
+// construction and safe for concurrent repricing.
 type FlatColumn struct {
 	LayerIndex    int
 	ScheduleIndex int
-	// Policies is the row width (the policy count), as in CountColumn.
+	// Policies is the row width (the policy count).
 	Policies int
 
 	cells int
@@ -60,40 +57,27 @@ type FlatColumn struct {
 	data []float64
 }
 
-// Flatten transposes the count plan into its vectorized form. The
-// total planes are converted from the exact int64 read+write sums - not
-// summed in float64 - so repricing them reproduces the struct path's
-// add-then-convert arithmetic bit for bit.
-func (cc *CountColumn) Flatten() *FlatColumn {
-	n := len(cc.Cells)
-	fc := &FlatColumn{
-		LayerIndex:    cc.LayerIndex,
-		ScheduleIndex: cc.ScheduleIndex,
-		Policies:      cc.Policies,
-		cells:         n,
-		data:          make([]float64, flatPlanes*n),
+// storeRow writes one tiling's finished counts into the planes, cell
+// row[k] at index i+k. The total planes are converted from the exact
+// int64 read+write sums - not summed in float64 - so the read-cost
+// convention prices exactly the unsplit counts.
+func (fc *FlatColumn) storeRow(i int, row []CellCounts) {
+	d, n := fc.data, fc.cells
+	for k := range row {
+		r, w, j := &row[k].Read, &row[k].Write, i+k
+		d[planeReadColumn*n+j] = float64(r.DifColumn)
+		d[planeReadBanks*n+j] = float64(r.DifBanks)
+		d[planeReadSubarrays*n+j] = float64(r.DifSubarrays)
+		d[planeReadRows*n+j] = float64(r.DifRows)
+		d[planeWriteColumn*n+j] = float64(w.DifColumn)
+		d[planeWriteBanks*n+j] = float64(w.DifBanks)
+		d[planeWriteSubarrays*n+j] = float64(w.DifSubarrays)
+		d[planeWriteRows*n+j] = float64(w.DifRows)
+		d[planeTotalColumn*n+j] = float64(r.DifColumn + w.DifColumn)
+		d[planeTotalBanks*n+j] = float64(r.DifBanks + w.DifBanks)
+		d[planeTotalSubarrays*n+j] = float64(r.DifSubarrays + w.DifSubarrays)
+		d[planeTotalRows*n+j] = float64(r.DifRows + w.DifRows)
 	}
-	rCol, rBank, rSub, rRow := fc.plane(planeReadColumn), fc.plane(planeReadBanks), fc.plane(planeReadSubarrays), fc.plane(planeReadRows)
-	wCol, wBank, wSub, wRow := fc.plane(planeWriteColumn), fc.plane(planeWriteBanks), fc.plane(planeWriteSubarrays), fc.plane(planeWriteRows)
-	tCol, tBank, tSub, tRow := fc.plane(planeTotalColumn), fc.plane(planeTotalBanks), fc.plane(planeTotalSubarrays), fc.plane(planeTotalRows)
-	for i := range cc.Cells {
-		c := &cc.Cells[i]
-		rCol[i] = float64(c.Read.DifColumn)
-		rBank[i] = float64(c.Read.DifBanks)
-		rSub[i] = float64(c.Read.DifSubarrays)
-		rRow[i] = float64(c.Read.DifRows)
-		wCol[i] = float64(c.Write.DifColumn)
-		wBank[i] = float64(c.Write.DifBanks)
-		wSub[i] = float64(c.Write.DifSubarrays)
-		wRow[i] = float64(c.Write.DifRows)
-		total := c.Read
-		total.Add(c.Write, 1)
-		tCol[i] = float64(total.DifColumn)
-		tBank[i] = float64(total.DifBanks)
-		tSub[i] = float64(total.DifSubarrays)
-		tRow[i] = float64(total.DifRows)
-	}
-	return fc
 }
 
 // plane returns one packed plane.
@@ -155,60 +139,29 @@ func costsVec(c AccessCosts) flatCosts {
 	}
 }
 
-// priceFlat prices cell i of the plan under the evaluator's configured
-// convention. The multiply-add chains mirror priceWith's expression
-// shape exactly (left-associated, no fused operations introduced), and
-// the write-cost path sums the two directions' subtotals exactly as
-// PriceRW does, so the result is bit-for-bit the struct path's.
-func (fc *FlatColumn) priceFlat(i int, useWrite bool, read, write flatCosts) LayerEDP {
-	if !useWrite {
-		tCol, tBank, tSub, tRow := fc.plane(planeTotalColumn), fc.plane(planeTotalBanks), fc.plane(planeTotalSubarrays), fc.plane(planeTotalRows)
-		return LayerEDP{
-			Cycles: tCol[i]*read.colC + tBank[i]*read.bankC + tSub[i]*read.subC + tRow[i]*read.rowC,
-			Energy: tCol[i]*read.colE + tBank[i]*read.bankE + tSub[i]*read.subE + tRow[i]*read.rowE,
-		}
-	}
-	rCol, rBank, rSub, rRow := fc.plane(planeReadColumn), fc.plane(planeReadBanks), fc.plane(planeReadSubarrays), fc.plane(planeReadRows)
-	wCol, wBank, wSub, wRow := fc.plane(planeWriteColumn), fc.plane(planeWriteBanks), fc.plane(planeWriteSubarrays), fc.plane(planeWriteRows)
-	cost := LayerEDP{
-		Cycles: rCol[i]*read.colC + rBank[i]*read.bankC + rSub[i]*read.subC + rRow[i]*read.rowC,
-		Energy: rCol[i]*read.colE + rBank[i]*read.bankE + rSub[i]*read.subE + rRow[i]*read.rowE,
-	}
-	cost.Add(LayerEDP{
-		Cycles: wCol[i]*write.colC + wBank[i]*write.bankC + wSub[i]*write.subC + wRow[i]*write.rowC,
-		Energy: wCol[i]*write.colE + wBank[i]*write.bankE + wSub[i]*write.subE + wRow[i]*write.rowE,
-	})
-	return cost
-}
-
-// resizeCells returns a cell buffer of length n, reusing out's backing
-// array when it is large enough - the scratch-reuse seam that makes the
-// warm reprice loop allocation-free.
-func resizeCells(out []CellResult, n int) []CellResult {
-	if cap(out) < n {
-		return make([]CellResult, n)
-	}
-	return out[:n]
-}
-
-// PriceFlatInto reprices a flat plan under this evaluator's cost sets,
-// timing and the given objective, writing the winners into out (grown
-// only if its capacity is short) and returning it. The scan order, the
-// strict-minimum rule and every float64 operation match PriceCells over
-// the unflattened plan, so the cells are bit-for-bit identical to the
-// struct path's for any evaluator whose CountKey matches the plan's
-// producer - at a fraction of the memory traffic, and with zero
-// allocations when out is reused across calls.
+// PriceFlatInto reprices a count plan under this evaluator's cost sets,
+// timing and the given objective - the cheap phase - writing each
+// policy's winner into out (grown only if its capacity is short) and
+// returning it. The scan order and the strict-minimum rule match the
+// serial loop nest, and every float64 operation matches pricing the
+// integer counts with priceWith/PriceRW and Objective.Value, so the
+// cells are bit-for-bit identical to the direct per-tiling scan for any
+// evaluator whose CountKey matches the plan's producer. A policy with
+// no finite-objective tiling keeps Value +Inf, tiling 0 and a zero cost.
+// out may be reused across calls, which makes the scan allocation-free.
 //
 // The scan body is hand-flattened: plane slices are hoisted out of the
 // loop and the pricing and objective arithmetic inlined (same
-// left-associated expression shapes as priceFlat and Objective.Value,
+// left-associated expression shapes as priceWith and Objective.Value,
 // no fused operations), so the per-cell work is pure float math plus
 // one predictable branch - this loop is the entire warm path of a
 // serving daemon, and call overhead per cell dominated it.
 func (ev *Evaluator) PriceFlatInto(fc *FlatColumn, obj Objective, out []CellResult) []CellResult {
 	tm := ev.Timing()
-	out = resizeCells(out, fc.Policies)
+	if cap(out) < fc.Policies {
+		out = make([]CellResult, fc.Policies)
+	}
+	out = out[:fc.Policies]
 	for pi := range out {
 		out[pi] = CellResult{
 			LayerIndex:    fc.LayerIndex,
@@ -252,32 +205,4 @@ func (ev *Evaluator) PriceFlatInto(fc *FlatColumn, obj Objective, out []CellResu
 		}
 	}
 	return out
-}
-
-// PriceFlat is PriceFlatInto with a fresh result buffer.
-func (ev *Evaluator) PriceFlat(fc *FlatColumn, obj Objective) []CellResult {
-	return ev.PriceFlatInto(fc, obj, nil)
-}
-
-// MinOverFlatColumn reprices one policy of a flat plan and returns the
-// minimum-EDP tiling index and its cost, exactly as MinOverColumn scans
-// the struct plan: first strict EDP minimum wins, no finite tiling
-// returns index -1 and an infinite cost.
-func (ev *Evaluator) MinOverFlatColumn(fc *FlatColumn, policyIdx int) (int, LayerEDP) {
-	tm := ev.Timing()
-	best := LayerEDP{Cycles: math.Inf(1), Energy: math.Inf(1)}
-	bestEDP := math.Inf(1)
-	bestTiling := -1
-	read, write := costsVec(ev.Costs), costsVec(ev.WriteCosts)
-	useWrite := ev.UseWriteCosts
-	tilings := fc.Tilings()
-	for ti := 0; ti < tilings; ti++ {
-		e := fc.priceFlat(ti*fc.Policies+policyIdx, useWrite, read, write)
-		if edp := e.EDP(tm); edp < bestEDP {
-			bestEDP = edp
-			best = e
-			bestTiling = ti
-		}
-	}
-	return bestTiling, best
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"drmap/internal/cnn"
@@ -24,86 +23,9 @@ func evaluatorVariants(ev *Evaluator) []*Evaluator {
 	return []*Evaluator{&base, &write, &phys, &both}
 }
 
-// TestFlatPricingMatchesStructPath: PriceFlatInto over a flattened plan
-// equals PriceCells over the struct plan bit for bit - on every
-// registered backend, every schedule, every objective and every pricing
-// convention. This is the pin the vectorized warm path hangs on.
-func TestFlatPricingMatchesStructPath(t *testing.T) {
-	net := cnn.LeNet5()
-	policies := mapping.TableI()
-	for _, base := range registryEvaluators(t) {
-		for _, ev := range evaluatorVariants(base) {
-			grids, err := DSEGrid(net, ev, tiling.Schedules, policies)
-			if err != nil {
-				t.Fatalf("%s: DSEGrid: %v", ev.Label(), err)
-			}
-			var scratch []CellResult
-			for _, lg := range grids {
-				for si, s := range tiling.Schedules {
-					plan := ev.CountScheduleColumn(lg, si, s, policies)
-					flat := plan.Flatten()
-					for _, obj := range Objectives {
-						want := ev.PriceCells(plan, obj)
-						scratch = ev.PriceFlatInto(flat, obj, scratch)
-						if !reflect.DeepEqual(want, scratch[:len(want)]) {
-							t.Fatalf("%s (write=%v phys=%v) layer %d schedule %v obj %v: flat pricing diverged\n got %+v\nwant %+v",
-								ev.Label(), ev.UseWriteCosts, ev.UsePhysicalCounts, lg.Index, s, obj, scratch, want)
-						}
-					}
-					for pi := range policies {
-						wantTi, wantCost := ev.MinOverColumn(plan, pi)
-						gotTi, gotCost := ev.MinOverFlatColumn(flat, pi)
-						if gotTi != wantTi || gotCost != wantCost {
-							t.Fatalf("%s layer %d schedule %v policy %d: MinOverFlatColumn = (%d, %+v), want (%d, %+v)",
-								ev.Label(), lg.Index, s, pi, gotTi, gotCost, wantTi, wantCost)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFlatPlanRepricesAcrossBackends: a plan flattened under one backend
-// prices identically under every other backend sharing its CountKey -
-// the cross-backend sharing the service plan cache relies on.
-func TestFlatPlanRepricesAcrossBackends(t *testing.T) {
-	net := cnn.LeNet5()
-	policies := mapping.TableI()
-	evs := registryEvaluators(t)
-	flats := map[CountKey]*FlatColumn{}
-	lgFor := func(ev *Evaluator) LayerGrid {
-		grids, err := DSEGrid(net, ev, tiling.Schedules[:1], policies)
-		if err != nil {
-			t.Fatalf("%s: DSEGrid: %v", ev.Label(), err)
-		}
-		return grids[0]
-	}
-	shared := 0
-	for _, ev := range evs {
-		lg := lgFor(ev)
-		k := ev.CountKey()
-		if flats[k] == nil {
-			flats[k] = ev.CountScheduleColumn(lg, 0, tiling.Schedules[0], policies).Flatten()
-		} else {
-			shared++
-		}
-		own := ev.CountScheduleColumn(lg, 0, tiling.Schedules[0], policies)
-		for _, obj := range Objectives {
-			got := ev.PriceFlat(flats[k], obj)
-			want := ev.PriceCells(own, obj)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s obj %v: shared flat plan priced differently from own counts", ev.Label(), obj)
-			}
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no backend shared a count signature; the paper four should share one die geometry")
-	}
-}
-
-// TestFlattenRoundTrip: At reconstructs every cell and the total planes
-// hold the exact integer read+write sums.
+// TestFlattenRoundTrip: the plan's shape matches its grid and the total
+// planes hold the exact int64 sums of every cell's read and write
+// counts as At reads them back.
 func TestFlattenRoundTrip(t *testing.T) {
 	ev := registryEvaluators(t)[0]
 	net := cnn.LeNet5()
@@ -112,19 +34,15 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DSEGrid: %v", err)
 	}
-	plan := ev.CountScheduleColumn(grids[0], 0, tiling.Schedules[0], policies)
-	flat := plan.Flatten()
-	if flat.Tilings() != plan.Tilings() || flat.Policies != plan.Policies || flat.Cells() != len(plan.Cells) {
-		t.Fatalf("flat shape (%d tilings x %d policies, %d cells) != plan shape (%d x %d, %d)",
-			flat.Tilings(), flat.Policies, flat.Cells(), plan.Tilings(), plan.Policies, len(plan.Cells))
+	flat := ev.CountScheduleColumn(grids[0], 0, tiling.Schedules[0], policies)
+	if flat.Tilings() != len(grids[0].Tilings) || flat.Policies != len(policies) || flat.Cells() != len(grids[0].Tilings)*len(policies) {
+		t.Fatalf("flat shape (%d tilings x %d policies, %d cells), want %d x %d",
+			flat.Tilings(), flat.Policies, flat.Cells(), len(grids[0].Tilings), len(policies))
 	}
-	for ti := 0; ti < plan.Tilings(); ti++ {
-		for pi := 0; pi < plan.Policies; pi++ {
-			if got, want := flat.At(ti, pi), plan.At(ti, pi); got != want {
-				t.Fatalf("cell (%d, %d): round trip = %+v, want %+v", ti, pi, got, want)
-			}
-			want := plan.At(ti, pi).Read
-			want.Add(plan.At(ti, pi).Write, 1)
+	for ti := 0; ti < flat.Tilings(); ti++ {
+		for pi := 0; pi < flat.Policies; pi++ {
+			want := flat.At(ti, pi).Read
+			want.Add(flat.At(ti, pi).Write, 1)
 			i := ti*flat.Policies + pi
 			got := mapping.Counts{
 				DifColumn:    int64(flat.plane(planeTotalColumn)[i]),
@@ -153,8 +71,7 @@ func TestPriceIntoReusesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DSEGrid: %v", err)
 	}
-	plan := ev.CountScheduleColumn(grids[0], 0, tiling.Schedules[0], policies)
-	flat := plan.Flatten()
+	flat := ev.CountScheduleColumn(grids[0], 0, tiling.Schedules[0], policies)
 
 	scratch := make([]CellResult, 0, len(policies))
 	sink := 0.0
@@ -163,12 +80,6 @@ func TestPriceIntoReusesScratch(t *testing.T) {
 		sink += scratch[0].Value
 	}); allocs != 0 {
 		t.Fatalf("PriceFlatInto with warm scratch allocated %.1f times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		scratch = ev.PriceCellsInto(plan, MinimizeEDP, scratch)
-		sink += scratch[0].Value
-	}); allocs != 0 {
-		t.Fatalf("PriceCellsInto with warm scratch allocated %.1f times per run, want 0", allocs)
 	}
 	if math.IsNaN(sink) {
 		t.Fatal("degenerate pricing")
@@ -182,18 +93,18 @@ func TestPriceIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// TestFlatEmptyColumn: degenerate shapes stay consistent with the
-// struct path's sentinels.
+// TestFlatEmptyColumn: a plan with no tilings prices every policy to
+// the no-winner cell: infinite value, tiling 0, zero cost.
 func TestFlatEmptyColumn(t *testing.T) {
 	ev := registryEvaluators(t)[0]
-	empty := (&CountColumn{Policies: len(mapping.TableI())}).Flatten()
-	cells := ev.PriceFlat(empty, MinimizeEDP)
-	for _, c := range cells {
-		if !math.IsInf(c.Value, 1) {
-			t.Fatalf("empty column priced finite cell %+v", c)
-		}
+	n := len(mapping.TableI())
+	cells := ev.PriceFlatInto(&FlatColumn{Policies: n}, MinimizeEDP, nil)
+	if len(cells) != n {
+		t.Fatalf("empty column priced %d cells, want %d", len(cells), n)
 	}
-	if ti, _ := ev.MinOverFlatColumn(empty, 0); ti != -1 {
-		t.Fatalf("empty column min tiling = %d, want -1", ti)
+	for _, c := range cells {
+		if !math.IsInf(c.Value, 1) || c.TilingIndex != 0 || c.Cost != (LayerEDP{}) {
+			t.Fatalf("empty column priced cell %+v, want the no-winner cell", c)
+		}
 	}
 }

@@ -123,19 +123,10 @@ func ColumnShards(columns, shards int) []ColumnSpan {
 // The search is the count -> price pipeline of countplan.go run
 // back-to-back: callers that evaluate one column for many DRAM systems
 // (or objectives) should instead keep the CountScheduleColumn plan and
-// reprice it per system with PriceCells, which produces these exact
+// reprice it per system with PriceFlatInto, which produces these exact
 // cells at a fraction of the cost.
 func (ev *Evaluator) EvaluateScheduleColumn(lg LayerGrid, scheduleIdx int, s tiling.Schedule, policies []mapping.Policy, obj Objective) []CellResult {
-	return ev.PriceCells(ev.CountScheduleColumn(lg, scheduleIdx, s, policies), obj)
-}
-
-// EvaluateCell searches one grid cell (a single policy of a column);
-// EvaluateScheduleColumn is the batched form workers should prefer,
-// since it shares each tiling's tile groups across all policies.
-func (ev *Evaluator) EvaluateCell(lg LayerGrid, scheduleIdx, policyIdx int, s tiling.Schedule, pol mapping.Policy, obj Objective) CellResult {
-	cr := ev.EvaluateScheduleColumn(lg, scheduleIdx, s, []mapping.Policy{pol}, obj)[0]
-	cr.PolicyIndex = policyIdx
-	return cr
+	return ev.PriceFlatInto(ev.CountScheduleColumn(lg, scheduleIdx, s, policies), obj, nil)
 }
 
 // better reports whether cell a beats cell b under the serial scan

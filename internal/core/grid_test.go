@@ -74,9 +74,7 @@ func TestReduceCellsOrderIndependent(t *testing.T) {
 	lg := grids[0]
 	var cells []CellResult
 	for si, s := range tiling.Schedules {
-		for pi, pol := range mapping.TableI() {
-			cells = append(cells, ev.EvaluateCell(lg, si, pi, s, pol, MinimizeEDP))
-		}
+		cells = append(cells, ev.EvaluateScheduleColumn(lg, si, s, mapping.TableI(), MinimizeEDP)...)
 	}
 	want := ReduceCells(lg, tiling.Schedules, mapping.TableI(), cells, ev.Timing())
 	rng := rand.New(rand.NewSource(11))

@@ -25,8 +25,7 @@ type SimLayerResult struct {
 	// Name is the layer's name.
 	Name string `json:"name"`
 	// Cost is the simulated DRAM cost (cycles and energy), accumulated
-	// over the layer's tile streams in group order - the exact
-	// arithmetic SimulateGroups performs.
+	// over the layer's tile streams in group order.
 	Cost LayerEDP `json:"cost"`
 	// Groups counts the layer's distinct tile streams.
 	Groups int `json:"groups"`
@@ -113,9 +112,8 @@ type layerSim struct {
 // (layer, tile stream) pair is an independent controller agent, so the
 // parallel driver overlaps streams across cores while each stream
 // stays exactly sequential. Per layer, cycles and energy accumulate in
-// tile-group order with the same arithmetic as SimulateGroups, so for
-// any engine the per-layer results are bit-for-bit identical to
-// calling SimulateLayer per spec.
+// tile-group order, so for any engine the per-layer results are
+// bit-for-bit identical to calling SimulateLayer per spec.
 //
 // ctx cancellation aborts the run mid-stream (the engines check it at
 // event granularity) and returns ctx's error.
@@ -138,8 +136,7 @@ func SimulateNetwork(ctx context.Context, cfg dram.Config, pol mapping.Policy, s
 	// The layer reduction only reads the result's counters (census,
 	// cycles), so the per-request serviced log is dead weight here;
 	// dropping it keeps each stream's footprint independent of its
-	// length. Retention stays available via SimulateLayer for callers
-	// that want logs.
+	// length. Callers that want logs run memctrl.Controller directly.
 	ctrlOpt := opt.Controller
 	ctrlOpt.DiscardServiced = true
 	gen := pol.Generator(cfg.Geometry)
@@ -201,8 +198,8 @@ func SimulateNetwork(ctx context.Context, cfg dram.Config, pol mapping.Policy, s
 }
 
 // reduceLayer folds one layer's finalized agents into its result, in
-// tile-group order - the accumulation order (and therefore the
-// floating-point result) SimulateGroups produces.
+// tile-group order, so the floating-point result does not depend on the
+// order the engine finished the streams in.
 func reduceLayer(index int, ls *layerSim, model *vampire.Model) SimLayerResult {
 	out := SimLayerResult{
 		Index:    index,

@@ -55,25 +55,48 @@ func TestSimulateNetworkSerialParallelIdentical(t *testing.T) {
 }
 
 // TestSimulateNetworkMatchesSimulateLayer: a one-layer network prices
-// exactly like the standalone SimulateLayer path - the v1 validation
-// endpoint and the network simulator share one ground truth.
+// exactly like the standalone SimulateLayer path under both engines -
+// the v1 validation endpoint and the network simulator share one
+// ground truth. The costs are the ones the separate request-slice
+// simulate path produced before SimulateLayer became a one-spec
+// network simulation, recorded as exact float64 literals.
 func TestSimulateNetworkMatchesSimulateLayer(t *testing.T) {
 	spec := leNetSpec()
-	for _, arch := range dram.Archs {
-		cfg := dram.ConfigFor(arch)
-		want, err := SimulateLayer(cfg, mapping.DRMap(), spec, 2)
-		if err != nil {
-			t.Fatalf("%v: SimulateLayer: %v", arch, err)
-		}
-		for _, par := range []bool{false, true} {
-			res, err := SimulateNetwork(context.Background(), cfg, mapping.DRMap(), []LayerSpec{spec}, SimOptions{
-				BytesPerElement: 2, Parallel: par, Workers: 4,
-			})
+	want := map[int]map[dram.Arch]LayerEDP{
+		1: {
+			dram.DDR3:     {Cycles: 2651, Energy: 7.895012500000001e-07},
+			dram.SALP1:    {Cycles: 2651, Energy: 7.895012500000001e-07},
+			dram.SALP2:    {Cycles: 2651, Energy: 7.895012500000001e-07},
+			dram.SALPMASA: {Cycles: 2651, Energy: 7.905565000000001e-07},
+		},
+		2: {
+			dram.DDR3:     {Cycles: 5239, Energy: 1.56848375e-06},
+			dram.SALP1:    {Cycles: 5239, Energy: 1.56848375e-06},
+			dram.SALP2:    {Cycles: 5239, Energy: 1.56848375e-06},
+			dram.SALPMASA: {Cycles: 5239, Energy: 1.57029275e-06},
+		},
+	}
+	for _, bpe := range []int{1, 2} {
+		byArch := want[bpe]
+		for _, arch := range dram.Archs {
+			cfg := dram.ConfigFor(arch)
+			got, err := SimulateLayer(cfg, mapping.DRMap(), spec, bpe)
 			if err != nil {
-				t.Fatalf("%v parallel=%v: SimulateNetwork: %v", arch, par, err)
+				t.Fatalf("%v bpe %d: SimulateLayer: %v", arch, bpe, err)
 			}
-			if len(res) != 1 || res[0].Cost != want {
-				t.Errorf("%v parallel=%v: network cost %+v, want SimulateLayer's %+v", arch, par, res[0].Cost, want)
+			if got != byArch[arch] {
+				t.Errorf("%v bpe %d: SimulateLayer cost %+v, want recorded %+v", arch, bpe, got, byArch[arch])
+			}
+			for _, par := range []bool{false, true} {
+				res, err := SimulateNetwork(context.Background(), cfg, mapping.DRMap(), []LayerSpec{spec}, SimOptions{
+					BytesPerElement: bpe, Parallel: par, Workers: 4,
+				})
+				if err != nil {
+					t.Fatalf("%v bpe %d parallel=%v: SimulateNetwork: %v", arch, bpe, par, err)
+				}
+				if len(res) != 1 || res[0].Cost != byArch[arch] {
+					t.Errorf("%v bpe %d parallel=%v: network cost %+v, want recorded %+v", arch, bpe, par, res[0].Cost, byArch[arch])
+				}
 			}
 		}
 	}

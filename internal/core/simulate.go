@@ -1,62 +1,13 @@
 package core
 
 import (
-	"fmt"
+	"context"
 
 	"drmap/internal/cnn"
 	"drmap/internal/dram"
 	"drmap/internal/mapping"
-	"drmap/internal/memctrl"
 	"drmap/internal/tiling"
-	"drmap/internal/trace"
-	"drmap/internal/vampire"
 )
-
-// SimulateGroups prices a set of tile streams by running each stream
-// through the cycle-accurate controller and the energy model instead of
-// the analytical category counts. Each distinct tile stream is
-// simulated once from a cold controller and scaled by its load count,
-// mirroring the analytical model's per-tile independence assumption.
-//
-// It is the validation path of the tool flow (Fig. 8): comparing its
-// output against Evaluator.Price quantifies the approximation error of
-// the paper's Eq. 2-3 pricing.
-func SimulateGroups(cfg dram.Config, pol mapping.Policy, groups []tiling.TileGroup, bytesPerElement int) (LayerEDP, error) {
-	if bytesPerElement <= 0 {
-		return LayerEDP{}, fmt.Errorf("core: bytes per element must be positive, got %d", bytesPerElement)
-	}
-	ctrl, err := memctrl.New(cfg, memctrl.Options{})
-	if err != nil {
-		return LayerEDP{}, err
-	}
-	model, err := vampire.New(cfg)
-	if err != nil {
-		return LayerEDP{}, err
-	}
-	accessBytes := int64(cfg.Geometry.AccessBytes())
-	var total LayerEDP
-	for _, grp := range groups {
-		bursts := (grp.Elems*int64(bytesPerElement) + accessBytes - 1) / accessBytes
-		addrs := pol.Addresses(bursts, cfg.Geometry)
-		reqs := make([]trace.Request, len(addrs))
-		op := trace.Read
-		if grp.Write {
-			op = trace.Write
-		}
-		for i, a := range addrs {
-			reqs[i] = trace.Request{Op: op, Addr: a}
-		}
-		res, err := ctrl.Run(reqs)
-		if err != nil {
-			return LayerEDP{}, err
-		}
-		act := vampire.ActivityFromCounts(res.KindCounts, res.DeviceActiveCycles, res.TotalCycles)
-		act.ExtraOpenSubarrayCycles = res.ExtraOpenSubarrayCycles
-		total.Cycles += float64(res.TotalCycles) * float64(grp.Loads)
-		total.Energy += model.Energy(act).Total() * float64(grp.Loads)
-	}
-	return total, nil
-}
 
 // LayerSpec bundles the inputs of a trace-driven layer simulation.
 type LayerSpec struct {
@@ -66,9 +17,21 @@ type LayerSpec struct {
 	Batch    int
 }
 
-// SimulateLayer is SimulateGroups applied to a (layer, tiling,
-// schedule) combination, expanding the tile streams first.
+// SimulateLayer prices one (layer, tiling, schedule) combination by
+// running its tile streams through the cycle-accurate controller and
+// the energy model instead of the analytical category counts: it is a
+// one-spec SimulateNetwork on the serial engine. Each distinct tile
+// stream is simulated once from a cold controller and scaled by its
+// load count, mirroring the analytical model's per-tile independence
+// assumption.
+//
+// It is the validation path of the tool flow (Fig. 8): comparing its
+// output against Evaluator.Price quantifies the approximation error of
+// the paper's Eq. 2-3 pricing.
 func SimulateLayer(cfg dram.Config, pol mapping.Policy, spec LayerSpec, bytesPerElement int) (LayerEDP, error) {
-	groups := tiling.TileGroups(spec.Layer, spec.Tiling, spec.Schedule, spec.Batch)
-	return SimulateGroups(cfg, pol, groups, bytesPerElement)
+	res, err := SimulateNetwork(context.TODO(), cfg, pol, []LayerSpec{spec}, SimOptions{BytesPerElement: bytesPerElement})
+	if err != nil {
+		return LayerEDP{}, err
+	}
+	return res[0].Cost, nil
 }

@@ -31,12 +31,12 @@ func TestSimulateLayerPositive(t *testing.T) {
 }
 
 func TestSimulateRejectsBadInputs(t *testing.T) {
-	if _, err := SimulateGroups(dram.DDR3Config(), mapping.DRMap(), nil, 0); err == nil {
+	if _, err := SimulateLayer(dram.DDR3Config(), mapping.DRMap(), leNetSpec(), 0); err == nil {
 		t.Error("accepted zero bytes per element")
 	}
 	bad := dram.DDR3Config()
 	bad.Geometry.Banks = 0
-	if _, err := SimulateGroups(bad, mapping.DRMap(), nil, 1); err == nil {
+	if _, err := SimulateLayer(bad, mapping.DRMap(), leNetSpec(), 1); err == nil {
 		t.Error("accepted invalid DRAM config")
 	}
 }

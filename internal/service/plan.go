@@ -107,47 +107,42 @@ func (s *Service) planPrefix(job DSEJob, ev *core.Evaluator) (string, error) {
 }
 
 // countPlan returns the plan-cache compute closure for one column:
-// count the column, flatten it, and book the time as the count phase.
-// columnEval's cached branch and the boot-time plan warmer share it, so
-// a warmed plan is byte-for-byte the plan a live request would build.
+// count the column into its flat plan and book the time as the count
+// phase. columnEval's two branches and the boot-time plan warmer share
+// it, so a warmed plan is byte-for-byte the plan a live request would
+// build.
 func (s *Service) countPlan(ctx context.Context, job DSEJob, ev *core.Evaluator, grids []core.LayerGrid, li, si int) func() (any, error) {
 	return func() (any, error) {
 		start := time.Now()
-		counts := ev.CountScheduleColumn(grids[li], si, job.Schedules[si], job.Policies)
-		flat := counts.Flatten()
+		flat := ev.CountScheduleColumn(grids[li], si, job.Schedules[si], job.Policies)
 		s.recordPhase(ctx, core.PhaseCount, start,
 			obs.Int("layer", li), obs.Int("schedule", si))
 		return flat, nil
 	}
 }
 
-// columnEval returns the column evaluator a job's execution uses. With
-// the plan cache enabled, each column's count plan is computed at most
-// once per count signature (content-addressed, single-flight: the same
-// column counted concurrently for two backends coalesces), stored
-// vectorized (core.FlatColumn) and repriced under the job's backend and
-// objective as a flat linear scan into a pooled cell buffer; without
-// it, the column runs the explicit count -> price composition, which
-// core documents as bit-for-bit identical to the pre-split
-// EvaluateScheduleColumn - and core pins the flat scan to that same
-// struct path, so both branches still produce identical cells. Both
-// split their time into the count and price phases (recordPhase) - the
-// measurement the warm-repricing work reads. On the cached path only a
-// fresh count (cache miss) records count time - flattening is part of
-// plan construction, so it counts there - while a hit or coalesced wait
-// spends pricing time alone, which is exactly what the split should
-// show.
+// columnEval returns the column evaluator a job's execution uses. Both
+// branches count a column with countPlan and reprice the flat plan
+// under the job's backend and objective as a linear scan into a pooled
+// cell buffer (priceColumn), so they produce identical cells. With the
+// plan cache enabled, each column's plan is computed at most once per
+// count signature (content-addressed, single-flight: the same column
+// counted concurrently for two backends coalesces); without it, every
+// column is counted fresh. Both split their time into the count and
+// price phases (recordPhase) - the measurement the warm-repricing work
+// reads. On the cached path only a fresh count (cache miss) records
+// count time, while a hit or coalesced wait spends pricing time alone,
+// which is exactly what the split should show.
 func (s *Service) columnEval(job DSEJob, ev *core.Evaluator) columnEvalFn {
-	direct := func(ctx context.Context, grids []core.LayerGrid, li, si int) []core.CellResult {
+	priceColumn := func(ctx context.Context, fc *core.FlatColumn, attrs ...obs.Attr) []core.CellResult {
 		start := time.Now()
-		counts := ev.CountScheduleColumn(grids[li], si, job.Schedules[si], job.Policies)
-		s.recordPhase(ctx, core.PhaseCount, start,
-			obs.Int("layer", li), obs.Int("schedule", si))
-		start = time.Now()
-		cells := ev.PriceCellsInto(counts, job.Objective, getCellBuf())
-		s.recordPhase(ctx, core.PhasePrice, start,
-			obs.Int("layer", li), obs.Int("schedule", si))
+		cells := ev.PriceFlatInto(fc, job.Objective, getCellBuf())
+		s.recordPhase(ctx, core.PhasePrice, start, attrs...)
 		return cells
+	}
+	direct := func(ctx context.Context, grids []core.LayerGrid, li, si int) []core.CellResult {
+		v, _ := s.countPlan(ctx, job, ev, grids, li, si)()
+		return priceColumn(ctx, v.(*core.FlatColumn), obs.Int("layer", li), obs.Int("schedule", si))
 	}
 	if s.planCache == nil {
 		return direct
@@ -165,11 +160,7 @@ func (s *Service) columnEval(job DSEJob, ev *core.Evaluator) columnEvalFn {
 		if err != nil {
 			return direct(ctx, grids, li, si)
 		}
-		start := time.Now()
-		cells := ev.PriceFlatInto(v.(*core.FlatColumn), job.Objective, getCellBuf())
-		s.recordPhase(ctx, core.PhasePrice, start,
-			obs.Int("layer", li), obs.Int("schedule", si),
-			obs.Bool("plan_cache_hit", shared))
-		return cells
+		return priceColumn(ctx, v.(*core.FlatColumn),
+			obs.Int("layer", li), obs.Int("schedule", si), obs.Bool("plan_cache_hit", shared))
 	}
 }

@@ -102,7 +102,7 @@ func (p *Planner) column(ev *core.Evaluator, lg core.LayerGrid, si int, s tiling
 		return fc, nil
 	}
 	p.stats.Misses++
-	fc := ev.CountScheduleColumn(lg, si, s, policies).Flatten()
+	fc := ev.CountScheduleColumn(lg, si, s, policies)
 	p.plans[key] = fc
 	return fc, nil
 }

@@ -172,9 +172,10 @@ func Batches(batches []int, backend dram.Backend, net cnn.Network) (*Table, erro
 // no pruned permutation beats the six.
 //
 // The scan runs through the count -> price split: the layer's tile
-// groups expand once into a 24-policy count plan - vectorized, so the
-// per-permutation minimum is a flat scan - instead of once per
-// permutation, with EDPs identical to the per-permutation scan.
+// groups expand once into a 24-policy count plan, and one pricing scan
+// yields every permutation's minimum, with EDPs identical to the
+// per-permutation scan. The layer is checked as the DSE checks it: an
+// invalid layer, or one that fits no tiling, is an error.
 func PolicyPruning(backend dram.Backend, layer cnn.Layer, batch int) (*Table, error) {
 	prof, err := profile.CharacterizeBackend(backend)
 	if err != nil {
@@ -184,10 +185,13 @@ func PolicyPruning(backend dram.Backend, layer cnn.Layer, batch int) (*Table, er
 	if err != nil {
 		return nil, err
 	}
-	lg := core.LayerGrid{Layer: layer, Tilings: tiling.Enumerate(layer, ev.Accel)}
 	perms := mapping.AllPermutations()
-	plan := ev.CountScheduleColumn(lg, 0, tiling.AdaptiveReuse, perms).Flatten()
-	tm := ev.Timing()
+	schedules := []tiling.Schedule{tiling.AdaptiveReuse}
+	grids, err := core.DSEGrid(cnn.Network{Name: layer.Name, Layers: []cnn.Layer{layer}}, ev, schedules, perms)
+	if err != nil {
+		return nil, err
+	}
+	cells := ev.PriceFlatInto(ev.CountScheduleColumn(grids[0], 0, schedules[0], perms), core.MinimizeEDP, nil)
 	tableI := map[[4]mapping.Level]bool{}
 	for _, p := range mapping.TableI() {
 		tableI[p.Order] = true
@@ -198,8 +202,7 @@ func PolicyPruning(backend dram.Backend, layer cnn.Layer, batch int) (*Table, er
 	}
 	bestKept, bestPruned := -1.0, -1.0
 	for pi, p := range perms {
-		_, cost := ev.MinOverFlatColumn(plan, pi)
-		edp := cost.EDP(tm)
+		edp := cells[pi].Value
 		if tableI[p.Order] {
 			if bestKept < 0 || edp < bestKept {
 				bestKept = edp

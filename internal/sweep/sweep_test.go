@@ -247,3 +247,23 @@ func mustBackend(id string) dram.Backend {
 	}
 	return b
 }
+
+// TestPolicyPruningRejectsUntileableLayer: a layer that passes
+// validation but fits no tiling in the buffers is an error - the one the
+// DSE reports - not a table of meaningless EDPs.
+func TestPolicyPruningRejectsUntileableLayer(t *testing.T) {
+	layer := cnn.Layer{Name: "huge-kernel", H: 1, W: 1, J: 1, I: 1, P: 512, Q: 512, Stride: 1}
+	if err := layer.Validate(); err != nil {
+		t.Fatalf("layer must pass validation for this test: %v", err)
+	}
+	if n := len(tiling.Enumerate(layer, accel.TableII())); n != 0 {
+		t.Fatalf("layer admits %d tilings; the test needs none", n)
+	}
+	tb, err := PolicyPruning(mustBackend("ddr3"), layer, 1)
+	if err == nil {
+		t.Fatalf("PolicyPruning returned no error and rows %v", tb.Rows)
+	}
+	if !strings.Contains(err.Error(), "no partitioning fits the buffers") {
+		t.Errorf("error %q does not name the missing partitioning", err)
+	}
+}
