@@ -91,6 +91,33 @@ func TestCountPriceSplitMatchesDirectScan(t *testing.T) {
 	}
 }
 
+// TestCountPriceSplitHonorsEvaluatorFlags: the refinement flags
+// (direction-aware write pricing, physical counts) flow through the
+// split identically to the direct path.
+func TestCountPriceSplitHonorsEvaluatorFlags(t *testing.T) {
+	base := evaluatorFor(t, dram.SALPMASA)
+	layer := cnn.LeNet5().Layers[1]
+	lg := LayerGrid{Layer: layer, Tilings: tiling.Enumerate(layer, base.Accel)}
+	policies := mapping.TableI()
+	for _, variant := range []struct {
+		name            string
+		write, physical bool
+	}{
+		{"write-costs", true, false},
+		{"physical-counts", false, true},
+		{"both", true, true},
+	} {
+		ev := *base
+		ev.UseWriteCosts = variant.write
+		ev.UsePhysicalCounts = variant.physical
+		got := ev.EvaluateScheduleColumn(lg, 0, tiling.AdaptiveReuse, policies, MinimizeEDP)
+		want := directScheduleColumn(&ev, lg, 0, tiling.AdaptiveReuse, policies, MinimizeEDP)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: split diverged from direct scan", variant.name)
+		}
+	}
+}
+
 // TestPlanRepricesAcrossBackends: a plan counted under one backend,
 // priced under another backend with an equal CountKey, equals the other
 // backend's own scan - the reuse the service's plan cache relies on -

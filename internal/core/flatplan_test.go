@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"drmap/internal/cnn"
@@ -21,6 +22,42 @@ func evaluatorVariants(ev *Evaluator) []*Evaluator {
 	both := write
 	both.UsePhysicalCounts = true
 	return []*Evaluator{&base, &write, &phys, &both}
+}
+
+// TestFlatPlanRepricesAcrossBackends: a plan counted under one backend
+// prices, under every other backend sharing its CountKey, to exactly
+// that backend's direct EvaluateLayer scan - the cross-backend sharing
+// the service plan cache relies on.
+func TestFlatPlanRepricesAcrossBackends(t *testing.T) {
+	net := cnn.LeNet5()
+	policies := mapping.TableI()
+	s := tiling.Schedules[0]
+	flats := map[CountKey]*FlatColumn{}
+	shared := 0
+	var scratch []CellResult
+	for _, ev := range registryEvaluators(t) {
+		grids, err := DSEGrid(net, ev, tiling.Schedules[:1], policies)
+		if err != nil {
+			t.Fatalf("%s: DSEGrid: %v", ev.Label(), err)
+		}
+		lg := grids[0]
+		k := ev.CountKey()
+		if flats[k] == nil {
+			flats[k] = ev.CountScheduleColumn(lg, 0, s, policies)
+		} else {
+			shared++
+		}
+		for _, obj := range Objectives {
+			scratch = ev.PriceFlatInto(flats[k], obj, scratch)
+			want := directScheduleColumn(ev, lg, 0, s, policies, obj)
+			if !reflect.DeepEqual(scratch[:len(want)], want) {
+				t.Fatalf("%s obj %v: shared flat plan priced differently from own direct scan", ev.Label(), obj)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no backend shared a count signature; the paper four should share one die geometry")
+	}
 }
 
 // TestFlattenRoundTrip: the plan's shape matches its grid and the total
