@@ -24,6 +24,7 @@ import (
 	"drmap"
 	"drmap/internal/core"
 	"drmap/internal/dram"
+	"drmap/internal/memctrl"
 	"drmap/internal/sweep"
 	"drmap/internal/trace"
 )
@@ -731,15 +732,17 @@ func simulateBenchSpecs() []drmap.LayerSpec {
 }
 
 // benchSimulate runs the cycle-accurate network simulation end to end
-// on the chosen discrete-event driver and reports the simulated cycle
-// total so the output doubles as a correctness anchor: serial and
-// parallel must print the same sim-cycles.
-func benchSimulate(b *testing.B, parallel bool) {
+// on the chosen discrete-event driver and controller options, and
+// reports the simulated cycle total so the output doubles as a
+// correctness anchor: serial and parallel must print the same
+// sim-cycles.
+func benchSimulate(b *testing.B, parallel bool, ctrl drmap.ControllerOptions) {
 	cfg := drmap.ConfigFor(drmap.SALP2)
 	specs := simulateBenchSpecs()
 	var cycles float64
 	for i := 0; i < b.N; i++ {
 		res, err := drmap.SimulateNetwork(context.Background(), cfg, drmap.DRMapPolicy(), specs, drmap.SimOptions{
+			Controller:      ctrl,
 			BytesPerElement: drmap.TableII().BytesPerElement,
 			Parallel:        parallel,
 		})
@@ -760,7 +763,14 @@ func benchSimulate(b *testing.B, parallel bool) {
 // (BENCH_10.json). The controller is reused across iterations, so the
 // steady state exercises the buffer-reuse path of reset; the reported
 // ctrl-cycles metric anchors correctness across runs.
-func BenchmarkMemctrlRun(b *testing.B) {
+func BenchmarkMemctrlRun(b *testing.B) { benchMemctrlRun(b, memctrl.FCFS) }
+
+// BenchmarkMemctrlRunFRFCFS is BenchmarkMemctrlRun's stream under the
+// FR-FCFS scheduler: it prices the 16-deep lookahead picker, and its
+// ctrl-cycles certify the service order.
+func BenchmarkMemctrlRunFRFCFS(b *testing.B) { benchMemctrlRun(b, memctrl.FRFCFS) }
+
+func benchMemctrlRun(b *testing.B, sched memctrl.Scheduler) {
 	cfg := drmap.ConfigFor(drmap.SALP2)
 	g := cfg.Geometry
 	rng := rand.New(rand.NewSource(1020))
@@ -776,7 +786,7 @@ func BenchmarkMemctrlRun(b *testing.B) {
 			Column: rng.Intn(g.Columns),
 		}}
 	}
-	ctrl, err := drmap.NewController(cfg, drmap.ControllerOptions{EnableRefresh: true})
+	ctrl, err := drmap.NewController(cfg, drmap.ControllerOptions{EnableRefresh: true, Scheduler: sched})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -799,5 +809,12 @@ func BenchmarkMemctrlRun(b *testing.B) {
 // headline - round-based dispatch beats per-event heap pops even on
 // one core, and scales with GOMAXPROCS - while identical sim-cycles
 // metrics certify the engines agree bit for bit.
-func BenchmarkSimulateSerial(b *testing.B)   { benchSimulate(b, false) }
-func BenchmarkSimulateParallel(b *testing.B) { benchSimulate(b, true) }
+func BenchmarkSimulateSerial(b *testing.B)   { benchSimulate(b, false, drmap.ControllerOptions{}) }
+func BenchmarkSimulateParallel(b *testing.B) { benchSimulate(b, true, drmap.ControllerOptions{}) }
+
+// BenchmarkSimulateFRFCFS is BenchmarkSimulateSerial with the FR-FCFS
+// scheduler in every tile stream's controller; its sim-cycles certify
+// the service order end to end.
+func BenchmarkSimulateFRFCFS(b *testing.B) {
+	benchSimulate(b, false, drmap.ControllerOptions{Scheduler: memctrl.FRFCFS})
+}

@@ -116,7 +116,8 @@ type layerSim struct {
 // bit-for-bit identical to calling SimulateLayer per spec.
 //
 // ctx cancellation aborts the run mid-stream (the engines check it at
-// event granularity) and returns ctx's error.
+// event granularity) and returns ctx's error; it is also checked before
+// each layer's agents are built, so a canceled run skips the setup.
 func SimulateNetwork(ctx context.Context, cfg dram.Config, pol mapping.Policy, specs []LayerSpec, opt SimOptions) ([]SimLayerResult, error) {
 	if opt.BytesPerElement <= 0 {
 		return nil, fmt.Errorf("core: bytes per element must be positive, got %d", opt.BytesPerElement)
@@ -143,6 +144,9 @@ func SimulateNetwork(ctx context.Context, cfg dram.Config, pol mapping.Policy, s
 	results := make([]SimLayerResult, len(specs))
 	layers := make([]*layerSim, len(specs))
 	for li, spec := range specs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ls := &layerSim{
 			spec:   spec,
 			groups: tiling.TileGroups(spec.Layer, spec.Tiling, spec.Schedule, spec.Batch),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"drmap/internal/cnn"
 	"drmap/internal/dram"
 	"drmap/internal/mapping"
+	"drmap/internal/memctrl"
 	"drmap/internal/tiling"
 )
 
@@ -141,6 +143,60 @@ func TestSimulateNetworkCancel(t *testing.T) {
 			BytesPerElement: 2, Parallel: par, Workers: 4,
 		}); err == nil {
 			t.Errorf("parallel=%v: canceled simulation returned no error", par)
+		}
+	}
+}
+
+// TestSimulateNetworkFRFCFSSerialParallelIdentical: with the FR-FCFS
+// scheduler in every tile stream's controller, the parallel driver's
+// multi-stream network results are bit-for-bit the serial driver's on
+// every registered backend - the picker reads each stream's source on
+// its own agent, so engine interleaving cannot reach the service order.
+func TestSimulateNetworkFRFCFSSerialParallelIdentical(t *testing.T) {
+	specs := simnetSpecs()
+	pols := mapping.TableI()
+	for _, b := range dram.Backends() {
+		for _, pol := range []mapping.Policy{pols[0], mapping.DRMap()} {
+			name := fmt.Sprintf("%s/%s", b.ID, pol.Name)
+			opt := SimOptions{Controller: memctrl.Options{Scheduler: memctrl.FRFCFS}, BytesPerElement: 2}
+			serial, err := SimulateNetwork(context.Background(), b.Config, pol, specs, opt)
+			if err != nil {
+				t.Fatalf("%s: serial: %v", name, err)
+			}
+			opt.Parallel, opt.Workers = true, 4
+			parallel, err := SimulateNetwork(context.Background(), b.Config, pol, specs, opt)
+			if err != nil {
+				t.Fatalf("%s: parallel: %v", name, err)
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("%s: parallel FR-FCFS simulation diverged from serial:\nserial:   %+v\nparallel: %+v", name, serial, parallel)
+			}
+		}
+	}
+}
+
+// TestSimulateNetworkCanceledBeforeSetup: a context canceled before the
+// call returns context.Canceled from a whole-network FR-FCFS simulate
+// (VGG-16 at its SALP-2 DSE picks) under both drivers; the context is
+// checked before each layer's agents are built.
+func TestSimulateNetworkCanceledBeforeSetup(t *testing.T) {
+	res, err := RunDSE(cnn.VGG16(), evaluatorFor(t, dram.SALP2), []tiling.Schedule{tiling.AdaptiveReuse}, []mapping.Policy{mapping.DRMap()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]LayerSpec, len(res.Layers))
+	for i, lr := range res.Layers {
+		specs[i] = LayerSpec{Layer: lr.Layer, Tiling: lr.Best.Tiling, Schedule: lr.Best.Schedule, Batch: 1}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, par := range []bool{false, true} {
+		_, err := SimulateNetwork(ctx, dram.SALP2Config(), mapping.DRMap(), specs, SimOptions{
+			Controller:      memctrl.Options{Scheduler: memctrl.FRFCFS},
+			BytesPerElement: 2, Parallel: par, Workers: 4,
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("parallel=%v: canceled simulation returned %v, want context.Canceled", par, err)
 		}
 	}
 }

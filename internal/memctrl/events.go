@@ -35,8 +35,9 @@ const arrivalChunk = 256
 // Agent drives one Controller as a discrete-event component on a
 // sim.Engine: the controller's request stream becomes arrival events
 // (request i of the service order arrives at tick i*ArrivalGap; with
-// no gap, the whole stream arrives at tick 0 and fires in schedule
-// order), and each arrival services the request through the exact
+// no gap, the whole stream arrives at tick 0 and fires in order), and
+// each arrival services the next request - the source's next under
+// FCFS, the FR-FCFS picker's choice otherwise - through the exact
 // timing state machine the monolithic loop used. Command issue, timing
 // constraints and refresh remain inside the servicing step - that is
 // what pins the event-driven controller bit-for-bit to the original
@@ -51,9 +52,9 @@ type Agent struct {
 	dom  *sim.Domain
 	src  RequestSource
 	n    int
-	// order is the service order as indices into src; nil means the
-	// identity (FCFS), sparing the per-request index slice.
-	order []int
+	// fr picks the service order under FR-FCFS; nil means the source's
+	// index order (FCFS).
+	fr *frfcfs
 	// arrivals is the ring backing the scheduled events of the current
 	// window: at most arrivalChunk slots, scheduled by pointer,
 	// instead of boxing one value event per request into the Event
@@ -89,10 +90,9 @@ func NewAgent(eng sim.Engine, ctrl *Controller, reqs []trace.Request) (*Agent, e
 }
 
 // NewSourceAgent is NewAgent over a RequestSource: the stream is read
-// by index as arrivals are serviced, so a generator-backed source runs
-// with no per-request storage at all. An FR-FCFS controller needs the
-// whole stream up front to compute its lookahead order; that case
-// materializes the source once and proceeds as NewAgent would.
+// by index as arrivals are serviced (FR-FCFS reads at most 16 requests
+// ahead), so a generator-backed source runs with no per-request
+// storage under either scheduler.
 func NewSourceAgent(eng sim.Engine, ctrl *Controller, src RequestSource) (*Agent, error) {
 	ctrl.reset()
 	g := ctrl.cfg.Geometry
@@ -109,14 +109,6 @@ func NewSourceAgent(eng sim.Engine, ctrl *Controller, src RequestSource) (*Agent
 		src:  src,
 		n:    n,
 	}
-	if ctrl.opt.Scheduler == FRFCFS && n > 0 {
-		reqs := make([]trace.Request, n)
-		for i := range reqs {
-			reqs[i] = src.At(i)
-		}
-		a.src = sliceSource(reqs)
-		a.order = ctrl.schedule(reqs)
-	}
 	if n == 0 {
 		a.finalize()
 		return a, nil
@@ -131,16 +123,11 @@ func NewSourceAgent(eng sim.Engine, ctrl *Controller, src RequestSource) (*Agent
 		ring = arrivalChunk
 	}
 	a.arrivals = make([]arrival, ring)
+	if ctrl.opt.Scheduler == FRFCFS {
+		a.fr = newFRFCFS(ctrl, src)
+	}
 	a.scheduleWindow()
 	return a, nil
-}
-
-// reqAt returns the idx-th request of the service order.
-func (a *Agent) reqAt(idx int) trace.Request {
-	if a.order != nil {
-		idx = a.order[idx]
-	}
-	return a.src.At(idx)
 }
 
 // scheduleWindow schedules the next window of arrivals into the ring.
@@ -202,7 +189,11 @@ func (a *Agent) Handle(ev sim.Event) error {
 	if c.opt.ArrivalGap > 0 {
 		c.reqFloor = int64(idx) * int64(c.opt.ArrivalGap)
 	}
-	c.service(a.reqAt(idx))
+	if a.fr != nil {
+		c.service(a.fr.pick())
+	} else {
+		c.service(a.src.At(idx))
+	}
 	// Scheduling the next window reuses e's ring slot; e is dead past
 	// this point.
 	if a.next == a.sched && a.sched < a.n {
