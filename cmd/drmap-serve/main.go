@@ -142,10 +142,6 @@ func main() {
 	obs.RegisterRuntimeMetrics(svc.Registry())
 	jobs := service.NewJobManager(svc, service.JobManagerOptions{MaxJobs: *maxJobs, TTL: *jobTTL})
 
-	// GET /metrics always carries the job-store gauges; cluster roles
-	// append their own.
-	extraMetrics := func() []service.Metric { return jobs.Metrics() }
-
 	var mount func(*http.ServeMux)
 	var onServing func(ctx context.Context)
 	dash := service.DashboardOptions{Role: *role}
@@ -157,7 +153,6 @@ func main() {
 			Registry: svc.Registry(), Logger: logger,
 		})
 		svc.SetRunner(coord)
-		extraMetrics = func() []service.Metric { return append(jobs.Metrics(), coord.Metrics()...) }
 		mount = coord.Mount
 		dash.Workers = func() []service.DashboardWorker {
 			snap := coord.Membership().Snapshot()
@@ -182,7 +177,6 @@ func main() {
 		w := cluster.NewWorker(svc, cluster.WorkerOptions{
 			ID: *workerID, AdvertiseURL: adv, CoordinatorURL: *coordinator, Logger: logger,
 		})
-		extraMetrics = func() []service.Metric { return append(jobs.Metrics(), w.Metrics()...) }
 		mount = w.Mount
 		onServing = func(ctx context.Context) {
 			go w.Run(ctx, func(err error) { logger.Warn("heartbeat failed", "err", err) })
@@ -191,7 +185,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drmap-serve: unknown -role %q (want standalone, coordinator or worker)\n", *role)
 		os.Exit(1)
 	}
-	svc.SetExtraMetrics(extraMetrics)
 
 	srv := service.NewServer(svc, service.ServerOptions{
 		Addr: *addr, RequestTimeout: *timeout, Jobs: jobs, Mount: mount,

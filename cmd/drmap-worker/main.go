@@ -90,7 +90,6 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		Logger:            logger,
 	})
-	svc.SetExtraMetrics(w.Metrics)
 	srv := service.NewServer(svc, service.ServerOptions{
 		Addr: *addr, RequestTimeout: *timeout, Mount: w.Mount,
 		Logger: logger, Pprof: *pprof,

@@ -498,8 +498,6 @@ type (
 	// BatchRequest / BatchResponse are the JSON shapes of /api/v1/batch.
 	BatchRequest  = service.BatchRequest
 	BatchResponse = service.BatchResponse
-	// ServiceMetric is one GET /metrics counter.
-	ServiceMetric = service.Metric
 	// ClusterCoordinator shards DSE jobs across registered workers; it
 	// implements the service's DSERunner.
 	ClusterCoordinator = cluster.Coordinator

@@ -27,17 +27,14 @@ func wireProcess(t *testing.T, role string) http.Handler {
 	switch role {
 	case "standalone":
 		jobs := service.NewJobManager(svc, service.JobManagerOptions{})
-		svc.SetExtraMetrics(jobs.Metrics)
 		srv = service.NewServer(svc, service.ServerOptions{Jobs: jobs})
 	case "coordinator":
 		jobs := service.NewJobManager(svc, service.JobManagerOptions{})
 		coord := NewCoordinator(CoordinatorOptions{Registry: svc.Registry()})
 		svc.SetRunner(coord)
-		svc.SetExtraMetrics(func() []service.Metric { return append(jobs.Metrics(), coord.Metrics()...) })
 		srv = service.NewServer(svc, service.ServerOptions{Jobs: jobs, Mount: coord.Mount})
 	case "worker":
 		w := NewWorker(svc, WorkerOptions{ID: "w1", AdvertiseURL: "http://127.0.0.1:1"})
-		svc.SetExtraMetrics(w.Metrics)
 		srv = service.NewServer(svc, service.ServerOptions{Mount: w.Mount})
 	default:
 		t.Fatalf("unknown role %q", role)
@@ -87,5 +84,34 @@ func TestMetricsCatalogGolden(t *testing.T) {
 				t.Errorf("%s /metrics catalog drifted from %s:\n--- got\n%s--- want\n%s", role, path, got, want)
 			}
 		})
+	}
+}
+
+// TestWorkerExportsJobFamilies: drmap-worker serves the v1 API through
+// the job manager NewServer builds for it, so its /metrics carries the
+// job-store families like every other role, and they follow the jobs
+// it runs.
+func TestWorkerExportsJobFamilies(t *testing.T) {
+	h := wireProcess(t, "worker")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/dse",
+		strings.NewReader(`{"arch":"ddr3","network":"lenet5"}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /api/v1/dse: status %d: %s", rec.Code, rec.Body)
+	}
+	page, err := obs.ParseExposition(scrapePage(t, h))
+	if err != nil {
+		t.Fatalf("/metrics unparseable: %v", err)
+	}
+	// The v1 call ran as one ephemeral job, dropped once answered.
+	for name, want := range map[string]float64{
+		"drmap_jobs_submitted_total": 1,
+		"drmap_jobs_evicted_total":   0,
+		"drmap_jobs_active":          0,
+		"drmap_jobs_stored":          0,
+	} {
+		if got, ok := page.Value(name, nil); !ok || got != want {
+			t.Errorf("worker %s = %v, %v; want %v", name, got, ok, want)
+		}
 	}
 }

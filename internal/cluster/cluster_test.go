@@ -242,7 +242,7 @@ func TestDistributedDSESurvivesWorkerDeathMidRun(t *testing.T) {
 	if !reflect.DeepEqual(serial, dist) {
 		t.Error("distributed DSE diverged from serial after worker death")
 	}
-	if coord.retries.Load() == 0 {
+	if coord.retries.Value() == 0 {
 		t.Error("expected shard retries after the worker died mid-run")
 	}
 	if len(coord.Membership().Live()) != 1 {
@@ -389,7 +389,7 @@ func TestCoordinatorRestartFallsBackLocally(t *testing.T) {
 	if resp.Result.TotalEDPJs != serial.TotalEDP() {
 		t.Errorf("local fallback TotalEDP %g, want %g", resp.Result.TotalEDPJs, serial.TotalEDP())
 	}
-	if restarted.completed.Load() != 0 {
+	if restarted.completed.Value() != 0 {
 		t.Error("no workers are registered; nothing should have been dispatched")
 	}
 
@@ -399,7 +399,7 @@ func TestCoordinatorRestartFallsBackLocally(t *testing.T) {
 	if _, err := svc.DSE(context.Background(), service.DSERequest{Arch: "salp1", Network: "lenet5"}); err != nil {
 		t.Fatalf("DSE after worker re-registered: %v", err)
 	}
-	if restarted.completed.Load() == 0 {
+	if restarted.completed.Value() == 0 {
 		t.Error("worker re-registered but no shards were dispatched")
 	}
 }
@@ -412,8 +412,9 @@ func TestCoordinatorRestartFallsBackLocally(t *testing.T) {
 // cache sharing visible in the hit counters on a repeat. This is the
 // test the CI cluster job runs under the race detector.
 func TestClusterEndToEnd(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{})
-	svc := service.New(service.Options{Workers: 4, CacheEntries: 64, Runner: coord, ExtraMetrics: coord.Metrics})
+	svc := service.New(service.Options{Workers: 4, CacheEntries: 64})
+	coord := NewCoordinator(CoordinatorOptions{Registry: svc.Registry()})
+	svc.SetRunner(coord)
 	mux := service.NewHandler(svc, 2*time.Minute)
 	coord.Mount(mux)
 	coordSrv := httptest.NewServer(mux)
@@ -475,7 +476,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Errorf("job %d (%s): distributed TotalEDP %g, want serial %g", i, jobs[i].arch, got, want)
 		}
 	}
-	if coord.completed.Load() == 0 {
+	if coord.completed.Value() == 0 {
 		t.Error("batch did not dispatch any shards to the cluster")
 	}
 
@@ -587,7 +588,7 @@ func TestFrozenWorkerTimesOutAndRetries(t *testing.T) {
 			if !reflect.DeepEqual(want, dist) {
 				t.Errorf("distributed %s diverged from the single-process run after worker froze", kc.kind)
 			}
-			if coord.retries.Load() == 0 {
+			if coord.retries.Value() == 0 {
 				t.Error("expected retries after shard timeouts")
 			}
 			if elapsed := time.Since(start); elapsed > 30*time.Second {

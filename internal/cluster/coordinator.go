@@ -70,9 +70,9 @@ type CoordinatorOptions struct {
 	// Now is the membership clock; nil means time.Now. Injectable so
 	// stale-heartbeat handling is testable without sleeping.
 	Now func() time.Time
-	// Registry receives the coordinator's shard dispatch and merge
-	// histograms; nil builds a private one. Pass the owning Service's
-	// Registry() so the timings show on its GET /metrics page.
+	// Registry receives the coordinator's membership, shard and
+	// shard-cache series; nil builds a private one. Pass the owning
+	// Service's Registry() so they show on its GET /metrics page.
 	Registry *obs.Registry
 	// Logger receives shard retry and job completion lines, trace ID
 	// attached; nil discards them.
@@ -97,9 +97,9 @@ type Coordinator struct {
 	shardCache *service.Cache
 
 	rr        atomic.Uint64 // round-robin dispatch cursor
-	inflight  atomic.Int64  // shards currently dispatched
-	completed atomic.Int64  // shards merged successfully
-	retries   atomic.Int64  // shard dispatches that failed and were retried
+	inflight  *obs.Gauge    // shards currently dispatched
+	completed *obs.Counter  // shards merged successfully
+	retries   *obs.Counter  // shard dispatches that failed and were retried
 
 	logger          *slog.Logger
 	dispatchSeconds *obs.Histogram // one observation per successful shard round trip
@@ -147,19 +147,36 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
-	return &Coordinator{
+	c := &Coordinator{
 		members:         NewMembership(opt.HeartbeatTTL, opt.Now),
 		client:          client,
 		shardsPerWorker: spw,
 		maxAttempts:     attempts,
 		shardTimeout:    shardTimeout,
 		shardCache:      shardCache,
-		logger:          logger,
+		inflight: reg.Gauge("drmap_cluster_inflight_shards",
+			"Shards currently dispatched and unresolved.").With(),
+		completed: reg.Counter("drmap_cluster_shards_completed_total",
+			"Shards completed across all distributed runs.").With(),
+		retries: reg.Counter("drmap_cluster_shard_retries_total",
+			"Shard dispatch attempts beyond each shard's first.").With(),
+		logger: logger,
 		dispatchSeconds: reg.Histogram("drmap_cluster_shard_dispatch_seconds",
 			"Time to dispatch one shard (DSE or simulate) to a worker and receive its results.", nil).With(),
 		mergeSeconds: reg.Histogram("drmap_cluster_merge_seconds",
 			"Time to merge one job's shard results (DSE or simulate) into its result.", nil).With(),
 	}
+	reg.Func("drmap_cluster_workers", obs.KindGauge,
+		"Cluster members currently alive (heartbeat within TTL).",
+		func() float64 { return float64(len(c.members.Live())) })
+	service.RegisterCacheMetrics(reg, "drmap_cluster_shard_cache", c.ShardCacheStats, service.CacheHelp{
+		Hits:      "Shard-cache lookups served from a completed entry.",
+		Misses:    "Shard-cache lookups that dispatched fresh work.",
+		Coalesced: "Shard dispatches joined while an identical shard was in flight.",
+		Evictions: "Shard-cache LRU evictions.",
+		Entries:   "Resident shard-cache entries.",
+	})
+	return c
 }
 
 // Membership exposes the worker registry (registration handlers and
@@ -199,22 +216,6 @@ func (c *Coordinator) ShardCacheStats() service.CacheStats {
 		return service.CacheStats{}
 	}
 	return c.shardCache.Stats()
-}
-
-// Metrics returns the cluster gauges for GET /metrics.
-func (c *Coordinator) Metrics() []service.Metric {
-	ss := c.ShardCacheStats()
-	return []service.Metric{
-		{Name: "drmap_cluster_workers", Value: int64(len(c.members.Live()))},
-		{Name: "drmap_cluster_inflight_shards", Value: c.inflight.Load()},
-		{Name: "drmap_cluster_shards_completed_total", Value: c.completed.Load()},
-		{Name: "drmap_cluster_shard_retries_total", Value: c.retries.Load()},
-		{Name: "drmap_cluster_shard_cache_hits_total", Value: ss.Hits},
-		{Name: "drmap_cluster_shard_cache_misses_total", Value: ss.Misses},
-		{Name: "drmap_cluster_shard_cache_coalesced_total", Value: ss.Coalesced},
-		{Name: "drmap_cluster_shard_cache_evictions_total", Value: ss.Evictions},
-		{Name: "drmap_cluster_shard_cache_entries", Value: int64(ss.Entries)},
-	}
 }
 
 // RunDSE distributes one resolved DSE job across the live workers by

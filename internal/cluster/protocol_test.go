@@ -59,7 +59,7 @@ func TestShardBodiesCappedBothWays(t *testing.T) {
 			if !reflect.DeepEqual(got, kc.want(t)) {
 				t.Errorf("distributed %s diverged from the single-process run", kc.kind)
 			}
-			if coord.retries.Load() == 0 {
+			if coord.retries.Value() == 0 {
 				t.Error("no shard retried after the over-cap reply")
 			}
 			if live := coord.Membership().Live(); len(live) != 1 || live[0].ID != "healthy" {

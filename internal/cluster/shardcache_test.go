@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"drmap/internal/obs"
 )
 
 // TestShardCacheSkipsDuplicateDispatch: re-running an identical
@@ -52,9 +54,11 @@ func TestShardCacheSkipsDuplicateDispatch(t *testing.T) {
 	}
 
 	// The shard-cache gauges ride along on the coordinator metrics.
-	names := map[string]bool{}
-	for _, m := range NewCoordinator(CoordinatorOptions{}).Metrics() {
-		names[m.Name] = true
+	reg := obs.NewRegistry()
+	NewCoordinator(CoordinatorOptions{Registry: reg})
+	page, err := obs.ParseExposition(reg.Expose())
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"drmap_cluster_shard_cache_hits_total",
@@ -63,7 +67,7 @@ func TestShardCacheSkipsDuplicateDispatch(t *testing.T) {
 		"drmap_cluster_shard_cache_evictions_total",
 		"drmap_cluster_shard_cache_entries",
 	} {
-		if !names[want] {
+		if !page.Has(want) {
 			t.Errorf("coordinator metrics missing %s", want)
 		}
 	}
@@ -102,11 +106,9 @@ func TestShardCacheDisabled(t *testing.T) {
 
 	// Disabled or not, the gauges stay present (zero-valued) so
 	// dashboards do not lose series.
-	var metricsText strings.Builder
-	for _, m := range NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1}).Metrics() {
-		metricsText.WriteString(m.Name + "\n")
-	}
-	if !strings.Contains(metricsText.String(), "drmap_cluster_shard_cache_hits_total") {
+	reg := obs.NewRegistry()
+	NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1, Registry: reg})
+	if !strings.Contains(reg.Expose(), "drmap_cluster_shard_cache_hits_total 0") {
 		t.Error("disabled cache dropped the shard-cache gauges")
 	}
 }

@@ -115,7 +115,7 @@ func TestDistributedSimulateSurvivesWorkerDeathMidShard(t *testing.T) {
 	if !reflect.DeepEqual(serial, dist) {
 		t.Error("distributed simulate diverged from local serial after worker death")
 	}
-	if coord.retries.Load() == 0 {
+	if coord.retries.Value() == 0 {
 		t.Error("expected shard retries after the worker died mid-run")
 	}
 	if len(coord.Membership().Live()) != 1 {
@@ -176,7 +176,7 @@ func TestDistributedSimulateThroughService(t *testing.T) {
 	if !reflect.DeepEqual(dist, want) {
 		t.Errorf("distributed simulate response diverged from local:\ndistributed: %+v\nlocal:       %+v", dist, want)
 	}
-	if coord.completed.Load() == 0 {
+	if coord.completed.Value() == 0 {
 		t.Error("the service's simulate request dispatched no shards")
 	}
 }

@@ -56,7 +56,7 @@ func TestTracePropagatesCoordinatorToWorker(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{Registry: reg, Logger: coordLogger})
 	svc := service.New(service.Options{
 		Workers: 2, CacheEntries: 32, Runner: coord,
-		Registry: reg, ExtraMetrics: coord.Metrics,
+		Registry: reg,
 	})
 	jm := service.NewJobManager(svc, service.JobManagerOptions{})
 	mux := service.NewHandlerWithJobs(svc, jm, time.Minute)
@@ -236,7 +236,7 @@ func TestMidBatchScrape(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{Registry: reg})
 	svc := service.New(service.Options{
 		Workers: 2, CacheEntries: 32, Runner: coord,
-		Registry: reg, ExtraMetrics: coord.Metrics,
+		Registry: reg,
 	})
 	jm := service.NewJobManager(svc, service.JobManagerOptions{})
 	mux := service.NewHandlerWithJobs(svc, jm, time.Minute)
@@ -248,7 +248,6 @@ func TestMidBatchScrape(t *testing.T) {
 	// so its /metrics is scraped over HTTP exactly as in production.
 	wsvc := service.New(service.Options{Workers: 2, CacheEntries: 32})
 	w := NewWorker(wsvc, WorkerOptions{ID: "w1"})
-	wsvc.SetExtraMetrics(w.Metrics) // as drmap-worker wires it
 	wmux := service.NewHandler(wsvc, time.Minute)
 	w.Mount(wmux)
 	workerSrv := httptest.NewServer(service.Observe(wmux, wsvc.Registry(), nil, wsvc.Spans()))

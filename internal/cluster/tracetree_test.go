@@ -30,7 +30,7 @@ func newClusterPair(t *testing.T) *clusterPair {
 	coord := NewCoordinator(CoordinatorOptions{Registry: reg})
 	svc := service.New(service.Options{
 		Workers: 2, CacheEntries: 32, Runner: coord,
-		Registry: reg, ExtraMetrics: coord.Metrics,
+		Registry: reg,
 	})
 	obs.RegisterBuildInfo(reg)
 	obs.RegisterRuntimeMetrics(reg)
@@ -44,7 +44,6 @@ func newClusterPair(t *testing.T) *clusterPair {
 	obs.RegisterBuildInfo(wsvc.Registry())
 	obs.RegisterRuntimeMetrics(wsvc.Registry())
 	w := NewWorker(wsvc, WorkerOptions{ID: "w1"})
-	wsvc.SetExtraMetrics(w.Metrics)
 	wmux := service.NewHandler(wsvc, time.Minute)
 	w.Mount(wmux)
 	workerSrv := httptest.NewServer(service.Observe(wmux, wsvc.Registry(), nil, wsvc.Spans()))
@@ -236,9 +235,8 @@ func TestTraceTreeAcrossCluster(t *testing.T) {
 
 // TestMetricsHelpCatalog is the /metrics registry contract: every
 // family either process exposes must carry real, non-placeholder # HELP
-// text and a legal metric name. A metric added to a snapshot without a
-// metricHelp (or Describe) entry fails here instead of shipping with
-// "drmap metric foo." boilerplate.
+// text and a legal metric name. Help text is given where each series is
+// registered; a family registered without it fails here.
 func TestMetricsHelpCatalog(t *testing.T) {
 	p := newClusterPair(t)
 	// Drive one distributed evaluation so the trace, job, phase and
@@ -275,7 +273,7 @@ func TestMetricsHelpCatalog(t *testing.T) {
 				t.Errorf("%s: family %s has empty # HELP", proc.role, name)
 			}
 			if strings.HasPrefix(fam.Help, "drmap metric ") {
-				t.Errorf("%s: family %s ships placeholder help %q - add it to metricHelp or Describe it",
+				t.Errorf("%s: family %s ships placeholder help %q - give it real help text where it is registered",
 					proc.role, name, fam.Help)
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"drmap/internal/core"
@@ -66,17 +65,17 @@ type Worker struct {
 	id       string
 	opt      WorkerOptions
 	client   *http.Client
-	shards   atomic.Int64 // shards served
-	rejected atomic.Int64 // shard requests rejected as malformed
+	shards   *obs.Counter // shards served
+	rejected *obs.Counter // shard requests rejected as malformed
 
 	logger       *slog.Logger
 	shardSeconds *obs.Histogram  // one observation per shard evaluated
 	traceShards  *obs.CounterVec // shards served per trace ID, capped
 }
 
-// NewWorker builds a worker around a Service. Its shard timing and
-// per-trace counters register on the Service's metrics registry, so
-// the worker's GET /metrics page carries them.
+// NewWorker builds a worker around a Service. Its shard counts, timing
+// and per-trace counters register on the Service's metrics registry,
+// so the worker's GET /metrics page carries them.
 func NewWorker(svc *service.Service, opt WorkerOptions) *Worker {
 	id := opt.ID
 	if id == "" {
@@ -99,6 +98,10 @@ func NewWorker(svc *service.Service, opt WorkerOptions) *Worker {
 	}
 	reg := svc.Registry()
 	return &Worker{svc: svc, id: id, opt: opt, client: client,
+		shards: reg.Counter("drmap_worker_shards_served_total",
+			"Shard requests this worker evaluated.").With(),
+		rejected: reg.Counter("drmap_worker_shards_rejected_total",
+			"Shard requests this worker rejected.").With(),
 		logger: logger,
 		shardSeconds: reg.Histogram("drmap_worker_shard_seconds",
 			"Time to evaluate one shard on this worker.", nil).With(),
@@ -111,15 +114,7 @@ func NewWorker(svc *service.Service, opt WorkerOptions) *Worker {
 func (w *Worker) ID() string { return w.id }
 
 // ShardsServed returns how many shards this worker has executed.
-func (w *Worker) ShardsServed() int64 { return w.shards.Load() }
-
-// Metrics returns the worker-side gauges for GET /metrics.
-func (w *Worker) Metrics() []service.Metric {
-	return []service.Metric{
-		{Name: "drmap_worker_shards_served_total", Value: w.shards.Load()},
-		{Name: "drmap_worker_shards_rejected_total", Value: w.rejected.Load()},
-	}
-}
+func (w *Worker) ShardsServed() int64 { return w.shards.Value() }
 
 // Mount registers the worker's shard endpoint on a mux:
 //

@@ -4,14 +4,13 @@
 // construction for the -log-level/-log-format flags, opt-in pprof
 // mounting, and build identification via debug/buildinfo.
 //
-// The registry holds two kinds of series. Instruments - counters,
-// gauges and fixed-bucket histograms, each optionally labeled - are
-// created once and updated on the hot path with atomics. Gatherers are
-// snapshot callbacks polled at scrape time, the bridge for counters
-// that already live elsewhere (the service's cache stats, the job
-// store, cluster membership). Both render through one exposition
-// writer that emits # HELP/# TYPE metadata, escapes label values, and
-// sorts families and label sets so the output is deterministic and
+// Every series is registered with its kind and help text where it is
+// defined. Counters, gauges and fixed-bucket histograms, each
+// optionally labeled, are created once and updated on the hot path
+// with atomics; Func series read a value that lives in a stats struct
+// (cache counters, membership size, the Go runtime) at scrape time. One
+// exposition writer emits # HELP/# TYPE metadata, escapes label values,
+// and sorts families and label sets so the output is deterministic and
 // parseable by any standard Prometheus scraper (and by this package's
 // own strict ParseExposition).
 package obs
@@ -40,10 +39,8 @@ type Label struct {
 	Value string
 }
 
-// Sample is one gathered series value: gatherers return these at
-// scrape time for metrics whose source of truth lives outside the
-// registry's instruments.
-type Sample struct {
+// sample is one rendered series value.
+type sample struct {
 	Name   string
 	Labels []Label
 	Value  float64
@@ -67,15 +64,8 @@ const DefaultMaxChildren = 64
 // use; instrument lookups on the hot path are lock-free after creation
 // (callers hold the returned Counter/Gauge/Histogram).
 type Registry struct {
-	mu        sync.Mutex
-	families  map[string]*family
-	gatherers []func() []Sample
-	described map[string]description
-}
-
-type description struct {
-	kind string
-	help string
+	mu       sync.Mutex
+	families map[string]*family
 }
 
 // family is one named instrument family and its children (one per
@@ -93,35 +83,12 @@ type family struct {
 }
 
 type child interface {
-	samples(name string, labels []Label) []Sample
+	samples(name string, labels []Label) []sample
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		families:  make(map[string]*family),
-		described: make(map[string]description),
-	}
-}
-
-// Describe records exposition metadata for a gathered metric name (one
-// that arrives via AddGatherer samples rather than an instrument), so
-// its family still renders # HELP/# TYPE lines. Instruments carry
-// their own metadata; describing an instrument name is ignored.
-func (r *Registry) Describe(name, kind, help string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.described[name] = description{kind: kind, help: help}
-}
-
-// AddGatherer registers a snapshot callback polled at every scrape.
-// Gatherers bridge counters whose source of truth lives elsewhere
-// (cache stats structs, membership sizes); names they emit should be
-// Described for full metadata.
-func (r *Registry) AddGatherer(g func() []Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gatherers = append(r.gatherers, g)
+	return &Registry{families: make(map[string]*family)}
 }
 
 // lookup returns the named family, creating it on first use; re-lookup
@@ -179,6 +146,31 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return &HistogramVec{f: r.lookup(name, KindHistogram, help, labels, buckets, 0)}
 }
 
+// Func registers one counter or gauge series (kind KindCounter or
+// KindGauge) whose value is read from value at every scrape: the
+// registration for counts whose source of truth is a stats struct
+// rather than an instrument. Calls with the same name and different
+// label values add series to one family; registering the same series
+// again replaces its value function.
+func (r *Registry) Func(name, kind, help string, value func() float64, labels ...Label) {
+	keys := make([]string, len(labels))
+	values := make([]string, len(labels))
+	for i, l := range labels {
+		keys[i], values[i] = l.Key, l.Value
+	}
+	f := r.lookup(name, kind, help, keys, nil, 0)
+	f.childFor(values, func() child { return &funcSeries{} }).(*funcSeries).value.Store(&value)
+}
+
+// funcSeries is one Func-registered series.
+type funcSeries struct {
+	value atomic.Pointer[func() float64]
+}
+
+func (s *funcSeries) samples(name string, labels []Label) []sample {
+	return []sample{{Name: name, Labels: labels, Value: (*s.value.Load())()}}
+}
+
 // childFor returns the family's child for the given label values,
 // creating (and, for capped families, evicting) as needed.
 func (f *family) childFor(values []string, build func() child) child {
@@ -223,8 +215,8 @@ type CounterVec struct{ f *family }
 // Counter is one monotonically increasing series.
 type Counter struct{ v atomic.Int64 }
 
-func (c *Counter) samples(name string, labels []Label) []Sample {
-	return []Sample{{Name: name, Labels: labels, Value: float64(c.v.Load())}}
+func (c *Counter) samples(name string, labels []Label) []sample {
+	return []sample{{Name: name, Labels: labels, Value: float64(c.v.Load())}}
 }
 
 // With returns the child for the given label values (in the family's
@@ -250,8 +242,8 @@ type GaugeVec struct{ f *family }
 // Gauge is one series that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
 
-func (g *Gauge) samples(name string, labels []Label) []Sample {
-	return []Sample{{Name: name, Labels: labels, Value: g.Value()}}
+func (g *Gauge) samples(name string, labels []Label) []sample {
+	return []sample{{Name: name, Labels: labels, Value: g.Value()}}
 }
 
 // With returns the child for the given label values.
@@ -329,108 +321,49 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-func (h *Histogram) samples(name string, labels []Label) []Sample {
+func (h *Histogram) samples(name string, labels []Label) []sample {
 	cum := h.BucketCounts()
-	out := make([]Sample, 0, len(cum)+2)
+	out := make([]sample, 0, len(cum)+2)
 	for i, bound := range h.bounds {
-		out = append(out, Sample{
+		out = append(out, sample{
 			Name:   name + "_bucket",
 			Labels: append(append([]Label{}, labels...), Label{Key: "le", Value: formatFloat(bound)}),
 			Value:  float64(cum[i]),
 		})
 	}
-	out = append(out, Sample{
+	out = append(out, sample{
 		Name:   name + "_bucket",
 		Labels: append(append([]Label{}, labels...), Label{Key: "le", Value: "+Inf"}),
 		Value:  float64(cum[len(cum)-1]),
 	})
 	out = append(out,
-		Sample{Name: name + "_sum", Labels: labels, Value: h.Sum()},
-		Sample{Name: name + "_count", Labels: labels, Value: float64(h.Count())},
+		sample{Name: name + "_sum", Labels: labels, Value: h.Sum()},
+		sample{Name: name + "_count", Labels: labels, Value: float64(h.Count())},
 	)
 	return out
 }
 
 // --- exposition ------------------------------------------------------
 
-// renderedFamily groups one name's samples with its metadata for
-// output assembly.
-type renderedFamily struct {
-	name    string
-	kind    string
-	help    string
-	samples []Sample
-}
-
-// WritePrometheus renders every instrument family and every gathered
-// sample in the Prometheus text exposition format (version 0.0.4):
-// one # HELP and # TYPE line per family, then its samples with label
-// sets escaped and key-sorted, families sorted by name. Gathered
-// samples whose names were never Described render as gauges (counters
-// when the name ends in _total) with a placeholder help string, so the
-// output always parses.
+// WritePrometheus renders every family in the Prometheus text
+// exposition format (version 0.0.4): one # HELP and # TYPE line per
+// family, then its samples with label sets escaped and key-sorted,
+// families sorted by name. A family renders even with no series yet.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
 		fams = append(fams, f)
 	}
-	gatherers := append([]func() []Sample{}, r.gatherers...)
-	described := make(map[string]description, len(r.described))
-	for k, v := range r.described {
-		described[k] = v
-	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	byName := make(map[string]*renderedFamily)
-	add := func(famName, kind, help string, ss ...Sample) {
-		rf, ok := byName[famName]
-		if !ok {
-			rf = &renderedFamily{name: famName, kind: kind, help: help}
-			byName[famName] = rf
-		}
-		rf.samples = append(rf.samples, ss...)
-	}
-
-	for _, f := range fams {
-		f.mu.Lock()
-		keys := append([]string{}, f.kidOrder...)
-		kids := make([]child, len(keys))
-		for i, k := range keys {
-			kids[i] = f.children[k]
-		}
-		f.mu.Unlock()
-		add(f.name, f.kind, f.help) // family renders even with no children yet
-		for i, k := range keys {
-			add(f.name, f.kind, f.help, kids[i].samples(f.name, f.labelsFor(k))...)
-		}
-	}
-	for _, g := range gatherers {
-		for _, s := range g() {
-			d, ok := described[s.Name]
-			if !ok {
-				kind := KindGauge
-				if strings.HasSuffix(s.Name, "_total") {
-					kind = KindCounter
-				}
-				d = description{kind: kind, help: "drmap metric " + s.Name + "."}
-			}
-			add(s.Name, d.kind, d.help, s)
-		}
-	}
-
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, n := range names {
-		rf := byName[n]
-		fmt.Fprintf(&b, "# HELP %s %s\n", rf.name, escapeHelp(rf.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", rf.name, rf.kind)
-		lines := make([]string, 0, len(rf.samples))
-		for _, s := range rf.samples {
+	for _, f := range fams {
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		var lines []string
+		for _, s := range f.samples() {
 			lines = append(lines, sampleLine(s))
 		}
 		sort.Strings(lines)
@@ -443,6 +376,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
+// samples renders every child's series. The children are snapshotted
+// under the family lock and read outside it, so a Func value may take
+// its own locks.
+func (f *family) samples() []sample {
+	f.mu.Lock()
+	keys := append([]string{}, f.kidOrder...)
+	kids := make([]child, len(keys))
+	for i, k := range keys {
+		kids[i] = f.children[k]
+	}
+	f.mu.Unlock()
+	var out []sample
+	for i, k := range keys {
+		out = append(out, kids[i].samples(f.name, f.labelsFor(k))...)
+	}
+	return out
+}
+
 // Expose renders WritePrometheus to a string.
 func (r *Registry) Expose() string {
 	var b strings.Builder
@@ -452,7 +403,7 @@ func (r *Registry) Expose() string {
 
 // sampleLine renders one sample: name{k1="v1",k2="v2"} value, label
 // keys sorted, values escaped.
-func sampleLine(s Sample) string {
+func sampleLine(s sample) string {
 	var b strings.Builder
 	b.WriteString(s.Name)
 	if len(s.Labels) > 0 {

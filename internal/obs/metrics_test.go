@@ -29,7 +29,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 		t.Fatalf("test_requests_total kind = %q", exp.Families["test_requests_total"].Kind)
 	}
 	// Unlabeled samples must render as bare `name value` lines: the
-	// services' legacy metric tests (and simple scrapers) rely on it.
+	// services' metric tests (and simple scrapers) rely on it.
 	if !strings.Contains(text, "test_temp 2.5\n") {
 		t.Fatalf("unlabeled gauge not rendered bare:\n%s", text)
 	}
@@ -86,30 +86,35 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestGatherersAndDescribe: Func series read their value at every
+// scrape and render with the kind and help they were registered with;
+// labeled Func series share one family, and registering a series again
+// replaces its value function.
 func TestGatherersAndDescribe(t *testing.T) {
 	r := NewRegistry()
-	r.Describe("test_described", KindGauge, "Described gauge.")
-	r.AddGatherer(func() []Sample {
-		return []Sample{
-			{Name: "test_described", Value: 7},
-			{Name: "test_undesc_total", Value: 2},
-			{Name: "test_undesc_gauge", Value: 1},
-		}
-	})
+	v := 7.0
+	r.Func("test_described", KindGauge, "Described gauge.", func() float64 { return v })
+	r.Func("test_lookups_total", KindCounter, "Lookups.", func() float64 { return 2 }, Label{Key: "outcome", Value: "hit"})
+	r.Func("test_lookups_total", KindCounter, "Lookups.", func() float64 { return 1 }, Label{Key: "outcome", Value: "miss"})
+	r.Func("test_lookups_total", KindCounter, "Lookups.", func() float64 { return 3 }, Label{Key: "outcome", Value: "miss"})
+	v = 8
 	exp, err := ParseExposition(r.Expose())
 	if err != nil {
 		t.Fatalf("ParseExposition: %v\n%s", err, r.Expose())
 	}
-	if exp.Families["test_described"].Help != "Described gauge." {
-		t.Fatalf("help = %q", exp.Families["test_described"].Help)
+	if fam := exp.Families["test_described"]; fam.Help != "Described gauge." || fam.Kind != KindGauge {
+		t.Fatalf("test_described metadata = %q, %q", fam.Help, fam.Kind)
 	}
-	// Undescribed gathered names still get parseable metadata, with the
-	// _total suffix heuristically typed as a counter.
-	if exp.Families["test_undesc_total"].Kind != KindCounter {
-		t.Fatalf("test_undesc_total kind = %q", exp.Families["test_undesc_total"].Kind)
+	if got, ok := exp.Value("test_described", nil); !ok || got != 8 {
+		t.Fatalf("test_described = %v, %v; want the scrape-time value 8", got, ok)
 	}
-	if exp.Families["test_undesc_gauge"].Kind != KindGauge {
-		t.Fatalf("test_undesc_gauge kind = %q", exp.Families["test_undesc_gauge"].Kind)
+	if exp.Families["test_lookups_total"].Kind != KindCounter {
+		t.Fatalf("test_lookups_total kind = %q", exp.Families["test_lookups_total"].Kind)
+	}
+	for outcome, want := range map[string]float64{"hit": 2, "miss": 3} {
+		if got, ok := exp.Value("test_lookups_total", map[string]string{"outcome": outcome}); !ok || got != want {
+			t.Fatalf("test_lookups_total{outcome=%s} = %v, %v; want %v", outcome, got, ok, want)
+		}
 	}
 }
 

@@ -15,27 +15,27 @@ var processStart = time.Now()
 // ProcessStart returns when this process started.
 func ProcessStart() time.Time { return processStart }
 
-// RegisterRuntimeMetrics describes and gathers the Go runtime health
-// family on reg: drmap_go_goroutines, drmap_go_heap_bytes and
+// RegisterRuntimeMetrics registers the Go runtime health family on reg:
+// drmap_go_goroutines, drmap_go_heap_bytes and
 // drmap_process_start_time_seconds.
 func RegisterRuntimeMetrics(reg *Registry) {
-	reg.Describe("drmap_go_goroutines", KindGauge,
-		"Live goroutines in this process (runtime/metrics).")
-	reg.Describe("drmap_go_heap_bytes", KindGauge,
-		"Bytes occupied by live heap objects (runtime/metrics).")
-	reg.Describe("drmap_process_start_time_seconds", KindGauge,
-		"Unix time the process started; uptime = time() - this.")
-	reg.AddGatherer(func() []Sample {
-		// A fresh sample slice per gather: scrapes run concurrently.
-		samples := []metrics.Sample{
-			{Name: "/sched/goroutines:goroutines"},
-			{Name: "/memory/classes/heap/objects:bytes"},
-		}
-		metrics.Read(samples)
-		return []Sample{
-			{Name: "drmap_go_goroutines", Value: float64(samples[0].Value.Uint64())},
-			{Name: "drmap_go_heap_bytes", Value: float64(samples[1].Value.Uint64())},
-			{Name: "drmap_process_start_time_seconds", Value: float64(processStart.UnixNano()) / 1e9},
-		}
-	})
+	reg.Func("drmap_go_goroutines", KindGauge,
+		"Live goroutines in this process (runtime/metrics).",
+		readRuntime("/sched/goroutines:goroutines"))
+	reg.Func("drmap_go_heap_bytes", KindGauge,
+		"Bytes occupied by live heap objects (runtime/metrics).",
+		readRuntime("/memory/classes/heap/objects:bytes"))
+	reg.Gauge("drmap_process_start_time_seconds",
+		"Unix time the process started; uptime = time() - this.").
+		With().Set(float64(processStart.UnixNano()) / 1e9)
+}
+
+// readRuntime reads one uint64 runtime/metrics sample per call (a
+// fresh sample per read: scrapes run concurrently).
+func readRuntime(name string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		return float64(s[0].Value.Uint64())
+	}
 }

@@ -121,17 +121,18 @@ func TestHTTPBatch(t *testing.T) {
 }
 
 // TestMetrics: the counters render in Prometheus exposition format,
-// reflect serving activity, and include the configured extra source.
+// reflect serving activity, and include series other components
+// register on the service's registry.
 func TestMetrics(t *testing.T) {
-	svc := New(Options{Workers: 2, CacheEntries: 8,
-		ExtraMetrics: func() []Metric { return []Metric{{Name: "drmap_test_gauge", Value: 7}} }})
+	svc := New(Options{Workers: 2, CacheEntries: 8})
+	svc.Registry().Gauge("drmap_test_gauge", "Test gauge.").With().Set(7)
 	if _, err := svc.DSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5"}); err != nil {
 		t.Fatalf("DSE: %v", err)
 	}
 	text := svc.MetricsText()
 	// The DSE ran two fresh computations: the ddr3 profile and the
-	// search itself. Legacy unlabeled counters still render as plain
-	// "name value" sample lines.
+	// search itself. Unlabeled series render as plain "name value"
+	// sample lines.
 	for _, want := range []string{
 		"drmap_evaluations_total 2",
 		"drmap_cache_misses_total",
@@ -142,8 +143,8 @@ func TestMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	// The page as a whole must be strictly parseable exposition, with
-	// the extra source's undescribed gauge still carrying metadata.
+	// The page as a whole must be strictly parseable exposition,
+	// the component's gauge included.
 	exp, err := obs.ParseExposition(text)
 	if err != nil {
 		t.Fatalf("metrics page unparseable: %v\n%s", err, text)

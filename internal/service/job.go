@@ -219,9 +219,14 @@ type JobManager struct {
 	maxEvents int
 	now       func() time.Time
 
-	// Job lifecycle instruments on the service registry: jobs by state,
+	// Job lifecycle instruments on the service registry: store gauges
+	// following every state transition, admission and eviction counts,
 	// and queue-wait / run-duration histograms labeled by kind.
 	states       *obs.GaugeVec
+	active       *obs.Gauge
+	stored       *obs.Gauge
+	submitted    *obs.Counter
+	evicted      *obs.Counter
 	queueSeconds *obs.HistogramVec
 	runSeconds   *obs.HistogramVec
 
@@ -234,8 +239,6 @@ type JobManager struct {
 	// nor get rejected by it - the two surfaces cannot starve each
 	// other.
 	persistent int
-	submitted  int64
-	evicted    int64
 	nextID     int64
 }
 
@@ -263,6 +266,13 @@ func NewJobManager(s *Service, opt JobManagerOptions) *JobManager {
 		jobs:      make(map[string]*job),
 		states: r.Gauge("drmap_jobs_state",
 			"Jobs resident in the store by lifecycle state.", "state"),
+		active: r.Gauge("drmap_jobs_active", "Stored jobs not yet terminal.").With(),
+		stored: r.Gauge("drmap_jobs_stored",
+			"Jobs resident in the store (active plus retained terminal).").With(),
+		submitted: r.Counter("drmap_jobs_submitted_total",
+			"Jobs admitted by the job store (v2 submits and v1 sync wrappers).").With(),
+		evicted: r.Counter("drmap_jobs_evicted_total",
+			"Jobs evicted from the job store (TTL or capacity).").With(),
 		queueSeconds: r.Histogram("drmap_job_queue_seconds",
 			"Wall-clock between a job's submission and its executor starting, by kind.",
 			nil, "kind"),
@@ -276,6 +286,15 @@ func NewJobManager(s *Service, opt JobManagerOptions) *JobManager {
 		m.states.With(string(st))
 	}
 	return m
+}
+
+// track moves one job into (delta 1) or out of (delta -1) state on the
+// store gauges.
+func (m *JobManager) track(state JobState, delta float64) {
+	m.states.With(string(state)).Add(delta)
+	if !state.Terminal() {
+		m.active.Add(delta)
+	}
 }
 
 // job is the store-side state of one submitted job.
@@ -566,7 +585,6 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 		return nil, fmt.Errorf("%w (%d active jobs); retry later", ErrJobStoreFull, m.maxJobs)
 	}
 	m.nextID++
-	m.submitted++
 	id := fmt.Sprintf("job-%d", m.nextID)
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
@@ -585,7 +603,9 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 		m.persistent++
 	}
 	m.mu.Unlock()
-	m.states.With(string(JobPending)).Add(1)
+	m.submitted.Inc()
+	m.stored.Add(1)
+	m.track(JobPending, 1)
 
 	go m.run(ctx, j)
 	return j, nil
@@ -601,8 +621,8 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 	queued := j.started.Sub(j.created)
 	j.mu.Unlock()
 	j.setState(JobRunning)
-	m.states.With(string(JobPending)).Add(-1)
-	m.states.With(string(JobRunning)).Add(1)
+	m.track(JobPending, -1)
+	m.track(JobRunning, 1)
 	m.queueSeconds.With(string(j.kind)).Observe(queued.Seconds())
 
 	sink := &jobSink{j: j, layers: j.kind == JobDSE}
@@ -700,8 +720,8 @@ func (m *JobManager) finish(j *job, result any, err error) {
 	j.appendLocked(JobEvent{Type: EventState, State: state})
 	ran := j.finished.Sub(j.started)
 	j.mu.Unlock()
-	m.states.With(string(JobRunning)).Add(-1)
-	m.states.With(string(state)).Add(1)
+	m.track(JobRunning, -1)
+	m.track(state, 1)
 	m.runSeconds.With(string(j.kind)).Observe(ran.Seconds())
 	close(j.done)
 }
@@ -736,7 +756,8 @@ func (m *JobManager) evictLocked(now time.Time, makeRoom bool) {
 		stale := j.state.Terminal() && now.Sub(j.finished) > m.ttl
 		j.mu.Unlock()
 		if stale {
-			m.deleteLocked(id, j)
+			m.removeLocked(j)
+			m.evicted.Inc()
 		} else {
 			keep = append(keep, id)
 		}
@@ -749,7 +770,8 @@ func (m *JobManager) evictLocked(now time.Time, makeRoom bool) {
 		terminal := j.state.Terminal()
 		j.mu.Unlock()
 		if terminal && !j.ephemeral {
-			m.deleteLocked(id, j)
+			m.removeLocked(j)
+			m.evicted.Inc()
 			m.order = append(m.order[:i], m.order[i+1:]...)
 		} else {
 			i++
@@ -757,19 +779,19 @@ func (m *JobManager) evictLocked(now time.Time, makeRoom bool) {
 	}
 }
 
-// deleteLocked removes one store entry and keeps the persistent count
-// and per-state gauges in step; callers hold m.mu and fix m.order
+// removeLocked removes one store entry and keeps the persistent count
+// and store gauges in step; callers hold m.mu and fix m.order
 // themselves.
-func (m *JobManager) deleteLocked(id string, j *job) {
-	delete(m.jobs, id)
-	m.evicted++
+func (m *JobManager) removeLocked(j *job) {
+	delete(m.jobs, j.id)
 	if !j.ephemeral {
 		m.persistent--
 	}
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()
-	m.states.With(string(state)).Add(-1)
+	m.track(state, -1)
+	m.stored.Add(-1)
 }
 
 // lookup returns the stored job.
@@ -906,14 +928,7 @@ func (m *JobManager) drop(id string) {
 	if !ok {
 		return
 	}
-	delete(m.jobs, id)
-	if !j.ephemeral {
-		m.persistent--
-	}
-	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
-	m.states.With(string(state)).Add(-1)
+	m.removeLocked(j)
 	for i, other := range m.order {
 		if other == id {
 			m.order = append(m.order[:i], m.order[i+1:]...)
@@ -969,36 +984,6 @@ func (m *JobManager) SyncSimulate(ctx context.Context, req SimulateRequest) (*Si
 		return nil, err
 	}
 	return v.(*SimulateResponse), nil
-}
-
-// Metrics returns the job-store gauges for GET /metrics.
-func (m *JobManager) Metrics() []Metric {
-	m.mu.Lock()
-	ids := make([]string, len(m.order))
-	copy(ids, m.order)
-	submitted, evicted := m.submitted, m.evicted
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
-	}
-	m.mu.Unlock()
-
-	var active, terminal int64
-	for _, j := range jobs {
-		j.mu.Lock()
-		if j.state.Terminal() {
-			terminal++
-		} else {
-			active++
-		}
-		j.mu.Unlock()
-	}
-	return []Metric{
-		{Name: "drmap_jobs_submitted_total", Value: submitted},
-		{Name: "drmap_jobs_evicted_total", Value: evicted},
-		{Name: "drmap_jobs_active", Value: active},
-		{Name: "drmap_jobs_stored", Value: active + terminal},
-	}
 }
 
 // validateJobRequest resolves the kind, checks the matching payload is

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"drmap/internal/core"
+	"drmap/internal/obs"
 )
 
 // blockingRunner parks every DSE until released, giving tests a
@@ -251,6 +252,54 @@ func TestJobStoreTTLAndBound(t *testing.T) {
 	if _, ok := jm.Get(active2.ID); !ok {
 		t.Error("active job was evicted")
 	}
+}
+
+// TestJobStoreGauges: the job-store series follow the store itself -
+// admissions, state transitions, TTL evictions and ephemeral v1 jobs
+// dropped once answered.
+func TestJobStoreGauges(t *testing.T) {
+	var nowNanos atomic.Int64
+	nowNanos.Store(time.Unix(1000, 0).UnixNano())
+	clock := func() time.Time { return time.Unix(0, nowNanos.Load()) }
+	svc := New(Options{Workers: 1, CacheEntries: 8})
+	jm := NewJobManager(svc, JobManagerOptions{TTL: time.Minute, Now: clock})
+	characterize := JobRequest{Kind: "characterize", Characterize: &CharacterizeRequest{Archs: []string{"ddr3"}}}
+	check := func(step string, want map[string]float64) {
+		t.Helper()
+		page, err := obs.ParseExposition(svc.MetricsText())
+		if err != nil {
+			t.Fatalf("%s: /metrics unparseable: %v", step, err)
+		}
+		for name, w := range want {
+			if got, ok := page.Value(name, nil); !ok || got != w {
+				t.Errorf("%s: %s = %v, %v; want %v", step, name, got, ok, w)
+			}
+		}
+	}
+
+	first, err := jm.Submit(context.Background(), characterize)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitTerminal(t, jm, first.ID)
+	check("one finished job", map[string]float64{
+		"drmap_jobs_submitted_total": 1, "drmap_jobs_evicted_total": 0,
+		"drmap_jobs_active": 0, "drmap_jobs_stored": 1,
+	})
+
+	nowNanos.Add(int64(2 * time.Minute))
+	second, err := jm.Submit(context.Background(), characterize)
+	if err != nil {
+		t.Fatalf("submit after TTL: %v", err)
+	}
+	waitTerminal(t, jm, second.ID)
+	if _, err := jm.SyncCharacterize(context.Background(), *characterize.Characterize); err != nil {
+		t.Fatalf("sync characterize: %v", err)
+	}
+	check("after TTL eviction and a v1 call", map[string]float64{
+		"drmap_jobs_submitted_total": 3, "drmap_jobs_evicted_total": 1,
+		"drmap_jobs_active": 0, "drmap_jobs_stored": 1,
+	})
 }
 
 // TestJobValidation: bad submits fail synchronously with clear errors

@@ -4,62 +4,9 @@ import (
 	"drmap/internal/obs"
 )
 
-// Metric is one unlabeled counter of the legacy metrics snapshot. The
-// snapshot predates the obs registry and remains the integration seam
-// for components that contribute flat gauges (the job store, cluster
-// roles, embedders via Options.ExtraMetrics); a registry gatherer
-// bridges every snapshot entry into GET /metrics, names unchanged.
-type Metric struct {
-	Name  string
-	Value int64
-}
-
-// Metrics snapshots the serving counters: evaluations, result-cache and
-// count-plan-cache effectiveness, pool size, then whatever the
-// configured extra source adds (cluster wiring contributes worker,
-// in-flight-shard and shard-cache gauges).
-func (s *Service) Metrics() []Metric {
-	cs := s.CacheStats()
-	ps := s.PlanCacheStats()
-	out := []Metric{
-		{Name: "drmap_evaluations_total", Value: s.Evaluations()},
-		{Name: "drmap_cache_hits_total", Value: cs.Hits},
-		{Name: "drmap_cache_misses_total", Value: cs.Misses},
-		{Name: "drmap_cache_coalesced_total", Value: cs.Coalesced},
-		{Name: "drmap_cache_evictions_total", Value: cs.Evictions},
-		{Name: "drmap_cache_entries", Value: int64(cs.Entries)},
-		{Name: "drmap_plan_cache_hits_total", Value: ps.Hits},
-		{Name: "drmap_plan_cache_misses_total", Value: ps.Misses},
-		{Name: "drmap_plan_cache_coalesced_total", Value: ps.Coalesced},
-		{Name: "drmap_plan_cache_evictions_total", Value: ps.Evictions},
-		{Name: "drmap_plan_cache_entries", Value: int64(ps.Entries)},
-		{Name: "drmap_plan_cache_bytes", Value: ps.Bytes},
-		{Name: "drmap_pool_workers", Value: int64(s.workers)},
-	}
-	if w := s.warm; w != nil {
-		st := w.status()
-		ready := int64(0)
-		if st.State == "ready" {
-			ready = 1
-		}
-		out = append(out,
-			Metric{Name: "drmap_plan_warm_columns_total", Value: st.Columns},
-			Metric{Name: "drmap_plan_warm_errors_total", Value: st.Errors},
-			Metric{Name: "drmap_plan_warm_backends_total", Value: st.Backends},
-			Metric{Name: "drmap_plan_warm_ready", Value: ready},
-		)
-	}
-	if s.extraMetrics != nil {
-		out = append(out, s.extraMetrics()...)
-	}
-	return out
-}
-
-// MetricsText renders GET /metrics: the full Prometheus text
-// exposition of the service registry - instrumented histograms and
-// labeled counters plus every legacy snapshot counter, with # HELP and
-// # TYPE metadata. Unlabeled counters still render as plain
-// "name value" lines, so pre-exposition consumers keep working.
+// MetricsText renders GET /metrics: the Prometheus text exposition of
+// the service registry, with # HELP and # TYPE metadata. Unlabeled
+// series render as plain "name value" lines.
 func (s *Service) MetricsText() string {
 	return s.registry.Expose()
 }
@@ -72,81 +19,69 @@ func (s *Service) Registry() *obs.Registry {
 	return s.registry
 }
 
-// metricHelp is the exposition metadata for every metric name the
-// legacy snapshot (Metrics) can emit, including the contributions of
-// the job store and cluster roles; names a snapshot emits beyond this
-// catalog (embedder extras) fall back to the registry's heuristic
-// metadata, so the page always parses.
-var metricHelp = map[string]struct{ kind, help string }{
-	"drmap_evaluations_total":          {obs.KindCounter, "Fresh (non-cached, non-coalesced) computations run."},
-	"drmap_cache_hits_total":           {obs.KindCounter, "Result-cache lookups served from a completed entry."},
-	"drmap_cache_misses_total":         {obs.KindCounter, "Result-cache lookups that required a fresh computation."},
-	"drmap_cache_coalesced_total":      {obs.KindCounter, "Result-cache lookups that joined an identical in-flight computation."},
-	"drmap_cache_evictions_total":      {obs.KindCounter, "Result-cache LRU evictions."},
-	"drmap_cache_entries":              {obs.KindGauge, "Resident result-cache entries."},
-	"drmap_plan_cache_hits_total":      {obs.KindCounter, "Count-plan-cache hits (columns repriced instead of recounted)."},
-	"drmap_plan_cache_misses_total":    {obs.KindCounter, "Count-plan-cache misses (columns counted fresh)."},
-	"drmap_plan_cache_coalesced_total": {obs.KindCounter, "Count-plan computations joined while in flight."},
-	"drmap_plan_cache_evictions_total": {obs.KindCounter, "Count-plan-cache LRU evictions."},
-	"drmap_plan_cache_entries":         {obs.KindGauge, "Resident count-plan-cache entries."},
-	"drmap_plan_cache_bytes":           {obs.KindGauge, "Resident bytes of vectorized count plans in the plan cache."},
-	"drmap_pool_workers":               {obs.KindGauge, "Size of the DSE/characterization worker pool."},
-
-	"drmap_plan_warm_columns_total":  {obs.KindCounter, "Grid columns the plan warmer has ensured resident."},
-	"drmap_plan_warm_errors_total":   {obs.KindCounter, "Plan-warm attempts that failed (e.g. invalid backend configs)."},
-	"drmap_plan_warm_backends_total": {obs.KindCounter, "Backends fully warmed (boot pass plus registration-time)."},
-	"drmap_plan_warm_ready":          {obs.KindGauge, "1 once the boot warm pass over the backend registry has finished."},
-
-	"drmap_jobs_submitted_total": {obs.KindCounter, "Jobs admitted by the job store (v2 submits and v1 sync wrappers)."},
-	"drmap_jobs_evicted_total":   {obs.KindCounter, "Jobs evicted from the job store (TTL or capacity)."},
-	"drmap_jobs_active":          {obs.KindGauge, "Stored jobs not yet terminal."},
-	"drmap_jobs_stored":          {obs.KindGauge, "Jobs resident in the store (active plus retained terminal)."},
-
-	// The cluster names below mirror Coordinator.Metrics and
-	// Worker.Metrics exactly; TestMetricsHelpCatalog (internal/cluster)
-	// fails the build when the two drift apart again.
-	"drmap_cluster_workers":                     {obs.KindGauge, "Cluster members currently alive (heartbeat within TTL)."},
-	"drmap_cluster_inflight_shards":             {obs.KindGauge, "Shards currently dispatched and unresolved."},
-	"drmap_cluster_shards_completed_total":      {obs.KindCounter, "Shards completed across all distributed runs."},
-	"drmap_cluster_shard_retries_total":         {obs.KindCounter, "Shard dispatch attempts beyond each shard's first."},
-	"drmap_cluster_shard_cache_hits_total":      {obs.KindCounter, "Shard-cache lookups served from a completed entry."},
-	"drmap_cluster_shard_cache_misses_total":    {obs.KindCounter, "Shard-cache lookups that dispatched fresh work."},
-	"drmap_cluster_shard_cache_coalesced_total": {obs.KindCounter, "Shard dispatches joined while an identical shard was in flight."},
-	"drmap_cluster_shard_cache_evictions_total": {obs.KindCounter, "Shard-cache LRU evictions."},
-	"drmap_cluster_shard_cache_entries":         {obs.KindGauge, "Resident shard-cache entries."},
-
-	"drmap_worker_shards_served_total":   {obs.KindCounter, "Shard requests this worker evaluated."},
-	"drmap_worker_shards_rejected_total": {obs.KindCounter, "Shard requests this worker rejected."},
+// CacheHelp is the # HELP text of one cache's series.
+type CacheHelp struct {
+	Hits, Misses, Coalesced, Evictions, Entries string
 }
 
-// cacheOutcomeSamples flattens one cache's stats into the labeled
-// drmap_cache_requests_total series.
-func cacheOutcomeSamples(cache string, st CacheStats) []obs.Sample {
-	label := func(outcome string, v int64) obs.Sample {
-		return obs.Sample{
-			Name:   "drmap_cache_requests_total",
-			Labels: []obs.Label{{Key: "cache", Value: cache}, {Key: "outcome", Value: outcome}},
-			Value:  float64(v),
-		}
-	}
-	return []obs.Sample{
-		label("hit", st.Hits),
-		label("miss", st.Misses),
-		label("coalesced", st.Coalesced),
+// RegisterCacheMetrics exposes one cache's counters on r as
+// prefix_{hits,misses,coalesced,evictions}_total and prefix_entries,
+// read from stats at every scrape.
+func RegisterCacheMetrics(r *obs.Registry, prefix string, stats func() CacheStats, help CacheHelp) {
+	for _, m := range []struct {
+		suffix, kind, help string
+		value              func(CacheStats) int64
+	}{
+		{"_hits_total", obs.KindCounter, help.Hits, func(c CacheStats) int64 { return c.Hits }},
+		{"_misses_total", obs.KindCounter, help.Misses, func(c CacheStats) int64 { return c.Misses }},
+		{"_coalesced_total", obs.KindCounter, help.Coalesced, func(c CacheStats) int64 { return c.Coalesced }},
+		{"_evictions_total", obs.KindCounter, help.Evictions, func(c CacheStats) int64 { return c.Evictions }},
+		{"_entries", obs.KindGauge, help.Entries, func(c CacheStats) int64 { return int64(c.Entries) }},
+	} {
+		r.Func(prefix+m.suffix, m.kind, m.help, func() float64 { return float64(m.value(stats())) })
 	}
 }
 
-// registerMetrics wires the service's families into its registry:
-// metadata for every cataloged legacy name, the snapshot gatherer, the
-// labeled cache-outcome view of the result and plan caches, and the
-// count/price phase histogram the column evaluator observes.
+// registerMetrics registers the service's series on its registry: the
+// evaluation count, the result- and plan-cache counters (also as the
+// labeled drmap_cache_requests_total view), the pool size, the
+// count/price phase histogram the column evaluator observes, and the
+// simulate instruments.
 func (s *Service) registerMetrics() {
 	r := s.registry
-	for name, d := range metricHelp {
-		r.Describe(name, d.kind, d.help)
+	r.Func("drmap_evaluations_total", obs.KindCounter,
+		"Fresh (non-cached, non-coalesced) computations run.",
+		func() float64 { return float64(s.Evaluations()) })
+	RegisterCacheMetrics(r, "drmap_cache", s.CacheStats, CacheHelp{
+		Hits:      "Result-cache lookups served from a completed entry.",
+		Misses:    "Result-cache lookups that required a fresh computation.",
+		Coalesced: "Result-cache lookups that joined an identical in-flight computation.",
+		Evictions: "Result-cache LRU evictions.",
+		Entries:   "Resident result-cache entries.",
+	})
+	RegisterCacheMetrics(r, "drmap_plan_cache", s.PlanCacheStats, CacheHelp{
+		Hits:      "Count-plan-cache hits (columns repriced instead of recounted).",
+		Misses:    "Count-plan-cache misses (columns counted fresh).",
+		Coalesced: "Count-plan computations joined while in flight.",
+		Evictions: "Count-plan-cache LRU evictions.",
+		Entries:   "Resident count-plan-cache entries.",
+	})
+	r.Func("drmap_plan_cache_bytes", obs.KindGauge,
+		"Resident bytes of vectorized count plans in the plan cache.",
+		func() float64 { return float64(s.PlanCacheStats().Bytes) })
+	for cache, stats := range map[string]func() CacheStats{"result": s.CacheStats, "plan": s.PlanCacheStats} {
+		for outcome, value := range map[string]func(CacheStats) int64{
+			"hit":       func(c CacheStats) int64 { return c.Hits },
+			"miss":      func(c CacheStats) int64 { return c.Misses },
+			"coalesced": func(c CacheStats) int64 { return c.Coalesced },
+		} {
+			r.Func("drmap_cache_requests_total", obs.KindCounter,
+				"Cache lookups by cache (result, plan) and outcome (hit, miss, coalesced).",
+				func() float64 { return float64(value(stats())) },
+				obs.Label{Key: "cache", Value: cache}, obs.Label{Key: "outcome", Value: outcome})
+		}
 	}
-	r.Describe("drmap_cache_requests_total", obs.KindCounter,
-		"Cache lookups by cache (result, plan, shard) and outcome (hit, miss, coalesced).")
+	r.Gauge("drmap_pool_workers", "Size of the DSE/characterization worker pool.").With().Set(float64(s.workers))
 	s.phaseSeconds = r.Histogram("drmap_eval_phase_seconds",
 		"Evaluation wall-clock per phase: count (backend-independent tile-group counting) vs price (per-backend costing).",
 		nil, "phase")
@@ -164,14 +99,4 @@ func (s *Service) registerMetrics() {
 	for _, engine := range []string{"serial", "parallel"} {
 		s.simEngineSeconds.With(engine)
 	}
-	r.AddGatherer(func() []obs.Sample {
-		metrics := s.Metrics()
-		out := make([]obs.Sample, 0, len(metrics)+6)
-		for _, m := range metrics {
-			out = append(out, obs.Sample{Name: m.Name, Value: float64(m.Value)})
-		}
-		out = append(out, cacheOutcomeSamples("result", s.CacheStats())...)
-		out = append(out, cacheOutcomeSamples("plan", s.PlanCacheStats())...)
-		return out
-	})
 }

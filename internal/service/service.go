@@ -95,9 +95,6 @@ type Options struct {
 	// the local pool. A runner returning an error that wraps
 	// ErrNoWorkers falls back to the local pool.
 	Runner DSERunner
-	// ExtraMetrics, when set, supplies additional counters appended to
-	// GET /metrics (e.g. cluster worker/shard gauges).
-	ExtraMetrics func() []Metric
 	// Registry, when set, is the metrics registry GET /metrics renders
 	// and every instrument registers on; nil builds a fresh one.
 	// Processes hosting several telemetry sources (job manager, cluster
@@ -133,9 +130,8 @@ type Service struct {
 	runner DSERunner
 	// planCache holds backend-independent count plans, one per (job
 	// minus costs/timing, grid column); nil when disabled. See plan.go.
-	planCache    *Cache
-	extraMetrics func() []Metric
-	registry     *obs.Registry
+	planCache *Cache
+	registry  *obs.Registry
 	// phaseSeconds is the drmap_eval_phase_seconds histogram; the column
 	// evaluator observes count and price time into it (see plan.go).
 	phaseSeconds *obs.HistogramVec
@@ -173,15 +169,14 @@ func New(opt Options) *Service {
 	}
 	workers := defaultWorkers(opt.Workers)
 	s := &Service{
-		workers:      workers,
-		accel:        opt.Accel,
-		cache:        NewCache(opt.CacheEntries),
-		gate:         make(chan struct{}, workers),
-		runner:       opt.Runner,
-		planCache:    planCache,
-		extraMetrics: opt.ExtraMetrics,
-		registry:     opt.Registry,
-		spans:        opt.Spans,
+		workers:   workers,
+		accel:     opt.Accel,
+		cache:     NewCache(opt.CacheEntries),
+		gate:      make(chan struct{}, workers),
+		runner:    opt.Runner,
+		planCache: planCache,
+		registry:  opt.Registry,
+		spans:     opt.Spans,
 	}
 	s.registerMetrics()
 	return s
@@ -191,10 +186,6 @@ func New(opt Options) *Service {
 // construction - cmd wiring builds the service first, then the cluster
 // coordinator around it. Call before serving requests.
 func (s *Service) SetRunner(r DSERunner) { s.runner = r }
-
-// SetExtraMetrics installs the extra-metrics source after construction.
-// Call before serving requests.
-func (s *Service) SetExtraMetrics(f func() []Metric) { s.extraMetrics = f }
 
 // Spans returns the service's trace store.
 func (s *Service) Spans() *obs.SpanStore { return s.spans }

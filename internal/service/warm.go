@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"drmap/internal/cnn"
@@ -51,30 +50,30 @@ type WarmStatus struct {
 }
 
 // warmer tracks one service's plan warming. Passes are serialized by
-// mu; the counters are read lock-free by /healthz and /metrics.
+// mu; the instruments are read lock-free by /healthz and /metrics.
 type warmer struct {
 	names []string
 	nets  []cnn.Network
 
 	mu       sync.Mutex // serializes warm passes
-	backends atomic.Int64
-	columns  atomic.Int64
-	errors   atomic.Int64
-	ready    atomic.Bool
+	backends *obs.Counter
+	columns  *obs.Counter
+	errors   *obs.Counter
+	ready    *obs.Gauge // 1 once the boot pass has finished
 	seconds  *obs.Gauge // boot-pass wall clock
 }
 
 func (w *warmer) status() WarmStatus {
 	state := "warming"
-	if w.ready.Load() {
+	if w.ready.Value() == 1 {
 		state = "ready"
 	}
 	return WarmStatus{
 		State:    state,
 		Networks: w.names,
-		Backends: w.backends.Load(),
-		Columns:  w.columns.Load(),
-		Errors:   w.errors.Load(),
+		Backends: w.backends.Value(),
+		Columns:  w.columns.Value(),
+		Errors:   w.errors.Value(),
 	}
 }
 
@@ -97,16 +96,27 @@ func (s *Service) EnableWarm(ctx context.Context, networks ...string) error {
 	if len(networks) == 0 {
 		networks = WarmNetworks
 	}
-	w := &warmer{names: networks}
+	var nets []cnn.Network
 	for _, name := range networks {
 		net, err := parseNetwork(name, nil)
 		if err != nil {
 			return fmt.Errorf("service: warm: %w", err)
 		}
-		w.nets = append(w.nets, net)
+		nets = append(nets, net)
 	}
-	w.seconds = s.registry.Gauge("drmap_plan_warm_seconds",
-		"Wall-clock seconds of the boot warm pass over the registry (0 until it finishes).").With()
+	r := s.registry
+	w := &warmer{names: networks, nets: nets,
+		backends: r.Counter("drmap_plan_warm_backends_total",
+			"Backends fully warmed (boot pass plus registration-time).").With(),
+		columns: r.Counter("drmap_plan_warm_columns_total",
+			"Grid columns the plan warmer has ensured resident.").With(),
+		errors: r.Counter("drmap_plan_warm_errors_total",
+			"Plan-warm attempts that failed (e.g. invalid backend configs).").With(),
+		ready: r.Gauge("drmap_plan_warm_ready",
+			"1 once the boot warm pass over the backend registry has finished.").With(),
+		seconds: r.Gauge("drmap_plan_warm_seconds",
+			"Wall-clock seconds of the boot warm pass over the registry (0 until it finishes).").With(),
+	}
 	s.warm = w
 
 	unsubscribe := dram.OnRegister(func(b dram.Backend) {
@@ -117,7 +127,7 @@ func (s *Service) EnableWarm(ctx context.Context, networks ...string) error {
 		start := time.Now()
 		s.warmBackends(ctx, dram.Backends())
 		w.seconds.Set(time.Since(start).Seconds())
-		w.ready.Store(true)
+		w.ready.Set(1)
 		// Keep the registration subscription alive until shutdown.
 		<-ctx.Done()
 	}()
