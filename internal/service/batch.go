@@ -90,6 +90,11 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, 
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	return s.batch(ctx, req)
+}
+
+// batch runs a validated batch.
+func (s *Service) batch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	items := make([]BatchItem, len(req.Jobs))
 	for i := range items {
 		items[i].Index = i

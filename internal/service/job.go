@@ -17,9 +17,9 @@ import (
 // JobKind names a workload the v2 job API can run asynchronously.
 type JobKind string
 
-// The job kinds. Each wraps the corresponding synchronous entry point
-// (and therefore shares its validation, caches, cluster runner and
-// counters).
+// The job kinds. Each resolves its payload with the parse of the
+// corresponding synchronous entry point and runs it through the same
+// caches, cluster runner and counters (see jobKinds).
 const (
 	JobDSE          JobKind = "dse"
 	JobBatch        JobKind = "batch"
@@ -203,9 +203,9 @@ const (
 	DefaultMaxEvents = 4096
 )
 
-// JobManager owns the v2 job lifecycle: it validates and admits jobs,
-// runs each through the owning Service's synchronous entry points on a
-// detached goroutine (so results survive client disconnects), threads
+// JobManager owns the v2 job lifecycle: it resolves and admits jobs,
+// runs each resolved input on the owning Service on a detached
+// goroutine (so results survive client disconnects), threads
 // progress sinks into the evaluation context, records a replayable
 // event log per job, and evicts terminal jobs by TTL and store bound.
 // The v1 endpoints are thin synchronous wrappers over it (the Sync
@@ -299,12 +299,11 @@ func (m *JobManager) track(state JobState, delta float64) {
 
 // job is the store-side state of one submitted job.
 type job struct {
-	id      string
-	kind    JobKind
-	req     JobRequest
+	id   string
+	kind JobKind
+	jobRun
 	created time.Time
-	timing  dram.Timing // the DSE backend's clock, for layer events
-	trace   string      // trace ID: the submitting request's, or fresh
+	trace   string // trace ID: the submitting request's, or fresh
 	// parentSpan is the submitting request's span ID; the job's
 	// queue/run spans link under it so a v2 trace stays one tree even
 	// though the request span ends before the detached job runs.
@@ -429,10 +428,7 @@ func (j *job) view(withResult bool) JobView {
 // implements core.Progress for column/layer events and the batch item
 // hook. A batch job aggregates the column counts of all its items but
 // suppresses layer events (they cannot be attributed to an item).
-type jobSink struct {
-	j      *job
-	layers bool // emit per-layer events (single-DSE jobs)
-}
+type jobSink struct{ j *job }
 
 // A canceled job's evaluation completes detached (so it can be cached)
 // and keeps reporting; once the job is terminal those reports must not
@@ -464,10 +460,10 @@ func (s *jobSink) ColumnsDone(delta int) {
 }
 
 func (s *jobSink) LayerDone(index, layers int, lr core.LayerResult) {
-	if !s.layers {
+	j := s.j
+	if !j.layers {
 		return
 	}
-	j := s.j
 	enc := report.DSELayerToJSON(lr, j.timing)
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -557,7 +553,7 @@ func (m *JobManager) Submit(ctx context.Context, req JobRequest) (JobView, error
 	return j.view(false), nil
 }
 
-// submit validates req, admits the job, and starts its executor
+// submit resolves req, admits the job, and starts its executor
 // goroutine under a context derived from parent (context.Background
 // for detached v2 jobs; the request context for v1 sync wrappers, so a
 // v1 client's deadline or disconnect cancels its job exactly as it
@@ -566,7 +562,7 @@ func (m *JobManager) Submit(ctx context.Context, req JobRequest) (JobView, error
 // submitting request's span ID ("" when the request was untraced).
 // ephemeral marks a sync wrapper's job (see the job field).
 func (m *JobManager) submit(parent context.Context, trace, parentSpan string, req JobRequest, ephemeral bool) (*job, error) {
-	kind, timing, err := m.validateJobRequest(req)
+	run, err := m.resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +587,7 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 	}
 	ctx, cancel := context.WithCancel(parent)
 	j := &job{
-		id: id, kind: kind, req: req, created: now, timing: timing,
+		id: id, kind: JobKind(req.Kind), jobRun: run, created: now,
 		trace: trace, parentSpan: parentSpan,
 		cancel: cancel, done: make(chan struct{}), ephemeral: ephemeral,
 		state: JobPending, maxEvents: m.maxEvents,
@@ -611,9 +607,8 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 	return j, nil
 }
 
-// run executes one job through the Service's synchronous entry points
-// with the job's progress sink, phase recorder and trace ID attached
-// to the context.
+// run executes one job's resolved input with the job's progress sink,
+// phase recorder and trace ID attached to the context.
 func (m *JobManager) run(ctx context.Context, j *job) {
 	defer j.cancel() // release the context's resources whatever happens
 	j.mu.Lock()
@@ -625,12 +620,9 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 	m.track(JobRunning, 1)
 	m.queueSeconds.With(string(j.kind)).Observe(queued.Seconds())
 
-	sink := &jobSink{j: j, layers: j.kind == JobDSE}
+	sink := &jobSink{j: j}
 	ctx = core.WithProgress(ctx, sink)
 	ctx = core.WithPhases(ctx, sink)
-	if j.kind == JobSimulate {
-		ctx = core.WithSimLayers(ctx, sink.simLayerDone)
-	}
 	ctx = obs.WithTrace(ctx, j.trace)
 
 	// Tracing: the queue wait becomes a retroactive span, and the whole
@@ -651,22 +643,7 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 			obs.Str("job", j.id), obs.Str("kind", string(j.kind)))
 	}
 
-	var result any
-	var err error
-	switch j.kind {
-	case JobDSE:
-		result, err = m.svc.DSE(ctx, *j.req.DSE)
-	case JobBatch:
-		result, err = m.svc.Batch(withBatchProgress(ctx, sink), *j.req.Batch)
-	case JobCharacterize:
-		result, err = m.svc.Characterize(ctx, *j.req.Characterize)
-	case JobSweep:
-		result, err = m.svc.Sweep(ctx, *j.req.Sweep)
-	case JobSimulate:
-		result, err = m.svc.Simulate(ctx, *j.req.Simulate)
-	default: // unreachable: validateJobRequest rejected unknown kinds
-		err = fmt.Errorf("service: unknown job kind %q", j.kind)
-	}
+	result, err := j.exec(ctx, sink)
 	if err != nil {
 		runSpan.Fail(err)
 	}
@@ -682,7 +659,7 @@ func (m *JobManager) finish(j *job, result any, err error) {
 	// An ephemeral (v1 sync) job's result goes straight to its waiting
 	// handler; marshaling it into the event log would double both the
 	// encode work and the retained bytes for nothing.
-	if !isNilResult(result) && !j.ephemeral {
+	if result != nil && !j.ephemeral {
 		b, mErr := json.Marshal(result)
 		if mErr != nil && err == nil {
 			result, err = nil, &internalError{err: fmt.Errorf("service: encode job result: %w", mErr)}
@@ -724,24 +701,6 @@ func (m *JobManager) finish(j *job, result any, err error) {
 	m.track(state, 1)
 	m.runSeconds.With(string(j.kind)).Observe(ran.Seconds())
 	close(j.done)
-}
-
-// isNilResult reports whether a typed-nil response pointer hides inside
-// the any. The executors return (*T)(nil) alongside their errors.
-func isNilResult(result any) bool {
-	switch r := result.(type) {
-	case *DSEResponse:
-		return r == nil
-	case *BatchResponse:
-		return r == nil
-	case *CharacterizeResponse:
-		return r == nil
-	case *SweepResponse:
-		return r == nil
-	case *SimulateResponse:
-		return r == nil
-	}
-	return result == nil
 }
 
 // evictLocked drops terminal jobs past the TTL, then - when makeRoom
@@ -905,7 +864,7 @@ func (m *JobManager) Wait(ctx context.Context, id string) (JobView, error) {
 // needs no ctx select of its own (cancellation makes the executor
 // return promptly), which also preserves v1 Batch's
 // partial-results-on-deadline contract.
-func (m *JobManager) runSync(ctx context.Context, req JobRequest) (any, error) {
+func runSync[T any](ctx context.Context, m *JobManager, req JobRequest) (*T, error) {
 	j, err := m.submit(ctx, obs.TraceFrom(ctx), obs.SpanIDFrom(ctx), req, true)
 	if err != nil {
 		return nil, err
@@ -917,7 +876,10 @@ func (m *JobManager) runSync(ctx context.Context, req JobRequest) (any, error) {
 	m.drop(j.id)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result, j.err
+	if j.err != nil {
+		return nil, j.err
+	}
+	return j.result.(*T), nil
 }
 
 // drop removes a job from the store immediately (ephemeral sync jobs).
@@ -939,149 +901,146 @@ func (m *JobManager) drop(id string) {
 
 // SyncDSE is POST /api/v1/dse as a submit-and-wait over the job store.
 func (m *JobManager) SyncDSE(ctx context.Context, req DSERequest) (*DSEResponse, error) {
-	v, err := m.runSync(ctx, JobRequest{Kind: string(JobDSE), DSE: &req})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*DSEResponse), nil
+	return runSync[DSEResponse](ctx, m, JobRequest{Kind: string(JobDSE), DSE: &req})
 }
 
 // SyncBatch is POST /api/v1/batch as a submit-and-wait over the job
 // store.
 func (m *JobManager) SyncBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	v, err := m.runSync(ctx, JobRequest{Kind: string(JobBatch), Batch: &req})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BatchResponse), nil
+	return runSync[BatchResponse](ctx, m, JobRequest{Kind: string(JobBatch), Batch: &req})
 }
 
 // SyncCharacterize is POST /api/v1/characterize as a submit-and-wait
 // over the job store.
 func (m *JobManager) SyncCharacterize(ctx context.Context, req CharacterizeRequest) (*CharacterizeResponse, error) {
-	v, err := m.runSync(ctx, JobRequest{Kind: string(JobCharacterize), Characterize: &req})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CharacterizeResponse), nil
+	return runSync[CharacterizeResponse](ctx, m, JobRequest{Kind: string(JobCharacterize), Characterize: &req})
 }
 
 // SyncSweep is POST /api/v1/sweep as a submit-and-wait over the job
 // store.
 func (m *JobManager) SyncSweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	v, err := m.runSync(ctx, JobRequest{Kind: string(JobSweep), Sweep: &req})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SweepResponse), nil
+	return runSync[SweepResponse](ctx, m, JobRequest{Kind: string(JobSweep), Sweep: &req})
 }
 
 // SyncSimulate is POST /api/v1/simulate as a submit-and-wait over the
 // job store.
 func (m *JobManager) SyncSimulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
-	v, err := m.runSync(ctx, JobRequest{Kind: string(JobSimulate), Simulate: &req})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SimulateResponse), nil
+	return runSync[SimulateResponse](ctx, m, JobRequest{Kind: string(JobSimulate), Simulate: &req})
 }
 
-// validateJobRequest resolves the kind, checks the matching payload is
-// present, and pre-parses the inputs that the synchronous entry point
-// would reject, so a bad submit fails with a 400 instead of a failed
-// job. The parses mirror each entry point's order exactly, so the
-// error text matches what the v1 path reported before jobs existed.
-// For DSE and simulate jobs it returns the backend's timing (the
-// clock layer events are priced in).
-func (m *JobManager) validateJobRequest(req JobRequest) (JobKind, dram.Timing, error) {
-	kind := JobKind(req.Kind)
-	var timing dram.Timing
+// jobRun is a resolved job: what the executor runs and how its events
+// are priced.
+type jobRun struct {
+	// timing is the backend's clock that layer events are priced in
+	// (dse and simulate jobs).
+	timing dram.Timing
+	// layers emits per-layer DSE events (dse jobs; a batch's layer
+	// picks cannot be attributed to an item).
+	layers bool
+	// exec evaluates the resolved input under the job's context.
+	exec func(ctx context.Context, sink *jobSink) (any, error)
+}
+
+// jobKind is one row of the job table: whether a request carries the
+// kind's payload, and how that payload resolves - once, through the
+// same parse the kind's Service entry point uses, so a bad submit fails
+// with the entry point's own error text.
+type jobKind struct {
+	has     func(JobRequest) bool
+	resolve func(s *Service, req JobRequest) (jobRun, error)
+}
+
+// result hides a failed run's typed-nil response from the any the
+// executor records.
+func result[T any](v *T, err error) (any, error) {
+	if v == nil {
+		return nil, err
+	}
+	return v, err
+}
+
+// jobKinds is the job table.
+var jobKinds = map[JobKind]jobKind{
+	JobDSE: {
+		has: func(r JobRequest) bool { return r.DSE != nil },
+		resolve: func(s *Service, r JobRequest) (jobRun, error) {
+			job, err := s.parseDSE(*r.DSE)
+			if err != nil {
+				return jobRun{}, err
+			}
+			return jobRun{timing: job.Backend.Config.Timing, layers: true,
+				exec: func(ctx context.Context, _ *jobSink) (any, error) { return result(s.dse(ctx, job)) }}, nil
+		},
+	},
+	JobBatch: {
+		has: func(r JobRequest) bool { return r.Batch != nil },
+		resolve: func(s *Service, r JobRequest) (jobRun, error) {
+			// Item-level inputs resolve inside the run: a bad item fails
+			// alone (the batch contract), not the whole submit.
+			req := *r.Batch
+			if err := req.Validate(); err != nil {
+				return jobRun{}, err
+			}
+			return jobRun{exec: func(ctx context.Context, sink *jobSink) (any, error) {
+				return result(s.batch(withBatchProgress(ctx, sink), req))
+			}}, nil
+		},
+	},
+	JobCharacterize: {
+		has: func(r JobRequest) bool { return r.Characterize != nil },
+		resolve: func(s *Service, r JobRequest) (jobRun, error) {
+			backends, err := parseCharacterize(*r.Characterize)
+			if err != nil {
+				return jobRun{}, err
+			}
+			return jobRun{exec: func(ctx context.Context, _ *jobSink) (any, error) {
+				return result(s.characterize(ctx, backends))
+			}}, nil
+		},
+	},
+	JobSweep: {
+		has: func(r JobRequest) bool { return r.Sweep != nil },
+		resolve: func(s *Service, r JobRequest) (jobRun, error) {
+			in, err := parseSweep(*r.Sweep)
+			if err != nil {
+				return jobRun{}, err
+			}
+			return jobRun{exec: func(ctx context.Context, _ *jobSink) (any, error) { return result(s.sweep(ctx, in)) }}, nil
+		},
+	},
+	JobSimulate: {
+		has: func(r JobRequest) bool { return r.Simulate != nil },
+		resolve: func(s *Service, r JobRequest) (jobRun, error) {
+			in, err := s.parseSimulate(*r.Simulate)
+			if err != nil {
+				return jobRun{}, err
+			}
+			return jobRun{timing: in.backend.Config.Timing, exec: func(ctx context.Context, sink *jobSink) (any, error) {
+				return result(s.simulate(core.WithSimLayers(ctx, sink.simLayerDone), in))
+			}}, nil
+		},
+	},
+}
+
+// resolve checks the request carries exactly its kind's payload and
+// resolves that payload through the job table, so a bad submit fails
+// with a 400 instead of a failed job.
+func (m *JobManager) resolve(req JobRequest) (jobRun, error) {
 	payloads := 0
-	for _, p := range []bool{req.DSE != nil, req.Batch != nil, req.Characterize != nil, req.Sweep != nil, req.Simulate != nil} {
-		if p {
+	for _, k := range jobKinds {
+		if k.has(req) {
 			payloads++
 		}
 	}
 	if payloads > 1 {
-		return "", timing, fmt.Errorf("give exactly the one payload matching kind %q", req.Kind)
+		return jobRun{}, fmt.Errorf("give exactly the one payload matching kind %q", req.Kind)
 	}
-	switch kind {
-	case JobDSE:
-		if req.DSE == nil {
-			return "", timing, fmt.Errorf(`kind "dse" needs a "dse" payload`)
-		}
-		b, err := parseBackend(req.DSE.Arch)
-		if err != nil {
-			return "", timing, err
-		}
-		if _, err := parseNetwork(req.DSE.Network, req.DSE.Layers); err != nil {
-			return "", timing, err
-		}
-		if _, err := parseSchedules(req.DSE.Schedules); err != nil {
-			return "", timing, err
-		}
-		if _, err := parsePolicies(req.DSE.Policies); err != nil {
-			return "", timing, err
-		}
-		if _, err := parseObjective(req.DSE.Objective); err != nil {
-			return "", timing, err
-		}
-		timing = b.Config.Timing
-	case JobBatch:
-		if req.Batch == nil {
-			return "", timing, fmt.Errorf(`kind "batch" needs a "batch" payload`)
-		}
-		// Item-level inputs are not pre-validated: a bad item fails
-		// alone (the batch contract), not the whole submit.
-		if err := req.Batch.Validate(); err != nil {
-			return "", timing, err
-		}
-	case JobCharacterize:
-		if req.Characterize == nil {
-			return "", timing, fmt.Errorf(`kind "characterize" needs a "characterize" payload`)
-		}
-		for _, name := range req.Characterize.Archs {
-			if _, err := parseBackend(name); err != nil {
-				return "", timing, err
-			}
-		}
-	case JobSweep:
-		if req.Sweep == nil {
-			return "", timing, fmt.Errorf(`kind "sweep" needs a "sweep" payload`)
-		}
-		// Mirror Service.Sweep's parse order: network, backend, kind.
-		netName := req.Sweep.Network
-		if netName == "" {
-			netName = "alexnet"
-		}
-		if _, err := parseNetwork(netName, nil); err != nil {
-			return "", timing, err
-		}
-		archName := req.Sweep.Arch
-		if archName == "" {
-			archName = "ddr3"
-		}
-		if _, err := parseBackend(archName); err != nil {
-			return "", timing, err
-		}
-		switch req.Sweep.Kind {
-		case "subarrays", "buffers", "batch":
-		default:
-			return "", timing, errUnknownSweepKind(req.Sweep.Kind)
-		}
-	case JobSimulate:
-		if req.Simulate == nil {
-			return "", timing, fmt.Errorf(`kind "simulate" needs a "simulate" payload`)
-		}
-		// parseSimulate is exactly Service.Simulate's parse, so a bad
-		// submit fails with the v1 endpoint's error text.
-		in, err := m.svc.parseSimulate(*req.Simulate)
-		if err != nil {
-			return "", timing, err
-		}
-		timing = in.backend.Config.Timing
-	default:
-		return "", timing, fmt.Errorf("unknown job kind %q (want dse, batch, characterize, sweep or simulate)", req.Kind)
+	k, ok := jobKinds[JobKind(req.Kind)]
+	if !ok {
+		return jobRun{}, fmt.Errorf("unknown job kind %q (want dse, batch, characterize, sweep or simulate)", req.Kind)
 	}
-	return kind, timing, nil
+	if !k.has(req) {
+		return jobRun{}, fmt.Errorf("kind %q needs a %q payload", req.Kind, req.Kind)
+	}
+	return k.resolve(m.svc, req)
 }

@@ -46,7 +46,8 @@ func waitTerminal(t *testing.T, jm *JobManager, id string) JobView {
 func TestJobLifecycleDSE(t *testing.T) {
 	svc := New(Options{Workers: 2, CacheEntries: 8})
 	jm := NewJobManager(svc, JobManagerOptions{})
-	view, err := jm.Submit(context.Background(), JobRequest{Kind: "dse", DSE: &DSERequest{Arch: "ddr3", Network: "lenet5"}})
+	req := DSERequest{Arch: "ddr3", Network: "lenet5"}
+	view, err := jm.Submit(context.Background(), JobRequest{Kind: "dse", DSE: &req})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestJobLifecycleDSE(t *testing.T) {
 	if err := json.Unmarshal(final.Result, &resp); err != nil {
 		t.Fatalf("decode job result: %v", err)
 	}
-	direct, err := svc.DSE(context.Background(), *jm.jobs[view.ID].req.DSE)
+	direct, err := svc.DSE(context.Background(), req)
 	if err != nil {
 		t.Fatalf("direct DSE: %v", err)
 	}

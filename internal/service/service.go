@@ -335,6 +335,32 @@ type dseKey struct {
 	Batch     int
 }
 
+// parseDSE resolves a DSE request into the job it runs: the one parse
+// Service.DSE and a dse job share.
+func (s *Service) parseDSE(req DSERequest) (DSEJob, error) {
+	job := DSEJob{Accel: s.accel, Batch: req.Batch}
+	var err error
+	if job.Backend, err = parseBackend(req.Arch); err != nil {
+		return DSEJob{}, err
+	}
+	if job.Network, err = parseNetwork(req.Network, req.Layers); err != nil {
+		return DSEJob{}, err
+	}
+	if job.Schedules, err = parseSchedules(req.Schedules); err != nil {
+		return DSEJob{}, err
+	}
+	if job.Policies, err = parsePolicies(req.Policies); err != nil {
+		return DSEJob{}, err
+	}
+	if job.Objective, err = parseObjective(req.Objective); err != nil {
+		return DSEJob{}, err
+	}
+	if job.Batch == 0 {
+		job.Batch = 1
+	}
+	return job, nil
+}
+
 // DSE runs Algorithm 1 for the request, fanning the evaluation grid
 // over the worker pool (total parallelism across all in-flight requests
 // is bounded by the service's worker count). Identical requests are
@@ -344,59 +370,39 @@ type dseKey struct {
 // whose callers all gave up still completes and is cached, so retries
 // hit the cache instead of recomputing.
 func (s *Service) DSE(ctx context.Context, req DSERequest) (*DSEResponse, error) {
-	backend, err := parseBackend(req.Arch)
+	job, err := s.parseDSE(req)
 	if err != nil {
 		return nil, err
 	}
-	net, err := parseNetwork(req.Network, req.Layers)
-	if err != nil {
-		return nil, err
-	}
-	schedules, err := parseSchedules(req.Schedules)
-	if err != nil {
-		return nil, err
-	}
-	policies, err := parsePolicies(req.Policies)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := parseObjective(req.Objective)
-	if err != nil {
-		return nil, err
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = 1
-	}
+	return s.dse(ctx, job)
+}
 
-	schedNames := make([]string, len(schedules))
-	for i, sc := range schedules {
+// dse runs a resolved DSE job through the result cache.
+func (s *Service) dse(ctx context.Context, job DSEJob) (*DSEResponse, error) {
+	schedNames := make([]string, len(job.Schedules))
+	for i, sc := range job.Schedules {
 		schedNames[i] = sc.String()
 	}
-	polIDs := make([]int, len(policies))
-	for i, p := range policies {
+	polIDs := make([]int, len(job.Policies))
+	for i, p := range job.Policies {
 		polIDs[i] = p.ID
 	}
+	obj := job.Objective.String()
 	key := dseKey{
-		Backend: backend, Accel: s.accel, Network: net,
+		Backend: job.Backend, Accel: job.Accel, Network: job.Network,
 		Schedules: schedNames, Policies: polIDs,
-		Objective: obj.String(), Batch: batch,
+		Objective: obj, Batch: job.Batch,
 	}
 	// The "dse" span opens before the detached evaluation context is
 	// captured, so count/price/shard spans recorded by the compute
 	// closure parent under it even when the evaluation outlives ctx.
 	sctx, span := obs.StartSpan(ctx, "dse",
-		obs.Str("backend", backend.ID),
-		obs.Str("network", net.Name),
-		obs.Str("objective", obj.String()),
-		obs.Int("batch", batch))
+		obs.Str("backend", job.Backend.ID),
+		obs.Str("network", job.Network.Name),
+		obs.Str("objective", obj),
+		obs.Int("batch", job.Batch))
 	evalCtx := context.WithoutCancel(sctx)
 	v, shared, err := s.doBounded(ctx, "dse", key, func() (any, error) {
-		job := DSEJob{
-			Backend: backend, Accel: s.accel, Network: net,
-			Schedules: schedules, Policies: policies,
-			Objective: obj, Batch: batch,
-		}
 		res, err := s.runJob(evalCtx, job)
 		if err != nil {
 			return nil, err
@@ -405,10 +411,10 @@ func (s *Service) DSE(ctx context.Context, req DSERequest) (*DSEResponse, error)
 		// the backend's - available without characterizing locally when
 		// a cluster ran the job.
 		return &DSEResponse{
-			Network:   net.Name,
-			Objective: obj.String(),
-			Batch:     batch,
-			Result:    report.DSEResultJSON(res, backend.Config.Timing),
+			Network:   job.Network.Name,
+			Objective: obj,
+			Batch:     job.Batch,
+			Result:    report.DSEResultJSON(res, job.Backend.Config.Timing),
 		}, nil
 	})
 	if err != nil {
@@ -423,6 +429,23 @@ func (s *Service) DSE(ctx context.Context, req DSERequest) (*DSEResponse, error)
 	return &resp, nil
 }
 
+// parseCharacterize resolves the backends a characterize request
+// names: every registered backend when it names none.
+func parseCharacterize(req CharacterizeRequest) ([]dram.Backend, error) {
+	if len(req.Archs) == 0 {
+		return dram.Backends(), nil
+	}
+	backends := make([]dram.Backend, len(req.Archs))
+	for i, name := range req.Archs {
+		b, err := parseBackend(name)
+		if err != nil {
+			return nil, err
+		}
+		backends[i] = b
+	}
+	return backends, nil
+}
+
 // Characterize measures the requested backends (every registered
 // backend when the request names none), fanning uncached ones over the
 // worker pool. As with the other endpoints, the caller's wait is
@@ -430,90 +453,83 @@ func (s *Service) DSE(ctx context.Context, req DSERequest) (*DSEResponse, error)
 // cached per backend, so a timed-out client's retry picks up where it
 // left.
 func (s *Service) Characterize(ctx context.Context, req CharacterizeRequest) (*CharacterizeResponse, error) {
-	names := req.Archs
-	var backends []dram.Backend
-	if len(names) == 0 {
-		backends = dram.Backends()
-	} else {
-		for _, name := range names {
-			b, err := parseBackend(name)
-			if err != nil {
-				return nil, err
-			}
-			backends = append(backends, b)
-		}
+	backends, err := parseCharacterize(req)
+	if err != nil {
+		return nil, err
 	}
-
-	type outcome struct {
-		resp *CharacterizeResponse
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	detached := context.WithoutCancel(ctx)
-	go func() {
-		resp, err := s.characterize(detached, backends)
-		ch <- outcome{resp: resp, err: err}
-	}()
-	select {
-	case o := <-ch:
-		return o.resp, o.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return s.characterize(ctx, backends)
 }
 
 // characterize runs the per-backend profile computations over the
-// worker pool and assembles the response.
+// worker pool, detached from ctx, and assembles the response.
 func (s *Service) characterize(ctx context.Context, backends []dram.Backend) (*CharacterizeResponse, error) {
-	profiles := make([]*profile.Profile, len(backends))
-	errs := make([]error, len(backends))
-	fresh := make([]bool, len(backends))
-	err := runPool(ctx, len(backends), s.workers, func(i int) {
-		profiles[i], fresh[i], errs[i] = s.profileFor(backends[i])
+	detached := context.WithoutCancel(ctx)
+	return awaitDetached(ctx, func() (*CharacterizeResponse, error) {
+		profiles := make([]*profile.Profile, len(backends))
+		errs := make([]error, len(backends))
+		fresh := make([]bool, len(backends))
+		err := runPool(detached, len(backends), s.workers, func(i int) {
+			profiles[i], fresh[i], errs[i] = s.profileFor(backends[i])
+		})
+		if err != nil {
+			return nil, fmt.Errorf("service: characterization canceled: %w", err)
+		}
+		allCached := true
+		for i := range backends {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
+			if fresh[i] {
+				allCached = false
+			}
+		}
+		return &CharacterizeResponse{Profiles: report.Fig1JSON(profiles), Cached: allCached}, nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("service: characterization canceled: %w", err)
-	}
-	allCached := true
-	for i := range backends {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if fresh[i] {
-			allCached = false
-		}
-	}
-	return &CharacterizeResponse{Profiles: report.Fig1JSON(profiles), Cached: allCached}, nil
 }
 
-// doBounded is do with the caller's wait bounded by ctx while the
-// computation itself is detached: a timed-out or disconnected caller
-// gets the context's error, but the single-flight computation finishes
-// in the background and is cached, so its coalesced peers (each waiting
-// under their own context) still get the result and a timed-out
-// client's retry becomes a cache hit. compute must not depend on ctx.
-func (s *Service) doBounded(ctx context.Context, kind string, keyable any, compute func() (any, error)) (any, bool, error) {
+// awaitDetached runs compute on its own goroutine and waits for it
+// under ctx: a timed-out or disconnected caller gets the context's
+// error while the computation finishes in the background (and caches
+// whatever it caches). compute must not depend on ctx.
+func awaitDetached[T any](ctx context.Context, compute func() (T, error)) (T, error) {
 	type outcome struct {
-		v      any
-		shared bool
-		err    error
+		v   T
+		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		v, shared, err := s.do(kind, keyable, compute)
-		ch <- outcome{v: v, shared: shared, err: err}
+		v, err := compute()
+		ch <- outcome{v: v, err: err}
 	}()
 	select {
 	case o := <-ch:
-		return o.v, o.shared, o.err
+		return o.v, o.err
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		var zero T
+		return zero, ctx.Err()
 	}
 }
 
-// simInputs are a simulate request's parsed fields, shared by
-// Service.Simulate and the job-submit validation (which must reject
-// bad inputs with identical text without running anything).
+// doBounded is do with the caller's wait bounded by ctx while the
+// computation itself is detached (awaitDetached): the single-flight
+// computation finishes in the background and is cached, so its
+// coalesced peers (each waiting under their own context) still get the
+// result and a timed-out client's retry becomes a cache hit. compute
+// must not depend on ctx.
+func (s *Service) doBounded(ctx context.Context, kind string, keyable any, compute func() (any, error)) (any, bool, error) {
+	type shared struct {
+		v      any
+		shared bool
+	}
+	o, err := awaitDetached(ctx, func() (shared, error) {
+		v, sh, err := s.do(kind, keyable, compute)
+		return shared{v: v, shared: sh}, err
+	})
+	return o.v, o.shared, err
+}
+
+// simInputs are a simulate request's parsed fields: the one parse
+// Service.Simulate and a simulate job share.
 type simInputs struct {
 	backend     dram.Backend
 	policy      mapping.Policy
@@ -635,11 +651,16 @@ func (s *Service) simSpecsFor(in *simInputs) ([]core.LayerSpec, error) {
 // like DSE, the evaluation is detached from any one caller and a
 // distributed runner shards network jobs across cluster workers.
 func (s *Service) Simulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	in, err := s.parseSimulate(req)
 	if err != nil {
+		return nil, err
+	}
+	return s.simulate(ctx, in)
+}
+
+// simulate runs a resolved simulate request through the result cache.
+func (s *Service) simulate(ctx context.Context, in *simInputs) (*SimulateResponse, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	specs, err := s.simSpecsFor(in)
@@ -721,10 +742,50 @@ func (s *Service) Simulate(ctx context.Context, req SimulateRequest) (*SimulateR
 	return &resp, nil
 }
 
-// errUnknownSweepKind is shared between Sweep and the job-submit
-// validation so both paths reject a bad kind with identical text.
-func errUnknownSweepKind(kind string) error {
-	return fmt.Errorf("unknown sweep kind %q (want subarrays, buffers or batch)", kind)
+// sweepInputs are a sweep request's parsed fields: the one parse
+// Service.Sweep and a sweep job share.
+type sweepInputs struct {
+	kind    string
+	values  []int
+	backend dram.Backend
+	network cnn.Network
+	batch   int
+}
+
+// parseSweep resolves a sweep request's names and defaults, in the
+// order network, backend, kind.
+func parseSweep(req SweepRequest) (*sweepInputs, error) {
+	in := &sweepInputs{kind: req.Kind, values: req.Values, batch: req.Batch}
+	netName := req.Network
+	if netName == "" {
+		netName = "alexnet"
+	}
+	var err error
+	if in.network, err = parseNetwork(netName, nil); err != nil {
+		return nil, err
+	}
+	archName := req.Arch
+	if archName == "" {
+		archName = "ddr3"
+	}
+	if in.backend, err = parseBackend(archName); err != nil {
+		return nil, err
+	}
+	if in.batch == 0 {
+		in.batch = 1
+	}
+	defaults := map[string][]int{
+		"subarrays": {2, 4, 8, 16},
+		"buffers":   {32, 64, 128, 256},
+		"batch":     {1, 2, 4, 8},
+	}[req.Kind]
+	if defaults == nil {
+		return nil, fmt.Errorf("unknown sweep kind %q (want subarrays, buffers or batch)", req.Kind)
+	}
+	if len(in.values) == 0 {
+		in.values = defaults
+	}
+	return in, nil
 }
 
 // Sweep runs one ablation sweep (subarrays, buffers or batch). Sweeps
@@ -732,49 +793,17 @@ func errUnknownSweepKind(kind string) error {
 // Table II accelerator (package sweep's contract), regardless of
 // Options.Accel; the buffers sweep varies the buffer sizes itself.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
+	in, err := parseSweep(req)
+	if err != nil {
+		return nil, err
+	}
+	return s.sweep(ctx, in)
+}
+
+// sweep runs a resolved sweep through the result cache.
+func (s *Service) sweep(ctx context.Context, in *sweepInputs) (*SweepResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	netName := req.Network
-	if netName == "" {
-		netName = "alexnet"
-	}
-	net, err := parseNetwork(netName, nil)
-	if err != nil {
-		return nil, err
-	}
-	archName := req.Arch
-	if archName == "" {
-		archName = "ddr3"
-	}
-	backend, err := parseBackend(archName)
-	if err != nil {
-		return nil, err
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	values := req.Values
-	var run func() (*sweep.Table, error)
-	switch req.Kind {
-	case "subarrays":
-		if len(values) == 0 {
-			values = []int{2, 4, 8, 16}
-		}
-		run = func() (*sweep.Table, error) { return sweep.Subarrays(values, net, batch) }
-	case "buffers":
-		if len(values) == 0 {
-			values = []int{32, 64, 128, 256}
-		}
-		run = func() (*sweep.Table, error) { return sweep.Buffers(values, backend, net, batch) }
-	case "batch":
-		if len(values) == 0 {
-			values = []int{1, 2, 4, 8}
-		}
-		run = func() (*sweep.Table, error) { return sweep.Batches(values, backend, net) }
-	default:
-		return nil, errUnknownSweepKind(req.Kind)
 	}
 	type sweepKey struct {
 		Kind    string
@@ -783,15 +812,24 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 		Network string
 		Batch   int
 	}
-	keyBackend := backend
-	if req.Kind == "subarrays" {
+	key := sweepKey{Kind: in.kind, Values: in.values, Backend: in.backend, Network: in.network.Name, Batch: in.batch}
+	if in.kind == "subarrays" {
 		// The subarrays sweep is SALP-MASA by definition and ignores
 		// the arch field; normalize it out of the key so arch-differing
 		// requests share one cache entry.
-		keyBackend = dram.Backend{}
+		key.Backend = dram.Backend{}
 	}
-	v, shared, err := s.doBounded(ctx, "sweep", sweepKey{Kind: req.Kind, Values: values, Backend: keyBackend, Network: net.Name, Batch: batch}, func() (any, error) {
-		t, err := run()
+	v, shared, err := s.doBounded(ctx, "sweep", key, func() (any, error) {
+		var t *sweep.Table
+		var err error
+		switch in.kind {
+		case "subarrays":
+			t, err = sweep.Subarrays(in.values, in.network, in.batch)
+		case "buffers":
+			t, err = sweep.Buffers(in.values, in.backend, in.network, in.batch)
+		default:
+			t, err = sweep.Batches(in.values, in.backend, in.network)
+		}
 		if err != nil {
 			return nil, err
 		}
