@@ -75,6 +75,9 @@ func familyOf(name string) string {
 var (
 	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	// helpUnescaper undoes escapeHelp: # HELP text escapes backslash
+	// and newline.
+	helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
 )
 
 // ParseExposition parses a Prometheus text exposition page strictly:
@@ -101,8 +104,7 @@ func ParseExposition(text string) (*Exposition, error) {
 				return nil, fmt.Errorf("line %d: duplicate HELP for %s", lineNo, name)
 			}
 			helpSeen[name] = true
-			fam := exp.family(name)
-			fam.Help = help
+			exp.family(name).Help = helpUnescaper.Replace(help)
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {

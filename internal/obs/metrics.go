@@ -78,12 +78,18 @@ type family struct {
 	buckets  []float64 // histograms only
 	maxKids  int       // 0 = unbounded
 	mu       sync.Mutex
-	children map[string]child
+	children map[string]labeledChild
 	kidOrder []string // insertion order, for capped eviction
 }
 
 type child interface {
 	samples(name string, labels []Label) []sample
+}
+
+// labeledChild is one child with its label set.
+type labeledChild struct {
+	child
+	labels []Label
 }
 
 // NewRegistry builds an empty registry.
@@ -108,7 +114,7 @@ func (r *Registry) lookup(name, kind, help string, labels []string, buckets []fl
 	f := &family{
 		name: name, kind: kind, help: help,
 		labels: labels, buckets: buckets, maxKids: maxKids,
-		children: make(map[string]child),
+		children: make(map[string]labeledChild),
 	}
 	r.families[name] = f
 	return f
@@ -177,13 +183,16 @@ func (f *family) childFor(values []string, build func() child) child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	key := childKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[key]; ok {
-		return c
+		return c.child
 	}
-	c := build()
+	c := labeledChild{child: build()}
+	for i, name := range f.labels {
+		c.labels = append(c.labels, Label{Key: name, Value: values[i]})
+	}
 	f.children[key] = c
 	f.kidOrder = append(f.kidOrder, key)
 	if f.maxKids > 0 && len(f.kidOrder) > f.maxKids {
@@ -191,20 +200,23 @@ func (f *family) childFor(values []string, build func() child) child {
 		f.kidOrder = f.kidOrder[1:]
 		delete(f.children, evict)
 	}
-	return c
+	return c.child
 }
 
-// labelsFor reconstructs a child's label set from its key.
-func (f *family) labelsFor(key string) []Label {
-	if len(f.labels) == 0 {
-		return nil
+// childKey encodes label values into a map key that no two distinct
+// value lists share, whatever bytes the values hold.
+func childKey(values []string) string {
+	if len(values) == 1 {
+		return values[0]
 	}
-	values := strings.Split(key, "\x00")
-	out := make([]Label, len(f.labels))
-	for i, name := range f.labels {
-		out[i] = Label{Key: name, Value: values[i]}
+	var b strings.Builder
+	for _, v := range values {
+		b.Grow(len(v) + 4)
+		b.WriteString(strconv.Itoa(len(v)))
+		b.WriteByte(':')
+		b.WriteString(v)
 	}
-	return out
+	return b.String()
 }
 
 // --- counter ---------------------------------------------------------
@@ -381,15 +393,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // its own locks.
 func (f *family) samples() []sample {
 	f.mu.Lock()
-	keys := append([]string{}, f.kidOrder...)
-	kids := make([]child, len(keys))
-	for i, k := range keys {
+	kids := make([]labeledChild, len(f.kidOrder))
+	for i, k := range f.kidOrder {
 		kids[i] = f.children[k]
 	}
 	f.mu.Unlock()
 	var out []sample
-	for i, k := range keys {
-		out = append(out, kids[i].samples(f.name, f.labelsFor(k))...)
+	for _, c := range kids {
+		out = append(out, c.samples(f.name, c.labels)...)
 	}
 	return out
 }

@@ -90,6 +90,27 @@ func TestLabelEscaping(t *testing.T) {
 // scrape and render with the kind and help they were registered with;
 // labeled Func series share one family, and registering a series again
 // replaces its value function.
+// TestLabelValuesKeepEveryByte: label values holding any byte - NUL
+// included - render unchanged and never merge two distinct label sets.
+func TestLabelValuesKeepEveryByte(t *testing.T) {
+	r := NewRegistry()
+	cv := r.Counter("test_pairs_total", "Pairs.", "a", "b")
+	cv.With("x\x00y", "z").Inc()
+	cv.With("x", "y\x00z").Add(2)
+	exp, err := ParseExposition(r.Expose())
+	if err != nil {
+		t.Fatalf("ParseExposition: %v", err)
+	}
+	for _, c := range []struct {
+		a, b string
+		want float64
+	}{{"x\x00y", "z", 1}, {"x", "y\x00z", 2}} {
+		if v, ok := exp.Value("test_pairs_total", map[string]string{"a": c.a, "b": c.b}); !ok || v != c.want {
+			t.Errorf("test_pairs_total{a=%q,b=%q} = %v, %v; want %v", c.a, c.b, v, ok, c.want)
+		}
+	}
+}
+
 func TestGatherersAndDescribe(t *testing.T) {
 	r := NewRegistry()
 	v := 7.0

@@ -176,8 +176,10 @@ func TestMetrics(t *testing.T) {
 // TestBatchDeadlinePreservesPartialResults: a deadline expiring
 // mid-batch does not discard the finished jobs - they keep their
 // results, the rest carry the context error, and the request answers
-// instead of 500ing.
+// instead of 500ing. The started jobs' detached evaluations finish and
+// leave no goroutine behind.
 func TestBatchDeadlinePreservesPartialResults(t *testing.T) {
+	checkLeaks := goroutineBaseline(t)
 	svc := New(Options{Workers: 2, CacheEntries: 8})
 	// Warm one job so it is a guaranteed-instant cache hit.
 	if _, err := svc.DSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5"}); err != nil {
@@ -203,4 +205,5 @@ func TestBatchDeadlinePreservesPartialResults(t *testing.T) {
 	if resp.Completed+resp.Failed != 2 {
 		t.Errorf("completed=%d failed=%d do not cover the batch", resp.Completed, resp.Failed)
 	}
+	checkLeaks()
 }

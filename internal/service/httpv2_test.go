@@ -260,12 +260,13 @@ func TestHTTPV2SSE(t *testing.T) {
 }
 
 // TestHTTPV2CancelFlow: DELETE cancels a running job; canceling a
-// finished job is 409; unknown jobs are 404.
+// finished job is 409; unknown jobs are 404. Once the canceled job's
+// detached evaluation is released, no goroutine it started survives.
 func TestHTTPV2CancelFlow(t *testing.T) {
 	runner := &blockingRunner{release: make(chan struct{})}
-	defer close(runner.release)
 	svc := New(Options{Workers: 1, CacheEntries: 8, Runner: runner})
 	ts := newTestServer(t, svc)
+	checkLeaks := goroutineBaseline(t)
 
 	view := submitJob(t, ts.URL, `{"kind":"dse","dse":{"arch":"ddr3","network":"lenet5"}}`)
 
@@ -323,6 +324,8 @@ func TestHTTPV2CancelFlow(t *testing.T) {
 			t.Errorf("unknown job probe: status %d, want 404", resp.StatusCode)
 		}
 	}
+	close(runner.release)
+	checkLeaks()
 }
 
 // TestHTTPV2ErrorPaths: malformed JSON, unknown fields, unknown kinds,

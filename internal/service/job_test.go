@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,6 +28,31 @@ func (r *blockingRunner) RunDSE(ctx context.Context, job DSEJob) (*core.DSEResul
 		return nil, fmt.Errorf("runner drained: %w", ErrNoWorkers)
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// goroutineBaseline records the live goroutine count and returns a
+// check that fails the test unless the count falls back to it: every
+// executor, detached-evaluation and wait goroutine the test started
+// must exit. Idle keep-alive connections of the default client are
+// closed first, since their goroutines outlive a request by design.
+func goroutineBaseline(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			http.DefaultClient.CloseIdleConnections()
+			n := runtime.NumGoroutine()
+			if n <= base {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines still running, %d before the test:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+				return
+			}
+		}
 	}
 }
 
@@ -142,8 +169,10 @@ func TestJobSyncMatchesDirect(t *testing.T) {
 
 // TestJobCancel: canceling a running job transitions it to canceled
 // promptly (the evaluation detaches); canceling again is
-// ErrJobFinished, canceling the unknown is ErrJobNotFound.
+// ErrJobFinished, canceling the unknown is ErrJobNotFound; once the
+// detached evaluation completes, every goroutine the job started exits.
 func TestJobCancel(t *testing.T) {
+	checkLeaks := goroutineBaseline(t)
 	runner := &blockingRunner{release: make(chan struct{})}
 	svc := New(Options{Workers: 1, CacheEntries: 8, Runner: runner})
 	jm := NewJobManager(svc, JobManagerOptions{})
@@ -189,6 +218,7 @@ func TestJobCancel(t *testing.T) {
 	if last := events[len(events)-1]; last.Type != EventState || last.State != JobCanceled {
 		t.Errorf("log no longer ends with the terminal state event: %+v", last)
 	}
+	checkLeaks()
 }
 
 // TestJobStoreTTLAndBound: terminal jobs age out at the TTL, a full

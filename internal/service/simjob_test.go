@@ -31,18 +31,28 @@ func waitTerminalHTTP(t *testing.T, baseURL, id string) JobView {
 	}
 }
 
-// simBlockingRunner parks simulate jobs until their context cancels;
-// DSE jobs fall straight through to the local pool. It gives cancel
-// tests a deterministically long-running simulate job.
-type simBlockingRunner struct{}
+// simBlockingRunner parks simulate jobs until their context cancels
+// or release closes (a nil release never does); DSE jobs fall straight
+// through to the local pool. It gives cancel tests a deterministically
+// long-running simulate job. A non-nil entered receives a signal as a
+// simulation parks; releasing makes it fall back to the local engine
+// via ErrNoWorkers.
+type simBlockingRunner struct{ entered, release chan struct{} }
 
 func (simBlockingRunner) RunDSE(ctx context.Context, job DSEJob) (*core.DSEResult, error) {
 	return nil, fmt.Errorf("simBlockingRunner declines: %w", ErrNoWorkers)
 }
 
-func (simBlockingRunner) RunSimulate(ctx context.Context, job SimulateJob) ([]core.SimLayerResult, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
+func (r simBlockingRunner) RunSimulate(ctx context.Context, job SimulateJob) ([]core.SimLayerResult, error) {
+	if r.entered != nil {
+		r.entered <- struct{}{}
+	}
+	select {
+	case <-r.release:
+		return nil, fmt.Errorf("runner drained: %w", ErrNoWorkers)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // TestJobLifecycleSimulate: a network-mode simulate job submitted via
@@ -114,9 +124,12 @@ func TestJobLifecycleSimulate(t *testing.T) {
 }
 
 // TestJobSimulateCancel: canceling a running simulate job transitions
-// it to canceled promptly.
+// it to canceled promptly, and once its detached evaluation is released
+// every goroutine the job started exits.
 func TestJobSimulateCancel(t *testing.T) {
-	svc := New(Options{Workers: 1, CacheEntries: 8, Runner: simBlockingRunner{}})
+	checkLeaks := goroutineBaseline(t)
+	runner := simBlockingRunner{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	svc := New(Options{Workers: 1, CacheEntries: 8, Runner: runner})
 	jm := NewJobManager(svc, JobManagerOptions{})
 	view, err := jm.Submit(context.Background(), JobRequest{
 		Kind:     "simulate",
@@ -125,6 +138,7 @@ func TestJobSimulateCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	<-runner.entered // running, with its evaluation detached and parked
 	if _, err := jm.Cancel(view.ID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
@@ -135,6 +149,8 @@ func TestJobSimulateCancel(t *testing.T) {
 	if _, err := jm.Cancel(view.ID); !errors.Is(err, ErrJobFinished) {
 		t.Errorf("second cancel: %v, want ErrJobFinished", err)
 	}
+	close(runner.release)
+	checkLeaks()
 }
 
 // TestSyncSimulateMatchesDirect: the v1 wrapper returns exactly what
