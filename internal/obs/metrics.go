@@ -157,24 +157,21 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 // registration for counts whose source of truth is a stats struct
 // rather than an instrument. Calls with the same name and different
 // label values add series to one family; registering the same series
-// again replaces its value function.
+// again keeps the first value function.
 func (r *Registry) Func(name, kind, help string, value func() float64, labels ...Label) {
 	keys := make([]string, len(labels))
 	values := make([]string, len(labels))
 	for i, l := range labels {
 		keys[i], values[i] = l.Key, l.Value
 	}
-	f := r.lookup(name, kind, help, keys, nil, 0)
-	f.childFor(values, func() child { return &funcSeries{} }).(*funcSeries).value.Store(&value)
+	r.lookup(name, kind, help, keys, nil, 0).childFor(values, func() child { return funcSeries(value) })
 }
 
 // funcSeries is one Func-registered series.
-type funcSeries struct {
-	value atomic.Pointer[func() float64]
-}
+type funcSeries func() float64
 
-func (s *funcSeries) samples(name string, labels []Label) []sample {
-	return []sample{{Name: name, Labels: labels, Value: (*s.value.Load())()}}
+func (s funcSeries) samples(name string, labels []Label) []sample {
+	return []sample{{Name: name, Labels: labels, Value: s()}}
 }
 
 // childFor returns the family's child for the given label values,
@@ -209,9 +206,13 @@ func childKey(values []string) string {
 	if len(values) == 1 {
 		return values[0]
 	}
-	var b strings.Builder
+	n := 0
 	for _, v := range values {
-		b.Grow(len(v) + 4)
+		n += len(v) + 4 // length digits, ':' and the value
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, v := range values {
 		b.WriteString(strconv.Itoa(len(v)))
 		b.WriteByte(':')
 		b.WriteString(v)

@@ -89,7 +89,7 @@ func TestLabelEscaping(t *testing.T) {
 // TestGatherersAndDescribe: Func series read their value at every
 // scrape and render with the kind and help they were registered with;
 // labeled Func series share one family, and registering a series again
-// replaces its value function.
+// keeps its first value function.
 // TestLabelValuesKeepEveryByte: label values holding any byte - NUL
 // included - render unchanged and never merge two distinct label sets.
 func TestLabelValuesKeepEveryByte(t *testing.T) {
@@ -132,7 +132,7 @@ func TestGatherersAndDescribe(t *testing.T) {
 	if exp.Families["test_lookups_total"].Kind != KindCounter {
 		t.Fatalf("test_lookups_total kind = %q", exp.Families["test_lookups_total"].Kind)
 	}
-	for outcome, want := range map[string]float64{"hit": 2, "miss": 3} {
+	for outcome, want := range map[string]float64{"hit": 2, "miss": 1} {
 		if got, ok := exp.Value("test_lookups_total", map[string]string{"outcome": outcome}); !ok || got != want {
 			t.Fatalf("test_lookups_total{outcome=%s} = %v, %v; want %v", outcome, got, ok, want)
 		}
