@@ -16,6 +16,7 @@ package drmap_test
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -290,8 +291,13 @@ func BenchmarkParallelDSE(b *testing.B) {
 // Every path characterizes its backends outside the timer, so the
 // ns/op ratio isolates counting versus pricing. Equivalence of the
 // three paths is pinned bit-for-bit by the service plan tests; each
-// sub-benchmark asserts only that every item completed. Intended
-// cadence: -benchtime=1x -count=3 (the CI bench job's BENCH_5.json);
+// sub-benchmark asserts that every item completed and reports the
+// "dse-picks" certificate: an FNV-32a hash of every item's per-layer
+// pick (backend, layer, mapping, schedule, tiling), computed from the
+// last batch outside the timer. recount, cold and warm report the same
+// value, and drmap-benchguard gates it on exact equality, so a changed
+// pick fails CI as a certificate change, not as noise. Intended
+// cadence: -benchtime=1x -count=3 (the CI bench job's BENCH.json);
 // at larger -benchtime the timed batch of cold/warm repeats against a
 // by-then-populated cache, understating the recount baseline's gap.
 func BenchmarkBatchMultiBackend(b *testing.B) {
@@ -306,7 +312,7 @@ func BenchmarkBatchMultiBackend(b *testing.B) {
 		return req
 	}
 	ctx := context.Background()
-	runBatch := func(b *testing.B, svc *drmap.Service, objective string) {
+	runBatch := func(b *testing.B, svc *drmap.Service, objective string) *drmap.BatchResponse {
 		b.Helper()
 		resp, err := svc.Batch(ctx, batchReq(objective))
 		if err != nil {
@@ -315,6 +321,7 @@ func BenchmarkBatchMultiBackend(b *testing.B) {
 		if resp.Failed != 0 {
 			b.Fatalf("%d batch items failed", resp.Failed)
 		}
+		return resp
 	}
 	variants := []struct {
 		name string
@@ -334,6 +341,7 @@ func BenchmarkBatchMultiBackend(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name+"/8-backends", func(b *testing.B) {
+			var resp *drmap.BatchResponse
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				svc := drmap.NewService(v.opts)
@@ -344,10 +352,29 @@ func BenchmarkBatchMultiBackend(b *testing.B) {
 					v.prime(b, svc)
 				}
 				b.StartTimer()
-				runBatch(b, svc, "")
+				resp = runBatch(b, svc, "")
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(dsePicks(resp)), "dse-picks")
 		})
 	}
+}
+
+// dsePicks hashes every batch item's per-layer DSE pick, in item
+// order, with FNV-32a: the exact certificate BenchmarkBatchMultiBackend
+// reports. The hash fits a float64 exactly, so the metric round-trips
+// through the benchmark output unchanged.
+func dsePicks(resp *drmap.BatchResponse) uint32 {
+	h := fnv.New32a()
+	for _, item := range resp.Results {
+		res := item.Result.Result
+		for _, l := range res.Layers {
+			t := l.Tiling
+			fmt.Fprintf(h, "%s|%s|%d|%s|%d,%d,%d,%d\n",
+				res.Backend, l.Layer, l.Mapping.ID, l.Schedule, t.Th, t.Tw, t.Tj, t.Ti)
+		}
+	}
+	return h.Sum32()
 }
 
 // BenchmarkAblationSubarraySweep sweeps subarrays-per-bank on SALP-MASA
@@ -760,7 +787,7 @@ func benchSimulate(b *testing.B, parallel bool, ctrl drmap.ControllerOptions) {
 // BenchmarkMemctrlRun measures the controller hot loop by itself -
 // one cycle-accurate controller servicing a seeded mixed read/write
 // stream with refresh on, no network-level harness around it
-// (BENCH_10.json). The controller is reused across iterations, so the
+// (BENCH.json). The controller is reused across iterations, so the
 // steady state exercises the buffer-reuse path of reset; the reported
 // ctrl-cycles metric anchors correctness across runs.
 func BenchmarkMemctrlRun(b *testing.B) { benchMemctrlRun(b, memctrl.FCFS) }
@@ -805,7 +832,7 @@ func benchMemctrlRun(b *testing.B, sched memctrl.Scheduler) {
 
 // BenchmarkSimulateSerial / BenchmarkSimulateParallel: the same
 // cycle-accurate network simulation on the serial and parallel event
-// engines (BENCH_9.json). The parallel driver's wall-clock win is the
+// engines (BENCH.json). The parallel driver's wall-clock win is the
 // headline - round-based dispatch beats per-event heap pops even on
 // one core, and scales with GOMAXPROCS - while identical sim-cycles
 // metrics certify the engines agree bit for bit.

@@ -2,14 +2,13 @@
 // two `go test -json -bench` output files - a committed baseline and
 // the current run - extracts the best (minimum) ns/op, B/op and
 // allocs/op per benchmark across repetitions, and fails when a
-// selected benchmark's current best exceeds the baseline's by more
-// than the allowed ratio in any gated dimension.
+// selected benchmark's current best exceeds maxRatio (2x) times the
+// baseline's in any gated dimension.
 //
 // Usage:
 //
-//	drmap-benchguard -baseline BENCH_7.json -current bench_new.json \
-//	    -bench 'BenchmarkBatchMultiBackend/warm' [-max-ratio 2.0] \
-//	    [-max-bytes-ratio 2.0] [-max-allocs-ratio 2.0]
+//	drmap-benchguard -baseline BENCH.json -current bench_new.json \
+//	    -bench 'BenchmarkBatchMultiBackend/warm'
 //
 // The minimum across -count repetitions is used on both sides, so a
 // single noisy repetition on a loaded CI box cannot fail (or pass) the
@@ -20,7 +19,8 @@
 // benchmark has nothing to regress against.
 //
 // Certificates are custom metrics that pin an output, not a cost: the
-// simulated cycle counts "sim-cycles" and "ctrl-cycles". For every
+// simulated cycle counts "sim-cycles" and "ctrl-cycles", and the
+// "dse-picks" hash of the per-layer DSE picks. For every
 // selected benchmark, each certificate the baseline reports must
 // appear in the current run with exactly the baseline's value, and
 // every repetition of a run must agree on it.
@@ -65,7 +65,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:.*
 
 // certMetric matches one certificate metric of a result line, e.g.
 // "2818328 sim-cycles". The set of certificate units is fixed here.
-var certMetric = regexp.MustCompile(`\s([0-9.eE+-]+) (sim-cycles|ctrl-cycles)(?:\s|$)`)
+var certMetric = regexp.MustCompile(`\s([0-9.eE+-]+) (sim-cycles|ctrl-cycles|dse-picks)(?:\s|$)`)
 
 // certKey names one certificate: a benchmark and a certificate unit.
 type certKey struct{ Bench, Unit string }
@@ -182,19 +182,15 @@ func parseBenchFile(path string) (map[string]benchStats, map[certKey]float64, er
 	return parseBench(f)
 }
 
-// ratios bounds the allowed current/baseline growth per dimension.
-// Bytes and Allocs apply only when both runs report memory stats.
-type ratios struct {
-	Ns     float64
-	Bytes  float64
-	Allocs float64
-}
+// maxRatio bounds the allowed current/baseline growth of every gated
+// dimension: ns/op, and B/op and allocs/op when both runs report them.
+const maxRatio = 2.0
 
 // gateDim checks one dimension of one benchmark, writing a verdict
 // line and reporting failure. A zero baseline only passes a zero
 // current: there is no meaningful ratio against zero, and a benchmark
 // that was allocation-free must stay allocation-free.
-func gateDim(report io.Writer, name, unit string, base, cur, maxRatio float64) (failed bool) {
+func gateDim(report io.Writer, name, unit string, base, cur float64) (failed bool) {
 	ratio := 1.0
 	switch {
 	case base > 0:
@@ -214,7 +210,7 @@ func gateDim(report io.Writer, name, unit string, base, cur, maxRatio float64) (
 
 // guard compares current against baseline for every benchmark matching
 // pattern and returns the failures (and a human report).
-func guard(baseline, current map[string]benchStats, pattern *regexp.Regexp, max ratios, report io.Writer) (failures int) {
+func guard(baseline, current map[string]benchStats, pattern *regexp.Regexp, report io.Writer) (failures int) {
 	names := make([]string, 0, len(current))
 	for name := range current {
 		if pattern.MatchString(name) {
@@ -232,14 +228,14 @@ func guard(baseline, current map[string]benchStats, pattern *regexp.Regexp, max 
 			fmt.Fprintf(report, "benchguard: %s: no baseline (new benchmark), skipping\n", name)
 			continue
 		}
-		if gateDim(report, name, "ns/op", base.Ns, cur.Ns, max.Ns) {
+		if gateDim(report, name, "ns/op", base.Ns, cur.Ns) {
 			failures++
 		}
 		if base.HasMem && cur.HasMem {
-			if gateDim(report, name, "B/op", base.Bytes, cur.Bytes, max.Bytes) {
+			if gateDim(report, name, "B/op", base.Bytes, cur.Bytes) {
 				failures++
 			}
-			if gateDim(report, name, "allocs/op", base.Allocs, cur.Allocs, max.Allocs) {
+			if gateDim(report, name, "allocs/op", base.Allocs, cur.Allocs) {
 				failures++
 			}
 		} else if cur.HasMem != base.HasMem {
@@ -280,9 +276,6 @@ func main() {
 	baselinePath := flag.String("baseline", "", "committed go test -json bench output to compare against")
 	currentPath := flag.String("current", "", "fresh go test -json bench output")
 	benchPat := flag.String("bench", ".", "regexp selecting which benchmarks to gate")
-	maxRatio := flag.Float64("max-ratio", 2.0, "fail when current/baseline min ns/op exceeds this")
-	maxBytes := flag.Float64("max-bytes-ratio", 2.0, "fail when current/baseline min B/op exceeds this (needs -benchmem on both runs)")
-	maxAllocs := flag.Float64("max-allocs-ratio", 2.0, "fail when current/baseline min allocs/op exceeds this (needs -benchmem on both runs)")
 	flag.Parse()
 
 	if *baselinePath == "" || *currentPath == "" {
@@ -304,8 +297,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard: current:", err)
 		os.Exit(2)
 	}
-	max := ratios{Ns: *maxRatio, Bytes: *maxBytes, Allocs: *maxAllocs}
-	failures := guard(baseline, current, pattern, max, os.Stdout)
+	failures := guard(baseline, current, pattern, os.Stdout)
 	failures += guardCerts(baseCerts, curCerts, pattern, os.Stdout)
 	if failures > 0 {
 		os.Exit(1)

@@ -83,18 +83,16 @@ func TestParseBenchPlainText(t *testing.T) {
 	}
 }
 
-var defaultRatios = ratios{Ns: 2.0, Bytes: 2.0, Allocs: 2.0}
-
 func TestGuardVerdicts(t *testing.T) {
 	baseline := map[string]benchStats{"BenchmarkA-8": {Ns: 100}, "BenchmarkB-8": {Ns: 100}}
 	pat := regexp.MustCompile("BenchmarkA")
 
 	var rep strings.Builder
-	if f := guard(baseline, map[string]benchStats{"BenchmarkA-8": {Ns: 150}}, pat, defaultRatios, &rep); f != 0 {
+	if f := guard(baseline, map[string]benchStats{"BenchmarkA-8": {Ns: 150}}, pat, &rep); f != 0 {
 		t.Errorf("1.5x under a 2.0 cap failed: %s", rep.String())
 	}
 	rep.Reset()
-	if f := guard(baseline, map[string]benchStats{"BenchmarkA-8": {Ns: 250}}, pat, defaultRatios, &rep); f != 1 {
+	if f := guard(baseline, map[string]benchStats{"BenchmarkA-8": {Ns: 250}}, pat, &rep); f != 1 {
 		t.Errorf("2.5x under a 2.0 cap passed: %s", rep.String())
 	}
 	if !strings.Contains(rep.String(), "REGRESSION") {
@@ -102,13 +100,13 @@ func TestGuardVerdicts(t *testing.T) {
 	}
 	// A benchmark with no baseline passes (nothing to regress against)...
 	rep.Reset()
-	if f := guard(map[string]benchStats{}, map[string]benchStats{"BenchmarkA-8": {Ns: 250}}, pat, defaultRatios, &rep); f != 0 {
+	if f := guard(map[string]benchStats{}, map[string]benchStats{"BenchmarkA-8": {Ns: 250}}, pat, &rep); f != 0 {
 		t.Errorf("missing baseline failed the gate: %s", rep.String())
 	}
 	// ...but a pattern matching nothing current fails loudly (the gate
 	// must not silently pass when the benchmark was renamed away).
 	rep.Reset()
-	if f := guard(baseline, map[string]benchStats{"BenchmarkB-8": {Ns: 10}}, pat, defaultRatios, &rep); f == 0 {
+	if f := guard(baseline, map[string]benchStats{"BenchmarkB-8": {Ns: 10}}, pat, &rep); f == 0 {
 		t.Error("pattern matching no current benchmark passed")
 	}
 }
@@ -122,7 +120,7 @@ func TestGuardMemoryDimensions(t *testing.T) {
 	// Time fine, bytes 3x: one failure.
 	var rep strings.Builder
 	cur := map[string]benchStats{"BenchmarkA-8": {Ns: 100, Bytes: 3000, Allocs: 10, HasMem: true}}
-	if f := guard(base, cur, pat, defaultRatios, &rep); f != 1 {
+	if f := guard(base, cur, pat, &rep); f != 1 {
 		t.Errorf("3x B/op under a 2.0 cap: failures=%d: %s", f, rep.String())
 	}
 	if !strings.Contains(rep.String(), "B/op") || !strings.Contains(rep.String(), "REGRESSION") {
@@ -132,7 +130,7 @@ func TestGuardMemoryDimensions(t *testing.T) {
 	// Allocs 5x and bytes 5x: two failures.
 	rep.Reset()
 	cur = map[string]benchStats{"BenchmarkA-8": {Ns: 100, Bytes: 5000, Allocs: 50, HasMem: true}}
-	if f := guard(base, cur, pat, defaultRatios, &rep); f != 2 {
+	if f := guard(base, cur, pat, &rep); f != 2 {
 		t.Errorf("5x both memory dims: failures=%d: %s", f, rep.String())
 	}
 
@@ -140,12 +138,12 @@ func TestGuardMemoryDimensions(t *testing.T) {
 	rep.Reset()
 	zeroBase := map[string]benchStats{"BenchmarkA-8": {Ns: 100, HasMem: true}}
 	cur = map[string]benchStats{"BenchmarkA-8": {Ns: 100, Bytes: 8, Allocs: 1, HasMem: true}}
-	if f := guard(zeroBase, cur, pat, defaultRatios, &rep); f != 2 {
+	if f := guard(zeroBase, cur, pat, &rep); f != 2 {
 		t.Errorf("0 -> non-0 memory: failures=%d: %s", f, rep.String())
 	}
 	rep.Reset()
 	cur = map[string]benchStats{"BenchmarkA-8": {Ns: 100, HasMem: true}}
-	if f := guard(zeroBase, cur, pat, defaultRatios, &rep); f != 0 {
+	if f := guard(zeroBase, cur, pat, &rep); f != 0 {
 		t.Errorf("0 -> 0 memory flagged: %s", rep.String())
 	}
 
@@ -153,7 +151,7 @@ func TestGuardMemoryDimensions(t *testing.T) {
 	rep.Reset()
 	cur = map[string]benchStats{"BenchmarkA-8": {Ns: 150, Bytes: 1 << 30, Allocs: 1 << 20, HasMem: true}}
 	noMemBase := map[string]benchStats{"BenchmarkA-8": {Ns: 100}}
-	if f := guard(noMemBase, cur, pat, defaultRatios, &rep); f != 0 {
+	if f := guard(noMemBase, cur, pat, &rep); f != 0 {
 		t.Errorf("one-sided memory stats gated: %s", rep.String())
 	}
 	if !strings.Contains(rep.String(), "skipping B/op") {
@@ -165,6 +163,7 @@ func TestParseBenchCertificates(t *testing.T) {
 	stream := "BenchmarkSimulateSerial   \t       1\t   5000000 ns/op\t   2818328 sim-cycles\t  500000 B/op\t     300 allocs/op\n" +
 		"BenchmarkSimulateSerial   \t       1\t   6000000 ns/op\t   2818328 sim-cycles\t  455560 B/op\t     290 allocs/op\n" +
 		"BenchmarkMemctrlRun-8     \t       1\t   5000000 ns/op\t    152566 ctrl-cycles\n" +
+		"BenchmarkBatchMultiBackend/warm/8-backends-8\t       1\t   5000000 ns/op\t3735928559 dse-picks\t       0 B/op\t       0 allocs/op\n" +
 		"BenchmarkFlaky            \t       1\t   5000000 ns/op\t       100 sim-cycles\n" +
 		"BenchmarkFlaky            \t       1\t   5000000 ns/op\t       101 sim-cycles\n" +
 		"BenchmarkCounted          \t       1\t   5000000 ns/op\t         3 count-passes\n"
@@ -172,14 +171,17 @@ func TestParseBenchCertificates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(certs) != 3 {
-		t.Fatalf("parsed certificates %v, want sim-cycles, ctrl-cycles and the flaky one only", certs)
+	if len(certs) != 4 {
+		t.Fatalf("parsed certificates %v, want sim-cycles, ctrl-cycles, dse-picks and the flaky one only", certs)
 	}
 	if v := certs[certKey{"BenchmarkSimulateSerial", "sim-cycles"}]; v != 2818328 {
 		t.Errorf("sim-cycles = %v, want 2818328", v)
 	}
 	if v := certs[certKey{"BenchmarkMemctrlRun", "ctrl-cycles"}]; v != 152566 {
 		t.Errorf("ctrl-cycles = %v, want 152566", v)
+	}
+	if v := certs[certKey{"BenchmarkBatchMultiBackend/warm/8-backends", "dse-picks"}]; v != 3735928559 {
+		t.Errorf("dse-picks = %v, want 3735928559", v)
 	}
 	if v := certs[certKey{"BenchmarkFlaky", "sim-cycles"}]; !math.IsNaN(v) {
 		t.Errorf("repetitions that disagree parsed as %v, want NaN", v)

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	drmap-serve [-addr :8080] [-role standalone|coordinator|worker]
+//	drmap-serve [-addr :8080] [-role standalone|coordinator]
 //	            [-workers N] [-cache N] [-timeout 60s]
 //	            [-warm] [-warm-networks LIST] [-plan-cache N] [-plan-cache-bytes N]
 //	            [-log-level info] [-log-format text|json] [-pprof]
@@ -45,8 +45,8 @@
 // -role coordinator additionally serves POST /cluster/v1/register and
 // GET /cluster/v1/workers, and distributes every DSE (and each batch
 // job) across the registered workers, falling back to the local pool
-// while none are live. -role worker joins a coordinator (-coordinator
-// URL) and serves POST /cluster/v1/shard alongside the normal API.
+// while none are live. Workers are separate cmd/drmap-worker processes
+// that register with the coordinator and serve POST /cluster/v1/shard.
 //
 // Quickstart (one host, three processes):
 //
@@ -100,10 +100,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	role := flag.String("role", "standalone", "standalone, coordinator or worker")
-	coordinator := flag.String("coordinator", "", "coordinator base URL (role=worker)")
-	advertise := flag.String("advertise", "", "base URL the coordinator dials this worker at (role=worker; default derived from -addr)")
-	workerID := flag.String("worker-id", "", "stable worker identity (role=worker; default hostname-pid)")
+	role := flag.String("role", "standalone", "standalone or coordinator (workers run cmd/drmap-worker)")
 	ttl := flag.Duration("heartbeat-ttl", cluster.DefaultHeartbeatTTL, "worker liveness TTL (role=coordinator)")
 	workers := flag.Int("workers", 0, "DSE worker pool size (0 = one per CPU)")
 	cacheEntries := flag.Int("cache", service.DefaultCacheEntries, "result cache capacity in entries (negative disables retention)")
@@ -143,7 +140,6 @@ func main() {
 	jobs := service.NewJobManager(svc, service.JobManagerOptions{MaxJobs: *maxJobs, TTL: *jobTTL})
 
 	var mount func(*http.ServeMux)
-	var onServing func(ctx context.Context)
 	dash := service.DashboardOptions{Role: *role}
 	switch *role {
 	case "standalone":
@@ -165,24 +161,8 @@ func main() {
 			}
 			return out
 		}
-	case "worker":
-		if *coordinator == "" {
-			fmt.Fprintln(os.Stderr, "drmap-serve: role=worker needs -coordinator URL (start one with: drmap-serve -role coordinator)")
-			os.Exit(1)
-		}
-		adv := *advertise
-		if adv == "" {
-			adv = cluster.AdvertiseFor(*addr)
-		}
-		w := cluster.NewWorker(svc, cluster.WorkerOptions{
-			ID: *workerID, AdvertiseURL: adv, CoordinatorURL: *coordinator, Logger: logger,
-		})
-		mount = w.Mount
-		onServing = func(ctx context.Context) {
-			go w.Run(ctx, func(err error) { logger.Warn("heartbeat failed", "err", err) })
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "drmap-serve: unknown -role %q (want standalone, coordinator or worker)\n", *role)
+		fmt.Fprintf(os.Stderr, "drmap-serve: unknown -role %q (want standalone or coordinator; workers run drmap-worker)\n", *role)
 		os.Exit(1)
 	}
 
@@ -193,9 +173,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if onServing != nil {
-		onServing(ctx)
-	}
 	if *warm || *warmNetworks != "" {
 		nets := service.WarmNetworks
 		if *warmNetworks != "" {

@@ -490,7 +490,8 @@ func NewJobManager(svc *Service, opt JobManagerOptions) *JobManager {
 
 // Distributed serving (package cluster): a coordinator shards the DSE
 // column grid over HTTP workers and merges results bit-for-bit equal to
-// serial RunDSE; see cmd/drmap-serve -role and cmd/drmap-worker.
+// serial RunDSE; see cmd/drmap-serve -role coordinator and
+// cmd/drmap-worker.
 type (
 	// DSEJob is a fully resolved DSE run - the unit a cluster
 	// distributes and the input of a custom ServiceOptions.Runner.

@@ -20,9 +20,6 @@ type ServerOptions struct {
 	// RequestTimeout bounds each request's evaluation; 0 means
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// ShutdownGrace bounds graceful shutdown; 0 means
-	// DefaultShutdownGrace.
-	ShutdownGrace time.Duration
 	// Jobs, when set, is the job manager behind /api/v2/jobs and the
 	// v1 synchronous wrappers; nil builds one with default options.
 	Jobs *JobManager
