@@ -29,6 +29,13 @@ import (
 // serialDSE runs the reference serial scan for a backend.
 func serialDSE(t *testing.T, backendID string, net cnn.Network) *core.DSEResult {
 	t.Helper()
+	return serialDSEObjective(t, backendID, net, core.MinimizeEDP)
+}
+
+// serialDSEObjective runs the reference serial scan for a backend
+// under an objective.
+func serialDSEObjective(t *testing.T, backendID string, net cnn.Network, obj core.Objective) *core.DSEResult {
+	t.Helper()
 	b, ok := dram.Lookup(backendID)
 	if !ok {
 		t.Fatalf("backend %q not registered", backendID)
@@ -41,11 +48,22 @@ func serialDSE(t *testing.T, backendID string, net cnn.Network) *core.DSEResult 
 	if err != nil {
 		t.Fatalf("evaluator: %v", err)
 	}
-	res, err := core.RunDSE(net, ev, tiling.Schedules, mapping.TableI())
+	res, err := core.RunDSEObjective(net, ev, tiling.Schedules, mapping.TableI(), obj)
 	if err != nil {
-		t.Fatalf("serial RunDSE: %v", err)
+		t.Fatalf("serial RunDSEObjective: %v", err)
 	}
 	return res
+}
+
+// gridOf enumerates a job's grid, which the owning service hands the
+// coordinator from its grid cache.
+func gridOf(t *testing.T, job service.DSEJob) []core.LayerGrid {
+	t.Helper()
+	grids, err := job.Grid()
+	if err != nil {
+		t.Fatalf("grid: %v", err)
+	}
+	return grids
 }
 
 // jobFor builds the resolved DSEJob the service would cut for a plain
@@ -156,10 +174,11 @@ func kindCases(t *testing.T, backendID string) []kindCase {
 	t.Helper()
 	net := cnn.LeNet5()
 	dse := jobFor(t, backendID, net)
+	grids := gridOf(t, dse)
 	sim := simJobFor(t, backendID, net, true)
 	return []kindCase{
 		{"dse",
-			func(ctx context.Context, c *Coordinator) (any, error) { return c.RunDSE(ctx, dse) },
+			func(ctx context.Context, c *Coordinator) (any, error) { return c.RunDSE(ctx, dse, grids) },
 			func(t *testing.T) any { return serialDSE(t, backendID, net) }},
 		{"simulate",
 			func(ctx context.Context, c *Coordinator) (any, error) { return c.RunSimulate(ctx, sim) },
@@ -205,7 +224,8 @@ func TestDistributedDSEMatchesSerialAllPaperBackends(t *testing.T) {
 	net := cnn.AlexNet()
 	for _, id := range []string{"ddr3", "salp1", "salp2", "masa"} {
 		serial := serialDSE(t, id, net)
-		dist, err := coord.RunDSE(context.Background(), jobFor(t, id, net))
+		job := jobFor(t, id, net)
+		dist, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 		if err != nil {
 			t.Fatalf("%s: distributed RunDSE: %v", id, err)
 		}
@@ -234,7 +254,7 @@ func TestDistributedDSESurvivesWorkerDeathMidRun(t *testing.T) {
 	serial := serialDSE(t, "ddr3", net)
 	job := jobFor(t, "ddr3", net)
 	checkLeaks := goroutineBaseline(t, coord)
-	dist, err := coord.RunDSE(context.Background(), job)
+	dist, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if err != nil {
 		t.Fatalf("distributed RunDSE with dying worker: %v", err)
 	}
@@ -257,7 +277,8 @@ func TestDistributedDSEAllWorkersDeadFailsOver(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{})
 	dead := newTestWorker(t, "dead", func(int64) bool { return true })
 	dead.register(coord)
-	_, err := coord.RunDSE(context.Background(), jobFor(t, "ddr3", cnn.LeNet5()))
+	job := jobFor(t, "ddr3", cnn.LeNet5())
+	_, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if !errors.Is(err, service.ErrNoWorkers) {
 		t.Fatalf("got %v, want an error wrapping service.ErrNoWorkers", err)
 	}
@@ -357,13 +378,14 @@ func TestCoordinatorStaleHeartbeats(t *testing.T) {
 	if got := len(coord.Membership().Live()); got != 0 {
 		t.Fatalf("stale worker still live after TTL: %d", got)
 	}
-	if _, err := coord.RunDSE(context.Background(), jobFor(t, "ddr3", cnn.LeNet5())); !errors.Is(err, service.ErrNoWorkers) {
+	job := jobFor(t, "ddr3", cnn.LeNet5())
+	if _, err := coord.RunDSE(context.Background(), job, gridOf(t, job)); !errors.Is(err, service.ErrNoWorkers) {
 		t.Fatalf("RunDSE with only stale workers: got %v, want ErrNoWorkers", err)
 	}
 
 	w.register(coord) // the worker's next heartbeat revives it
 	serial := serialDSE(t, "ddr3", cnn.LeNet5())
-	dist, err := coord.RunDSE(context.Background(), jobFor(t, "ddr3", cnn.LeNet5()))
+	dist, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if err != nil {
 		t.Fatalf("RunDSE after re-heartbeat: %v", err)
 	}
@@ -608,7 +630,8 @@ func TestAttemptExhaustionFailsOver(t *testing.T) {
 	bad2 := newTestWorker(t, "bad2", func(int64) bool { return true })
 	bad1.register(coord)
 	bad2.register(coord)
-	_, err := coord.RunDSE(context.Background(), jobFor(t, "ddr3", cnn.LeNet5()))
+	job := jobFor(t, "ddr3", cnn.LeNet5())
+	_, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if !errors.Is(err, service.ErrNoWorkers) {
 		t.Fatalf("got %v, want an error wrapping service.ErrNoWorkers", err)
 	}
@@ -650,7 +673,8 @@ func TestRepeatedDistributedDSERepricesOnWorkers(t *testing.T) {
 
 	net := cnn.LeNet5()
 	serial := serialDSE(t, "salp2", net)
-	first, err := coord.RunDSE(context.Background(), jobFor(t, "salp2", net))
+	job := jobFor(t, "salp2", net)
+	first, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if err != nil {
 		t.Fatalf("first distributed RunDSE: %v", err)
 	}
@@ -659,7 +683,7 @@ func TestRepeatedDistributedDSERepricesOnWorkers(t *testing.T) {
 		t.Fatal("first run did not populate the worker's plan cache")
 	}
 
-	second, err := coord.RunDSE(context.Background(), jobFor(t, "salp2", net))
+	second, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if err != nil {
 		t.Fatalf("second distributed RunDSE: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"math"
@@ -13,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"drmap/internal/core"
@@ -40,6 +40,13 @@ const (
 	// cache (one entry per (job, span)); a typical job cuts 4 shards
 	// per live worker.
 	DefaultShardCacheEntries = 512
+	// idleShardConnsPerHost sizes the default client's keep-alive pool
+	// per worker. Every span of a job is in flight at once and batch
+	// items run concurrently, so one worker sees tens of concurrent
+	// shard POSTs; http.DefaultTransport keeps 2 idle connections per
+	// host, and every POST beyond them would dial a fresh TCP
+	// connection.
+	idleShardConnsPerHost = 64
 )
 
 // CoordinatorOptions tune a Coordinator.
@@ -64,8 +71,9 @@ type CoordinatorOptions struct {
 	// dispatch entirely. 0 selects DefaultShardCacheEntries, negative
 	// disables the cache.
 	ShardCacheEntries int
-	// Client performs shard dispatch; nil means a plain client (each
-	// call is already bounded by ShardTimeout).
+	// Client performs shard dispatch; nil means a client whose
+	// keep-alive pool holds idleShardConnsPerHost connections per worker
+	// (each call is already bounded by ShardTimeout).
 	Client *http.Client
 	// Now is the membership clock; nil means time.Now. Injectable so
 	// stale-heartbeat handling is testable without sleeping.
@@ -96,10 +104,9 @@ type Coordinator struct {
 	// span), so duplicate shards skip dispatch; nil when disabled.
 	shardCache *service.Cache
 
-	rr        atomic.Uint64 // round-robin dispatch cursor
-	inflight  *obs.Gauge    // shards currently dispatched
-	completed *obs.Counter  // shards merged successfully
-	retries   *obs.Counter  // shard dispatches that failed and were retried
+	inflight  *obs.Gauge   // shards currently dispatched
+	completed *obs.Counter // shards merged successfully
+	retries   *obs.Counter // shard dispatches that failed and were retried
 
 	logger          *slog.Logger
 	dispatchSeconds *obs.Histogram // one observation per successful shard round trip
@@ -125,7 +132,10 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	}
 	client := opt.Client
 	if client == nil {
-		client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = idleShardConnsPerHost
+		tr.MaxIdleConns = 0 // the per-host cap bounds the pool
+		client = &http.Client{Transport: tr}
 	}
 	shardTimeout := opt.ShardTimeout
 	if shardTimeout <= 0 {
@@ -218,23 +228,26 @@ func (c *Coordinator) ShardCacheStats() service.CacheStats {
 	return c.shardCache.Stats()
 }
 
-// RunDSE distributes one resolved DSE job across the live workers by
-// (layer, schedule) column span and merges the shards into a DSEResult
-// bit-for-bit identical to serial core.RunDSE; with no live workers it
-// wraps service.ErrNoWorkers. A progress sink on ctx
+// RunDSE distributes one resolved DSE job, whose enumeration is grids
+// (job.Grid), across the live workers by (layer, schedule) column span
+// and merges the shards into a DSEResult bit-for-bit identical to
+// serial core.RunDSE; with no live workers it wraps
+// service.ErrNoWorkers. The spans are placed by the job's count-plan
+// signature (service.PlanSignature), so the jobs sharing one - the
+// die-sharing backends and the objectives of one workload - send each
+// span to the worker that counted its columns. A progress sink on ctx
 // (core.WithProgress) sees the columns as runShards reports them, then
 // every layer's pick after the merge, so a distributed v2 job streams
 // shard completions as progress events.
-func (c *Coordinator) RunDSE(ctx context.Context, job service.DSEJob) (*core.DSEResult, error) {
+func (c *Coordinator) RunDSE(ctx context.Context, job service.DSEJob, grids []core.LayerGrid) (*core.DSEResult, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	grids, err := job.Grid() // Validate checks only cheap fields; the (one) enumeration happens here
-	if err != nil {
-		return nil, err
-	}
+	// An unfingerprintable job (resolved jobs JSON-encode by
+	// construction) places by its job fingerprint instead.
+	sig, _ := service.PlanSignature(job)
 	res, err := runShards(ctx, c, shardJob[core.CellResult, *core.DSEResult]{
-		kind: "dse", job: job, units: job.Columns(grids),
+		kind: "dse", job: job, placement: sig, units: job.Columns(grids),
 		request: func(span core.ColumnSpan, shard, total int) ShardRequest {
 			return ShardRequest{Job: job, Span: span, Shard: shard, Total: total}
 		},
@@ -259,20 +272,31 @@ func (c *Coordinator) RunDSE(ctx context.Context, job service.DSEJob) (*core.DSE
 // slot table).
 const maxDispatchWeight = 256
 
-// pickWorker selects the next dispatch target: a capacity-weighted
-// round-robin over the live workers, so a worker advertising an
-// 8-slot pool receives four times the shards of a 2-slot one. The
-// rotation is a pure function of the membership snapshot and the
-// dispatch cursor (workers sorted by ID, slots interleaved by weight),
-// so it is deterministic for a fixed membership - and the merge is
-// order- and duplication-independent, so weighting never changes the
+// pickWorker places attempt (0-based) of span of a job whose
+// placement key hashes to base: slot (base+span+attempt) mod n of the
+// live slot table (see weightedSlots), rebuilt as MarkDead and
+// heartbeats change the membership. Placement is a pure function of
+// the key, the span index and the live set, so every job sharing a
+// key sends span i to the same worker, where its cached count plans
+// are; consecutive spans walk the table, so each job still spreads
+// over the workers in proportion to their capacities (a worker
+// advertising an 8-slot pool receives four times the spans of a
+// 2-slot one); and a retry moves on to the next slot. The merge is
+// order- and duplication-independent, so placement never changes the
 // result, only where the work ran.
-func (c *Coordinator) pickWorker() (WorkerInfo, bool) {
+func (c *Coordinator) pickWorker(base uint64, span, attempt int) (WorkerInfo, bool) {
 	slots := c.weightedSlotsCached(c.members.Live())
 	if len(slots) == 0 {
 		return WorkerInfo{}, false
 	}
-	return slots[int((c.rr.Add(1)-1)%uint64(len(slots)))], true
+	return slots[(base+uint64(span)+uint64(attempt))%uint64(len(slots))], true
+}
+
+// placementBase hashes a job's placement key to its first slot.
+func placementBase(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
 }
 
 // weightedSlotsCached memoizes the expanded slot table keyed by the

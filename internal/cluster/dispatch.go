@@ -25,6 +25,10 @@ type shardJob[E, R any] struct {
 	kind string
 	// job is the resolved job; its fingerprint keys the shard cache.
 	job any
+	// placement keys where the spans run (see pickWorker): jobs with
+	// one key send span i to the same worker. Empty places by the job
+	// fingerprint.
+	placement string
 	// units sizes the shardable index space: DSE columns, sim layers.
 	units int
 	// request builds the wire request for one span.
@@ -36,8 +40,9 @@ type shardJob[E, R any] struct {
 }
 
 // runShards distributes one job across the live workers: it cuts the
-// job's index space into ShardsPerWorker spans per worker, resolves
-// every span concurrently (see dispatchShard) and merges the payloads.
+// job's index space into ShardsPerWorker spans per worker, places them
+// by the job's placement key (see pickWorker), resolves every span
+// concurrently (see dispatchShard) and merges the payloads.
 // With no live workers it returns an error wrapping
 // service.ErrNoWorkers, which the owning Service answers from its local
 // pool - a cluster degrades to standalone rather than failing.
@@ -60,15 +65,19 @@ func runShards[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R])
 	// under it, so re-running an identical resolved job (a retried v2
 	// job, a batch item that missed the result cache) hits instead of
 	// re-dispatching. The kind prefix keeps the kinds' keys disjoint;
-	// an unfingerprintable job just skips the cache.
+	// an unfingerprintable job just skips the cache. The hash also
+	// places the spans of a kind that names no placement key.
+	fp, fpErr := service.Fingerprint(sj.job)
 	keyPrefix := ""
-	if c.shardCache != nil {
-		if fp, err := service.Fingerprint(sj.job); err == nil {
-			keyPrefix = sj.kind + ":" + fp
-		}
+	if c.shardCache != nil && fpErr == nil {
+		keyPrefix = sj.kind + ":" + fp
+	}
+	placement := sj.placement
+	if placement == "" {
+		placement = fp
 	}
 	start := time.Now()
-	shards, done, err := fanOut(ctx, c, sj, keyPrefix, spans)
+	shards, done, err := fanOut(ctx, c, sj, keyPrefix, placementBase(placement), spans)
 	if err != nil {
 		if prog != nil {
 			prog.ColumnsDone(-done)
@@ -102,9 +111,9 @@ func runShards[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R])
 
 // fanOut resolves every span concurrently and returns their payloads in
 // span order, plus how many units it reported done to the progress sink
-// (so a failing caller can withdraw them). The first failure cancels
-// the remaining spans.
-func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], keyPrefix string, spans []core.ColumnSpan) ([][]E, int, error) {
+// (so a failing caller can withdraw them). base is the job's placement
+// hash. The first failure cancels the remaining spans.
+func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], keyPrefix string, base uint64, spans []core.ColumnSpan) ([][]E, int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	prog := core.ProgressFrom(ctx)
@@ -117,7 +126,7 @@ func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], ke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sr, err := c.dispatchShard(ctx, sj.kind, keyPrefix, sj.request(span, i, len(spans)))
+			sr, err := c.dispatchShard(ctx, sj.kind, keyPrefix, base, sj.request(span, i, len(spans)))
 			if err != nil {
 				failOnce.Do(func() {
 					firstErr = err
@@ -142,9 +151,9 @@ func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], ke
 // whose response is retained for the next duplicate. The cache is
 // sound because every kind's shard evaluation is bit-for-bit
 // deterministic: a cached span is what any re-dispatch would produce.
-func (c *Coordinator) dispatchShard(ctx context.Context, kind, keyPrefix string, req ShardRequest) (ShardResponse, error) {
+func (c *Coordinator) dispatchShard(ctx context.Context, kind, keyPrefix string, base uint64, req ShardRequest) (ShardResponse, error) {
 	if c.shardCache == nil || keyPrefix == "" {
-		return c.dispatchRemote(ctx, kind, req)
+		return c.dispatchRemote(ctx, kind, base, req)
 	}
 	key := fmt.Sprintf("%s:%d:%d", keyPrefix, req.Span.Start, req.Span.End)
 	// The wait is bounded by this caller's context (as service.doBounded
@@ -159,7 +168,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, kind, keyPrefix string,
 	ch := make(chan outcome, 1)
 	go func() {
 		v, shared, err := c.shardCache.Do(key, func() (any, error) {
-			return c.dispatchRemote(ctx, kind, req)
+			return c.dispatchRemote(ctx, kind, base, req)
 		})
 		ch <- outcome{v, shared, err}
 	}()
@@ -174,7 +183,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, kind, keyPrefix string,
 			// caller, whose context is still live. Dispatch for
 			// ourselves rather than failing an innocent job with a
 			// foreign cancellation.
-			return c.dispatchRemote(ctx, kind, req)
+			return c.dispatchRemote(ctx, kind, base, req)
 		}
 		return ShardResponse{}, o.err
 	case <-ctx.Done():
@@ -182,14 +191,15 @@ func (c *Coordinator) dispatchShard(ctx context.Context, kind, keyPrefix string,
 	}
 }
 
-// dispatchRemote sends one shard to a live worker, retrying on another
-// worker when a dispatch fails or times out (the failed worker is
-// marked dead until its next heartbeat). Running out of live workers or
+// dispatchRemote sends one shard to the live worker its placement
+// (base, req.Shard) picks, retrying one slot on when a dispatch fails
+// or times out (the failed worker is marked dead until its next
+// heartbeat, so the rebuilt slot table no longer holds it). Running out of live workers or
 // attempts surfaces as service.ErrNoWorkers so the job as a whole fails
 // over to the owning service's local pool. The worker's spans are
 // forwarded into ctx's trace and stripped, so the cache keeps only the
 // payload.
-func (c *Coordinator) dispatchRemote(ctx context.Context, kind string, req ShardRequest) (ShardResponse, error) {
+func (c *Coordinator) dispatchRemote(ctx context.Context, kind string, base uint64, req ShardRequest) (ShardResponse, error) {
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	shard := fmt.Sprintf("cluster: %s shard %d/%d", kind, req.Shard, req.Total)
@@ -198,7 +208,7 @@ func (c *Coordinator) dispatchRemote(ctx context.Context, kind string, req Shard
 		if err := ctx.Err(); err != nil {
 			return ShardResponse{}, fmt.Errorf("%s canceled: %w", shard, err)
 		}
-		w, ok := c.pickWorker()
+		w, ok := c.pickWorker(base, req.Shard, attempt-1)
 		if !ok {
 			if lastErr != nil {
 				return ShardResponse{}, fmt.Errorf("%s: every live worker failed (last: %v): %w", shard, lastErr, service.ErrNoWorkers)
@@ -272,7 +282,13 @@ func (c *Coordinator) postShard(ctx context.Context, w WorkerInfo, req ShardRequ
 	if err != nil {
 		return ShardResponse{}, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Drain whatever the decoder left unread: a body closed short
+		// of EOF takes its connection down with it, and the next shard
+		// to this worker would dial again.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, MaxShardBytes))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
 		return ShardResponse{}, fmt.Errorf("shard endpoint returned %s: %s", resp.Status, bytes.TrimSpace(msg))

@@ -63,6 +63,10 @@ func FuzzShardResponse(f *testing.F) {
 		Schedules: tiling.Schedules, Policies: mapping.TableI(),
 		Objective: core.MinimizeEDP, Batch: 1,
 	}
+	grids, err := dse.Grid()
+	if err != nil {
+		f.Fatal(err)
+	}
 	// The coordinator never simulates, so the specs need valid layers
 	// but no DSE-picked tilings.
 	sim := service.SimulateJob{Backend: backend, Policy: mapping.TableI()[0], BytesPerElement: 1}
@@ -97,7 +101,7 @@ func FuzzShardResponse(f *testing.F) {
 			}
 		} else {
 			var res *core.DSEResult
-			if res, err = c.RunDSE(context.Background(), dse); err == nil {
+			if res, err = c.RunDSE(context.Background(), dse, grids); err == nil {
 				if len(res.Layers) != len(net.Layers) {
 					t.Fatalf("merged %d DSE layers, want %d", len(res.Layers), len(net.Layers))
 				}

@@ -77,8 +77,8 @@ func (mem *member) live(t time.Time, ttl time.Duration) bool {
 	return !mem.dead && t.Sub(mem.lastSeen) <= ttl
 }
 
-// Live returns the dispatchable workers sorted by ID, so round-robin
-// assignment is deterministic for a fixed membership.
+// Live returns the dispatchable workers sorted by ID, so shard
+// placement is deterministic for a fixed membership.
 func (m *Membership) Live() []WorkerInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()

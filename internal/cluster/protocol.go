@@ -1,9 +1,11 @@
 // Package cluster shards the DRMap design-space exploration across
 // processes: a coordinator partitions the (layer, schedule) column
 // space of a resolved DSE job into deterministic shards, dispatches
-// them over HTTP/JSON to registered workers (a capacity-weighted
-// round-robin, so bigger pools receive proportionally more shards),
-// retries on worker failure, and merges the returned cells through
+// them over HTTP/JSON to registered workers (placed by the job's
+// count-plan signature on a capacity-weighted slot table, so jobs that
+// share count plans send each span to the worker holding them and
+// bigger pools receive proportionally more shards), retries on worker
+// failure, and merges the returned cells through
 // core.ReduceCells - so the distributed result is bit-for-bit
 // identical to single-host service.ParallelDSE and serial core.RunDSE,
 // for any worker count, any shard interleaving, and any duplicate
@@ -61,9 +63,10 @@ type RegisterRequest struct {
 	ID string `json:"id"`
 	// URL is the base URL the coordinator dials for shards.
 	URL string `json:"url"`
-	// Capacity is the worker's local pool size. Dispatch is a
-	// capacity-weighted round-robin: a worker advertising twice the
-	// capacity receives twice the shards (see Coordinator.pickWorker).
+	// Capacity is the worker's local pool size. It weights the worker's
+	// share of the placement slot table: a worker advertising twice the
+	// capacity receives twice each job's shards (see
+	// Coordinator.pickWorker).
 	Capacity int `json:"capacity"`
 }
 

@@ -53,22 +53,25 @@ func TestWeightedSlotsProportionalAndInterleaved(t *testing.T) {
 	}
 }
 
-// TestWeightedDispatchFollowsCapacity: over one rotation of the slot
-// table, pickWorker hands each worker its capacity's share.
+// TestWeightedDispatchFollowsCapacity: over two rotations of the slot
+// table, consecutive span indices hand each worker its capacity's
+// share, whatever slot the placement key starts at.
 func TestWeightedDispatchFollowsCapacity(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
 	c.Membership().Heartbeat(WorkerInfo{ID: "small", URL: "http://s", Capacity: 2})
 	c.Membership().Heartbeat(WorkerInfo{ID: "big", URL: "http://b", Capacity: 6})
-	counts := map[string]int{}
-	for i := 0; i < 16; i++ { // two full rotations of the 8-slot table
-		w, ok := c.pickWorker()
-		if !ok {
-			t.Fatal("no worker picked")
+	for _, base := range []uint64{0, 5, placementBase("some plan signature")} {
+		counts := map[string]int{}
+		for span := 0; span < 16; span++ { // two full rotations of the 8-slot table
+			w, ok := c.pickWorker(base, span, 0)
+			if !ok {
+				t.Fatal("no worker picked")
+			}
+			counts[w.ID]++
 		}
-		counts[w.ID]++
-	}
-	if counts["small"] != 4 || counts["big"] != 12 {
-		t.Errorf("dispatch counts %v, want small:4 big:12 (1:3)", counts)
+		if counts["small"] != 4 || counts["big"] != 12 {
+			t.Errorf("base %d: dispatch counts %v, want small:4 big:12 (1:3)", base, counts)
+		}
 	}
 }
 
@@ -82,7 +85,8 @@ func TestWeightedDispatchStaysBitForBit(t *testing.T) {
 	coord.Membership().Heartbeat(WorkerInfo{ID: "big", URL: big.server.URL, Capacity: 7})
 
 	net := cnn.LeNet5()
-	got, err := coord.RunDSE(context.Background(), jobFor(t, "salp2", net))
+	job := jobFor(t, "salp2", net)
+	got, err := coord.RunDSE(context.Background(), job, gridOf(t, job))
 	if err != nil {
 		t.Fatalf("RunDSE: %v", err)
 	}
@@ -174,7 +178,7 @@ func TestClusterReportsProgress(t *testing.T) {
 	net := cnn.LeNet5()
 	job := jobFor(t, "ddr3", net)
 	rec := &progressRecorder{}
-	res, err := coord.RunDSE(core.WithProgress(context.Background(), rec), job)
+	res, err := coord.RunDSE(core.WithProgress(context.Background(), rec), job, gridOf(t, job))
 	if err != nil {
 		t.Fatalf("RunDSE: %v", err)
 	}

@@ -56,7 +56,7 @@ type holdingRunner struct {
 	release chan struct{}
 }
 
-func (r *holdingRunner) RunDSE(ctx context.Context, job DSEJob) (*core.DSEResult, error) {
+func (r *holdingRunner) RunDSE(ctx context.Context, job DSEJob, _ []core.LayerGrid) (*core.DSEResult, error) {
 	if job.Backend.ID == r.holdID {
 		select {
 		case <-r.release:

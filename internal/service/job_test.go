@@ -22,7 +22,7 @@ import (
 // the local pool via ErrNoWorkers.
 type blockingRunner struct{ release chan struct{} }
 
-func (r *blockingRunner) RunDSE(ctx context.Context, job DSEJob) (*core.DSEResult, error) {
+func (r *blockingRunner) RunDSE(ctx context.Context, job DSEJob, _ []core.LayerGrid) (*core.DSEResult, error) {
 	select {
 	case <-r.release:
 		return nil, fmt.Errorf("runner drained: %w", ErrNoWorkers)

@@ -90,9 +90,13 @@ type planKey struct {
 	Count     core.CountKey
 }
 
-// planPrefix fingerprints the backend-independent part of a job; the
-// per-column cache key is this prefix plus the column index.
-func (s *Service) planPrefix(job DSEJob, ev *core.Evaluator) (string, error) {
+// PlanSignature fingerprints the backend-independent part of a job:
+// jobs with equal signatures count identical plans, column for column.
+// The per-column plan-cache key is the signature plus the column
+// index, and a cluster coordinator places a job's shards by it, so the
+// jobs sharing a signature send each span to the worker that already
+// holds its plans.
+func PlanSignature(job DSEJob) (string, error) {
 	schedNames := make([]string, len(job.Schedules))
 	for i, sc := range job.Schedules {
 		schedNames[i] = sc.String()
@@ -102,8 +106,18 @@ func (s *Service) planPrefix(job DSEJob, ev *core.Evaluator) (string, error) {
 		Network:   job.Network,
 		Schedules: schedNames,
 		Policies:  job.Policies,
-		Count:     ev.CountKey(),
+		Count:     countKeyOf(job),
 	}})
+}
+
+// countKeyOf is the count key of the evaluator the service builds for
+// a job (evaluatorFor), derived from the job alone.
+func countKeyOf(job DSEJob) core.CountKey {
+	return core.CountKey{
+		Geometry:        job.Backend.Config.Geometry,
+		BytesPerElement: job.Accel.BytesPerElement,
+		Batch:           job.Batch,
+	}
 }
 
 // countPlan returns the plan-cache compute closure for one column:
@@ -147,7 +161,7 @@ func (s *Service) columnEval(job DSEJob, ev *core.Evaluator) columnEvalFn {
 	if s.planCache == nil {
 		return direct
 	}
-	prefix, err := s.planPrefix(job, ev)
+	prefix, err := PlanSignature(job)
 	if err != nil {
 		// An unfingerprintable job (cannot happen for resolved jobs, which
 		// JSON-encode by construction) still evaluates correctly, just

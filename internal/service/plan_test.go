@@ -200,6 +200,52 @@ func TestPlanKeySeparatesCustomPolicies(t *testing.T) {
 	}
 }
 
+// TestPlanSignatureMatchesEvaluator: the count key PlanSignature
+// derives from a job alone is the one the service's evaluator for that
+// job carries, for every backend and batch - so a plan keyed by the
+// signature is exactly what the evaluator counts. Die-sharing backends
+// and objectives share a signature; another geometry does not.
+func TestPlanSignatureMatchesEvaluator(t *testing.T) {
+	svc := New(Options{Workers: 1, CacheEntries: 64})
+	job := func(id string, obj core.Objective, batch int) DSEJob {
+		b, ok := dram.Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		return DSEJob{
+			Backend: b, Accel: svc.accel, Network: cnn.LeNet5(),
+			Schedules: tiling.Schedules, Policies: mapping.TableI(),
+			Objective: obj, Batch: batch,
+		}
+	}
+	for _, b := range dram.Backends() {
+		for _, batch := range []int{1, 4} {
+			j := job(b.ID, core.MinimizeEDP, batch)
+			ev, err := svc.evaluatorFor(j.Backend, j.Batch)
+			if err != nil {
+				t.Fatalf("%s: %v", b.ID, err)
+			}
+			if got, want := countKeyOf(j), ev.CountKey(); got != want {
+				t.Errorf("%s batch %d: signature count key %+v, evaluator's %+v", b.ID, batch, got, want)
+			}
+		}
+	}
+	sig := func(j DSEJob) string {
+		s, err := PlanSignature(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ddr3 := sig(job("ddr3", core.MinimizeEDP, 1))
+	if sig(job("masa", core.MinimizeDelay, 1)) != ddr3 {
+		t.Error("die-sharing backends under another objective got another signature")
+	}
+	if sig(job("ddr4", core.MinimizeEDP, 1)) == ddr3 || sig(job("ddr3", core.MinimizeEDP, 2)) == ddr3 {
+		t.Error("another geometry or batch shares the ddr3 signature")
+	}
+}
+
 // TestMetricsIncludePlanCacheGauges: the count-plan cache counters are
 // exposed on GET /metrics alongside the result-cache counters.
 func TestMetricsIncludePlanCacheGauges(t *testing.T) {

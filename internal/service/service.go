@@ -623,16 +623,30 @@ func (s *Service) parseSimulate(req SimulateRequest) (*simInputs, error) {
 // network mode, each layer's tiling (and, for adaptive, schedule) is
 // picked by the DSE under the requested policy - the Fig. 8 flow:
 // search analytically, then validate the picked design points in the
-// cycle-accurate simulator.
-func (s *Service) simSpecsFor(in *simInputs) ([]core.LayerSpec, error) {
+// cycle-accurate simulator. The search runs as a DSE job would: the
+// cached grid, the local pool and the count-plan cache, whose picks are
+// the serial scan's bit for bit, so a repeated network pick reprices
+// instead of recounting. The caller's progress sink is masked: a
+// simulate job counts layers, not DSE columns.
+func (s *Service) simSpecsFor(ctx context.Context, in *simInputs) ([]core.LayerSpec, error) {
 	if !in.networkMode {
 		return []core.LayerSpec{in.spec}, nil
 	}
-	ev, err := s.evaluatorFor(in.backend, in.batch)
+	job := DSEJob{
+		Backend: in.backend, Accel: s.accel, Network: in.network,
+		Schedules: []tiling.Schedule{in.sched}, Policies: []mapping.Policy{in.policy},
+		Objective: core.MinimizeEDP, Batch: in.batch,
+	}
+	ev, err := s.evaluatorFor(job.Backend, job.Batch)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunDSE(in.network, ev, []tiling.Schedule{in.sched}, []mapping.Policy{in.policy})
+	grids, err := s.gridFor(job)
+	if err != nil {
+		return nil, err
+	}
+	res, err := parallelDSE(core.WithProgress(ctx, nil), s.gate, grids, ev, job.Schedules, job.Policies,
+		job.Objective, s.workers, s.columnEval(job, ev))
 	if err != nil {
 		return nil, err
 	}
@@ -663,7 +677,7 @@ func (s *Service) simulate(ctx context.Context, in *simInputs) (*SimulateRespons
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	specs, err := s.simSpecsFor(in)
+	specs, err := s.simSpecsFor(ctx, in)
 	if err != nil {
 		return nil, err
 	}

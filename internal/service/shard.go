@@ -68,8 +68,12 @@ func (j DSEJob) Validate() error {
 // currently has no capacity returns an error wrapping ErrNoWorkers and
 // the service falls back to the local pool, so a cluster degrades to
 // standalone instead of failing requests.
+//
+// grids is the job's enumeration (DSEJob.Grid), which the service
+// caches per (network, accelerator), so a runner never re-enumerates
+// it; runners must treat it as immutable.
 type DSERunner interface {
-	RunDSE(ctx context.Context, job DSEJob) (*core.DSEResult, error)
+	RunDSE(ctx context.Context, job DSEJob, grids []core.LayerGrid) (*core.DSEResult, error)
 }
 
 // ErrNoWorkers signals a DSERunner with no remote capacity; the service
@@ -80,17 +84,17 @@ var ErrNoWorkers = errors.New("service: no cluster workers available")
 // when one is set (falling back locally on ErrNoWorkers), else on the
 // local worker pool with the cached characterization.
 func (s *Service) runJob(ctx context.Context, job DSEJob) (*core.DSEResult, error) {
+	grids, err := s.gridFor(job)
+	if err != nil {
+		return nil, err
+	}
 	if s.runner != nil {
-		res, err := s.runner.RunDSE(ctx, job)
+		res, err := s.runner.RunDSE(ctx, job, grids)
 		if err == nil || !errors.Is(err, ErrNoWorkers) {
 			return res, err
 		}
 	}
 	ev, err := s.evaluatorFor(job.Backend, job.Batch)
-	if err != nil {
-		return nil, err
-	}
-	grids, err := s.gridFor(job)
 	if err != nil {
 		return nil, err
 	}

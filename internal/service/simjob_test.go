@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"drmap/internal/core"
+	"drmap/internal/mapping"
 	"drmap/internal/report"
+	"drmap/internal/tiling"
 )
 
 // waitTerminalHTTP polls GET /api/v2/jobs/{id} until the job is
@@ -39,7 +41,7 @@ func waitTerminalHTTP(t *testing.T, baseURL, id string) JobView {
 // via ErrNoWorkers.
 type simBlockingRunner struct{ entered, release chan struct{} }
 
-func (simBlockingRunner) RunDSE(ctx context.Context, job DSEJob) (*core.DSEResult, error) {
+func (simBlockingRunner) RunDSE(ctx context.Context, job DSEJob, _ []core.LayerGrid) (*core.DSEResult, error) {
 	return nil, fmt.Errorf("simBlockingRunner declines: %w", ErrNoWorkers)
 }
 
@@ -186,6 +188,50 @@ func TestSyncSimulateMatchesDirect(t *testing.T) {
 	_, jobErr := jm.SyncSimulate(ctx, SimulateRequest{Arch: "ddr3", Network: "lenet5", Scheduler: "nope"})
 	if directErr == nil || jobErr == nil || directErr.Error() != jobErr.Error() {
 		t.Errorf("error texts diverge:\ndirect: %v\njobs:   %v", directErr, jobErr)
+	}
+}
+
+// TestNetworkSimulatePickUsesPlanCache: a network simulate picks its
+// design points through the count-plan cache. The picks equal the
+// serial scan's, and a second simulate on a die-sharing backend under
+// another scheduler reprices the first one's plans instead of counting.
+func TestNetworkSimulatePickUsesPlanCache(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 16})
+	ctx := context.Background()
+	req := SimulateRequest{Arch: "ddr3", Network: "lenet5", Policy: 6}
+	in, err := svc.parseSimulate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := svc.simSpecsFor(ctx, in)
+	if err != nil {
+		t.Fatalf("simSpecsFor: %v", err)
+	}
+	ev, err := svc.evaluatorFor(in.backend, in.batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := core.RunDSE(in.network, ev, []tiling.Schedule{in.sched}, []mapping.Policy{in.policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lr := range serial.Layers {
+		want := core.LayerSpec{Layer: lr.Layer, Tiling: lr.Best.Tiling, Schedule: lr.Best.Schedule, Batch: in.batch}
+		if !reflect.DeepEqual(specs[i], want) {
+			t.Errorf("layer %d pick %+v, serial scan %+v", i, specs[i], want)
+		}
+	}
+
+	cold := svc.PlanCacheStats()
+	if cold.Misses == 0 {
+		t.Fatal("the network pick counted no plan through the cache")
+	}
+	if _, err := svc.Simulate(ctx, SimulateRequest{Arch: "masa", Network: "lenet5", Policy: 6, Scheduler: "frfcfs"}); err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	warm := svc.PlanCacheStats()
+	if warm.Misses != cold.Misses || warm.Hits <= cold.Hits {
+		t.Errorf("die-sharing re-pick: plan misses %d -> %d, hits %d -> %d; want a reprice", cold.Misses, warm.Misses, cold.Hits, warm.Hits)
 	}
 }
 

@@ -150,7 +150,7 @@ func (s *Service) warmBackends(ctx context.Context, backends []dram.Backend) {
 			return
 		}
 		// Characterizing here also pre-warms the profile cache; the
-		// evaluator only contributes its CountKey to the plan keys.
+		// evaluator counts the plans PlanSignature keys.
 		ev, err := s.evaluatorFor(b, 1)
 		if err != nil {
 			w.errors.Add(1)
@@ -169,7 +169,7 @@ func (s *Service) warmBackends(ctx context.Context, backends []dram.Backend) {
 				failed = true
 				continue
 			}
-			prefix, err := s.planPrefix(job, ev)
+			prefix, err := PlanSignature(job)
 			if err != nil {
 				w.errors.Add(1)
 				failed = true
