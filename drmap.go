@@ -281,8 +281,10 @@ type (
 	CountKey = core.CountKey
 	// FlatColumn is the backend-independent count plan of one
 	// (layer, schedule) grid column, stored as packed per-category
-	// planes; Evaluator.PriceFlatInto reprices it as a branch-light
-	// linear scan. The service's plan cache stores columns in this form.
+	// planes of one row per distinct tile stream (a square layer's Th/Tw
+	// mirror tilings share a row); Evaluator.PriceFlatInto reprices it
+	// as a branch-light linear scan. The service's plan cache stores
+	// columns in this form.
 	FlatColumn = core.FlatColumn
 )
 

@@ -37,34 +37,43 @@ const (
 
 // FlatColumn is the count plan of one (layer, schedule) grid column:
 // the counts of every (tiling, policy) design point the column searches,
-// as contiguous column-major float64 planes, cell (ti, pi) at index
-// ti*Policies+pi of every plane. It carries the read, write and
-// read+write count of each access category, so one plan reprices under
-// either pricing convention (UseWriteCosts on or off). It retains
-// per-tiling counts rather than a pre-reduced winner because the argmin
-// depends on the objective value, which is priced per backend. Build one
-// with Evaluator.CountScheduleColumn; a FlatColumn is immutable after
-// construction and safe for concurrent repricing.
+// as contiguous float64 planes of plan rows, one row of Policies cells
+// per distinct tile stream. Tilings that expand to the same tile
+// streams - a square layer's Th/Tw mirror pairs - share one row:
+// tiling ti's cell pi sits at index rowOf[ti]*Policies+pi of every
+// plane, and firstTiling[r] is the first tiling stored in row r. It
+// carries the read, write and read+write count of each access category,
+// so one plan reprices under either pricing convention (UseWriteCosts on
+// or off). It retains per-tiling counts rather than a pre-reduced winner
+// because the argmin depends on the objective value, which is priced per
+// backend. Build one with Evaluator.CountScheduleColumn; a FlatColumn is
+// immutable after construction and safe for concurrent repricing.
 type FlatColumn struct {
 	LayerIndex    int
 	ScheduleIndex int
 	// Policies is the row width (the policy count).
 	Policies int
 
-	cells int
+	// rowOf maps each tiling to its plan row; firstTiling maps each row
+	// to the lowest tiling index stored in it, ascending by row.
+	rowOf       []int32
+	firstTiling []int32
 	// data holds the flatPlanes planes back to back in one allocation;
-	// plane p spans data[p*cells : (p+1)*cells].
+	// plane p spans data[p*n : (p+1)*n], n = rows*Policies.
 	data []float64
 }
 
-// storeRow writes one tiling's finished counts into the planes, cell
-// row[k] at index i+k. The total planes are converted from the exact
-// int64 read+write sums - not summed in float64 - so the read-cost
-// convention prices exactly the unsplit counts.
-func (fc *FlatColumn) storeRow(i int, row []CellCounts) {
-	d, n := fc.data, fc.cells
+// planeLen is the length of one plane: every stored row's cells.
+func (fc *FlatColumn) planeLen() int { return len(fc.firstTiling) * fc.Policies }
+
+// storeRow writes one plan row's finished counts into the planes, cell
+// row[k] at index ri*Policies+k. The total planes are converted from the
+// exact int64 read+write sums - not summed in float64 - so the
+// read-cost convention prices exactly the unsplit counts.
+func (fc *FlatColumn) storeRow(ri int, row []CellCounts) {
+	d, n, base := fc.data, fc.planeLen(), ri*fc.Policies
 	for k := range row {
-		r, w, j := &row[k].Read, &row[k].Write, i+k
+		r, w, j := &row[k].Read, &row[k].Write, base+k
 		d[planeReadColumn*n+j] = float64(r.DifColumn)
 		d[planeReadBanks*n+j] = float64(r.DifBanks)
 		d[planeReadSubarrays*n+j] = float64(r.DifSubarrays)
@@ -82,25 +91,23 @@ func (fc *FlatColumn) storeRow(i int, row []CellCounts) {
 
 // plane returns one packed plane.
 func (fc *FlatColumn) plane(p int) []float64 {
-	return fc.data[p*fc.cells : (p+1)*fc.cells]
+	n := fc.planeLen()
+	return fc.data[p*n : (p+1)*n]
 }
 
-// Tilings returns the number of candidate tilings the plan covers.
-func (fc *FlatColumn) Tilings() int {
-	if fc.Policies == 0 {
-		return 0
-	}
-	return fc.cells / fc.Policies
-}
+// Tilings returns the number of candidate tilings the plan covers,
+// counting each tiling that shares a row.
+func (fc *FlatColumn) Tilings() int { return len(fc.rowOf) }
 
 // Cells returns the number of design points the plan covers.
-func (fc *FlatColumn) Cells() int { return fc.cells }
+func (fc *FlatColumn) Cells() int { return len(fc.rowOf) * fc.Policies }
 
-// SizeBytes reports the plan's resident memory: the backing array plus
-// the struct header - the unit the plan cache's byte budget accounts.
+// SizeBytes reports the plan's resident memory: the backing array, the
+// two index slices and the struct header - the unit the plan cache's
+// byte budget accounts.
 func (fc *FlatColumn) SizeBytes() int64 {
-	const headerBytes = 64 // struct fields + slice header, rounded up
-	return int64(len(fc.data))*8 + headerBytes
+	const headerBytes = 96 // struct fields + three slice headers, rounded up
+	return int64(len(fc.data))*8 + int64(len(fc.rowOf)+len(fc.firstTiling))*4 + headerBytes
 }
 
 // At reconstructs the CellCounts of (tiling ti, policy pi) from the
@@ -108,7 +115,7 @@ func (fc *FlatColumn) SizeBytes() int64 {
 // while every count fits float64's 53-bit mantissa, which the modeled
 // access counts do by a wide margin.
 func (fc *FlatColumn) At(ti, pi int) CellCounts {
-	i := ti*fc.Policies + pi
+	i := int(fc.rowOf[ti])*fc.Policies + pi
 	return CellCounts{
 		Read: mapping.Counts{
 			DifColumn:    int64(fc.plane(planeReadColumn)[i]),
@@ -142,12 +149,16 @@ func costsVec(c AccessCosts) flatCosts {
 // PriceFlatInto reprices a count plan under this evaluator's cost sets,
 // timing and the given objective - the cheap phase - writing each
 // policy's winner into out (grown only if its capacity is short) and
-// returning it. The scan order and the strict-minimum rule match the
-// serial loop nest, and every float64 operation matches pricing the
-// integer counts with priceWith/PriceRW and Objective.Value, so the
-// cells are bit-for-bit identical to the direct per-tiling scan for any
-// evaluator whose CountKey matches the plan's producer. A policy with
-// no finite-objective tiling keeps Value +Inf, tiling 0 and a zero cost.
+// returning it. It scans the stored rows only, in ascending order of
+// their first tilings, and reports a winning row as that first tiling.
+// A tiling sharing a row prices identically to the row's first tiling,
+// which comes before it in the serial loop nest, so under the same
+// strict-minimum rule it could never have won; every float64 operation
+// matches pricing the integer counts with priceWith/PriceRW and
+// Objective.Value. The cells are therefore bit-for-bit identical to the
+// direct per-tiling scan for any evaluator whose CountKey matches the
+// plan's producer. A policy with no finite-objective tiling keeps Value
+// +Inf, tiling 0 and a zero cost.
 // out may be reused across calls, which makes the scan allocation-free.
 //
 // The scan body is hand-flattened: plane slices are hoisted out of the
@@ -177,9 +188,10 @@ func (ev *Evaluator) PriceFlatInto(fc *FlatColumn, obj Objective, out []CellResu
 	if !useWrite {
 		rCol, rBank, rSub, rRow = fc.plane(planeTotalColumn), fc.plane(planeTotalBanks), fc.plane(planeTotalSubarrays), fc.plane(planeTotalRows)
 	}
-	tilings, policies := fc.Tilings(), fc.Policies
+	policies := fc.Policies
 	i := 0
-	for ti := 0; ti < tilings; ti++ {
+	for _, first := range fc.firstTiling {
+		ti := int(first)
 		for pi := 0; pi < policies; pi++ {
 			cycles := rCol[i]*read.colC + rBank[i]*read.bankC + rSub[i]*read.subC + rRow[i]*read.rowC
 			energy := rCol[i]*read.colE + rBank[i]*read.bankE + rSub[i]*read.subE + rRow[i]*read.rowE

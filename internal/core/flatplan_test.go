@@ -60,9 +60,9 @@ func TestFlatPlanRepricesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestFlattenRoundTrip: the plan's shape matches its grid and the total
-// planes hold the exact int64 sums of every cell's read and write
-// counts as At reads them back.
+// TestFlattenRoundTrip: the plan's shape matches its grid and, read
+// through each tiling's plan row, the total planes hold the exact int64
+// sums of every cell's read and write counts as At reads them back.
 func TestFlattenRoundTrip(t *testing.T) {
 	ev := registryEvaluators(t)[0]
 	net := cnn.LeNet5()
@@ -80,7 +80,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 		for pi := 0; pi < flat.Policies; pi++ {
 			want := flat.At(ti, pi).Read
 			want.Add(flat.At(ti, pi).Write, 1)
-			i := ti*flat.Policies + pi
+			i := int(flat.rowOf[ti])*flat.Policies + pi
 			got := mapping.Counts{
 				DifColumn:    int64(flat.plane(planeTotalColumn)[i]),
 				DifBanks:     int64(flat.plane(planeTotalBanks)[i]),
@@ -92,8 +92,8 @@ func TestFlattenRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if min := int64(len(flat.data)) * 8; flat.SizeBytes() < min {
-		t.Fatalf("SizeBytes() = %d, want at least the %d-byte backing array", flat.SizeBytes(), min)
+	if min := int64(len(flat.data))*8 + int64(len(flat.rowOf)+len(flat.firstTiling))*4; flat.SizeBytes() < min {
+		t.Fatalf("SizeBytes() = %d, want at least the %d bytes of backing array and row indices", flat.SizeBytes(), min)
 	}
 }
 

@@ -337,19 +337,22 @@ func (tr Traffic) TotalElems() int64 {
 	return tr.IfmReadElems + tr.WgtReadElems + tr.OfmReadElems + tr.OfmWriteElems
 }
 
-// Estimate computes the traffic of a layer under a tiling and schedule
-// for one batch.
-func Estimate(l cnn.Layer, t Tiling, s Schedule, batch int) Traffic {
-	if s == AdaptiveReuse {
-		s = ResolveAdaptive(l, t, batch)
-	}
+// volumes holds what every schedule's traffic is built from for one
+// (layer, tiling, batch): one full pass over each tensor and the tile
+// counts that multiply them. Computing it once lets Estimate and
+// ResolveAdaptive price all three fixed schedules from one split and
+// one ifm sum.
+type volumes struct {
+	ifm, wgt, ofm int64 // one pass over each tensor, batch included
+	nhw, nj, ni   int64 // ofm-plane tiles, ofm-depth tiles, ifm-depth tiles
+}
+
+func newVolumes(l cnn.Layer, t Tiling, batch int) volumes {
 	b := int64(batch)
 	hs := splitDim(l.H, t.Th)
 	ws := splitDim(l.W, t.Tw)
 	js := splitDim(l.J, t.Tj)
 	is := splitDim(l.I, t.Ti)
-	nj, ni := js.tiles(), is.tiles()
-
 	var ifm int64
 	for _, sh := range hs.sizes() {
 		for _, sw := range ws.sizes() {
@@ -360,40 +363,61 @@ func Estimate(l cnn.Layer, t Tiling, s Schedule, batch int) Traffic {
 			}
 		}
 	}
-	ifm *= b
-	wgt := l.WgtElems() * b
-	ofm := l.OfmElems() * b
+	return volumes{
+		ifm: ifm * b, wgt: l.WgtElems() * b, ofm: l.OfmElems() * b,
+		nhw: hs.tiles() * ws.tiles(), nj: js.tiles(), ni: is.tiles(),
+	}
+}
 
+// traffic returns the element volumes under one fixed schedule.
+func (v volumes) traffic(s Schedule) Traffic {
 	tr := Traffic{Resolved: s}
 	switch s {
 	case IfmsReuse:
-		tr.IfmReadElems = ifm
-		tr.WgtReadElems = wgt * hs.tiles() * ws.tiles()
-		tr.OfmReadElems = ofm * (ni - 1)
-		tr.OfmWriteElems = ofm * ni
+		tr.IfmReadElems = v.ifm
+		tr.WgtReadElems = v.wgt * v.nhw
+		tr.OfmReadElems = v.ofm * (v.ni - 1)
+		tr.OfmWriteElems = v.ofm * v.ni
 	case WghsReuse:
-		tr.IfmReadElems = ifm * nj
-		tr.WgtReadElems = wgt
-		tr.OfmReadElems = ofm * (ni - 1)
-		tr.OfmWriteElems = ofm * ni
+		tr.IfmReadElems = v.ifm * v.nj
+		tr.WgtReadElems = v.wgt
+		tr.OfmReadElems = v.ofm * (v.ni - 1)
+		tr.OfmWriteElems = v.ofm * v.ni
 	case OfmsReuse:
-		tr.IfmReadElems = ifm * nj
-		tr.WgtReadElems = wgt * hs.tiles() * ws.tiles()
-		tr.OfmWriteElems = ofm
+		tr.IfmReadElems = v.ifm * v.nj
+		tr.WgtReadElems = v.wgt * v.nhw
+		tr.OfmWriteElems = v.ofm
 	}
 	return tr
 }
 
-// ResolveAdaptive returns the fixed schedule with the least total
-// traffic for the layer and tiling, which is how the paper's
-// adaptive-reuse scheme chooses per layer.
-func ResolveAdaptive(l cnn.Layer, t Tiling, batch int) Schedule {
+// resolve returns the fixed schedule with the least total traffic; a
+// tie keeps the earlier of IfmsReuse, WghsReuse, OfmsReuse.
+func (v volumes) resolve() Schedule {
 	best := IfmsReuse
-	bestElems := Estimate(l, t, IfmsReuse, batch).TotalElems()
-	for _, s := range []Schedule{WghsReuse, OfmsReuse} {
-		if e := Estimate(l, t, s, batch).TotalElems(); e < bestElems {
+	bestElems := v.traffic(IfmsReuse).TotalElems()
+	for _, s := range [...]Schedule{WghsReuse, OfmsReuse} {
+		if e := v.traffic(s).TotalElems(); e < bestElems {
 			best, bestElems = s, e
 		}
 	}
 	return best
+}
+
+// Estimate computes the traffic of a layer under a tiling and schedule
+// for one batch.
+func Estimate(l cnn.Layer, t Tiling, s Schedule, batch int) Traffic {
+	v := newVolumes(l, t, batch)
+	if s == AdaptiveReuse {
+		s = v.resolve()
+	}
+	return v.traffic(s)
+}
+
+// ResolveAdaptive returns the fixed schedule with the least total
+// traffic for the layer and tiling, which is how the paper's
+// adaptive-reuse scheme chooses per layer. It splits the dimensions and
+// sums the ifm volume once for all three candidates.
+func ResolveAdaptive(l cnn.Layer, t Tiling, batch int) Schedule {
+	return newVolumes(l, t, batch).resolve()
 }
