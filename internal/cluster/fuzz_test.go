@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -22,11 +23,13 @@ import (
 )
 
 // FuzzShardRequest sends raw bytes to the worker's shard endpoint as a
-// request body. Whatever a peer posts, the worker answers 200 or a 4xx:
-// never a panic, never a 5xx. The committed corpus under
+// request body. Whatever a peer posts, the worker answers a 4xx or a
+// 200 whose cells and simulated layers have finite, non-negative values
+// and costs: never a panic, never a 5xx. The committed corpus under
 // testdata/fuzz/FuzzShardRequest holds well-formed DSE and simulate
-// shards of LeNet-5 plus malformed variants, so plain go test replays
-// them offline.
+// shards of LeNet-5, malformed variants, a valid layer whose counts
+// would leave the exact range and a backend with negative I/O energy,
+// so plain go test replays them offline.
 func FuzzShardRequest(f *testing.F) {
 	w := NewWorker(service.New(service.Options{Workers: 1, CacheEntries: 8}), WorkerOptions{ID: "fuzz"})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -37,10 +40,36 @@ func FuzzShardRequest(f *testing.F) {
 		defer cancel()
 		rec := httptest.NewRecorder()
 		w.handleShard(rec, httptest.NewRequestWithContext(ctx, http.MethodPost, PathShard, bytes.NewReader(body)))
-		if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code >= 500) {
-			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		if rec.Code != http.StatusOK {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+			}
+			return
+		}
+		var resp ShardResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 reply does not decode: %v: %s", err, rec.Body)
+		}
+		for _, c := range resp.Cells {
+			if !finiteNonNegative(c.Value, c.Cost.Cycles, c.Cost.Energy) {
+				t.Fatalf("body %q: cell %+v has a negative or non-finite value or cost", body, c)
+			}
+		}
+		for _, lr := range resp.SimLayers {
+			if !finiteNonNegative(lr.Cost.Cycles, lr.Cost.Energy) {
+				t.Fatalf("body %q: sim layer %d has a negative or non-finite cost %+v", body, lr.Index, lr.Cost)
+			}
 		}
 	})
+}
+
+func finiteNonNegative(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsInf(x, 0) || math.IsNaN(x) || x < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzShardResponse puts raw bytes into a stub worker's reply to

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 
 	"drmap/internal/cnn"
@@ -32,8 +33,9 @@ import (
 // read-cost pricing and the direction-aware refinement can be repriced
 // from the same plan: the read-only convention prices Read+Write with
 // one cost set (integer-exact, so the sum equals the unsplit counts).
-// The count kernel accumulates a tiling's cells in this form before it
-// stores them into the plan's planes; FlatColumn.At reads one back.
+// The count kernel accumulates a tiling's cells in this form and stores
+// Read and the Read+Write total into the plan's planes; FlatColumn.At
+// reads one back, Write as total - read.
 type CellCounts struct {
 	Read  mapping.Counts `json:"read"`
 	Write mapping.Counts `json:"write"`
@@ -66,6 +68,48 @@ func (ev *Evaluator) CountKey() CountKey {
 	}
 }
 
+// maxExactCount bounds the plan counts: below 2^53 every count, and the
+// sum or difference of two, is an exact float64 integer.
+const maxExactCount = 1 << 53
+
+// CheckCountRange rejects a network with a layer whose plan counts could
+// reach 2^53 at the given element width and batch: its planes would
+// round and its priced or simulated cycles could wrap int64. It costs a
+// few multiplies per layer, so resolving a DSE or simulate job runs it.
+func CheckCountRange(net cnn.Network, bytesPerElement, batch int) error {
+	if batch < 1 {
+		return fmt.Errorf("core: batch must be >= 1, got %d", batch)
+	}
+	if bytesPerElement < 1 {
+		return fmt.Errorf("core: bytes per element must be positive, got %d", bytesPerElement)
+	}
+	for _, l := range net.Layers {
+		if bound, ok := countBound(l, bytesPerElement, batch); !ok || bound >= maxExactCount {
+			return fmt.Errorf("core: layer %s at batch %d: too large to count exactly (its DRAM accesses may reach 2^53)", l.Name, batch)
+		}
+	}
+	return nil
+}
+
+// countBound bounds the accesses of any cell of a plan of layer l,
+// whatever its tiling, schedule and policy; false if the bound overflows
+// uint64. A stream of e elements is at most e*bytesPerElement bursts.
+// Per image a cell moves at most X = HW*IJ*max(P,S)*max(Q,S) ifm
+// elements (a tile of Th output rows reads (Th-1)S+P <= Th*max(P,S)
+// input rows, reloaded at most J times), at most MACs <= X weight
+// elements and at most 2I*HWJ <= 2X ofm elements, so 4X bounds the sum.
+func countBound(l cnn.Layer, bytesPerElement, batch int) (uint64, bool) {
+	bound := uint64(1)
+	for _, f := range [...]int{4, l.H, l.W, l.I, l.J, max(l.P, l.Stride), max(l.Q, l.Stride), bytesPerElement, batch} {
+		hi, lo := bits.Mul64(bound, uint64(f))
+		if hi != 0 {
+			return 0, false
+		}
+		bound = lo
+	}
+	return bound, true
+}
+
 // CountScheduleColumn computes one grid column's count plan: for every
 // distinct tile stream among the candidate tilings it expands the tile
 // groups and accumulates the read/write access-category counts of every
@@ -85,7 +129,8 @@ func (ev *Evaluator) CountKey() CountKey {
 // slab, len(policies) entries per length) and each row only accumulates
 // Loads x memo[bursts] into an int64 scratch row. A cell's sums are
 // final once its tiling's groups are summed, so the row is then stored
-// into the plan's planes, the read+write totals as exact int64 sums.
+// into the plan's planes: the reads, and the read+write totals as exact
+// int64 sums.
 // Integer accumulation is exact, so every cell equals GroupCountsRW over
 // TileGroups bit for bit. The memo, the scratch row and the reused group
 // buffer are local to the call and the evaluator is only read, so one

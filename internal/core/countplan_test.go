@@ -384,3 +384,47 @@ func checkCountColumn(t *testing.T, ev *Evaluator, lg LayerGrid, si int, s tilin
 		}
 	}
 }
+
+// TestCountBoundCoversBuiltInNetworks: the bound CheckCountRange
+// enforces is at least every cell's total access count - read plus
+// write, over all four categories - for every built-in network, tiling,
+// schedule and policy, at the smallest burst (the most accesses) and
+// under both counting conventions.
+func TestCountBoundCoversBuiltInNetworks(t *testing.T) {
+	var ev *Evaluator
+	for _, e := range registryEvaluators(t) {
+		if ev == nil || e.Profile.Config.Geometry.AccessBytes() < ev.Profile.Config.Geometry.AccessBytes() {
+			ev = e
+		}
+	}
+	policies := mapping.TableI()
+	for _, net := range cnn.Networks() {
+		grids, err := DSEGrid(net, ev, tiling.Schedules, policies)
+		if err != nil {
+			t.Fatalf("%s: DSEGrid: %v", net.Name, err)
+		}
+		for _, lg := range grids {
+			bound, ok := countBound(lg.Layer, ev.Accel.BytesPerElement, ev.Batch)
+			if !ok || bound >= maxExactCount {
+				t.Fatalf("%s %s: bound %d (ok %v) rejects a built-in layer", net.Name, lg.Layer.Name, bound, ok)
+			}
+			most := int64(0)
+			for _, physical := range []bool{false, true} {
+				e := *ev
+				e.UsePhysicalCounts = physical
+				for si, s := range tiling.Schedules {
+					fc := e.CountScheduleColumn(lg, si, s, policies)
+					for ti := 0; ti < fc.Tilings(); ti++ {
+						for pi := range policies {
+							c := fc.At(ti, pi)
+							most = max(most, c.Read.Total()+c.Write.Total())
+						}
+					}
+				}
+			}
+			if uint64(most) > bound {
+				t.Fatalf("%s %s: a cell counts %d accesses, above the bound %d", net.Name, lg.Layer.Name, most, bound)
+			}
+		}
+	}
+}

@@ -1,13 +1,14 @@
 // The count plan's storage. A FlatColumn holds a column's counts as
-// packed []float64 planes, one per access category and transfer
-// direction, in one contiguous backing array: repricing is a
-// branch-light linear scan over 4 (or 8) sequential streams with a
+// packed []float64 planes, per access category one of read counts and
+// one of read+write totals, in one contiguous backing array: repricing
+// is a branch-light linear scan over 4 sequential streams with a
 // precomputed cost vector, no per-cell struct walks and no integer
 // conversions - the warm path, where one plan is repriced for many
-// backends and objectives. The read-cost convention's summed counts are
-// stored from the exact int64 sums, so both pricing conventions are
-// served by one plan and both stay bit-for-bit identical to pricing the
-// integer counts directly (see PriceFlatInto).
+// backends and objectives. The totals are stored from the exact int64
+// sums, so the paper's read-cost convention prices exactly the unsplit
+// counts, and the direction-aware convention derives each write count
+// as total - read, which is exact below 2^53; both stay bit-for-bit
+// identical to pricing the integer counts directly (see PriceFlatInto).
 package core
 
 import (
@@ -16,18 +17,14 @@ import (
 	"drmap/internal/mapping"
 )
 
-// Plane indices of a FlatColumn: the four access categories of Eq. 2-3
-// per direction, plus the precomputed read+write totals the paper's
-// read-cost convention prices.
+// Plane indices of a FlatColumn: the read counts of the four access
+// categories of Eq. 2-3, then their read+write totals, which the paper's
+// read-cost convention prices. A write count is total - read.
 const (
 	planeReadColumn = iota
 	planeReadBanks
 	planeReadSubarrays
 	planeReadRows
-	planeWriteColumn
-	planeWriteBanks
-	planeWriteSubarrays
-	planeWriteRows
 	planeTotalColumn
 	planeTotalBanks
 	planeTotalSubarrays
@@ -42,9 +39,9 @@ const (
 // streams - a square layer's Th/Tw mirror pairs - share one row:
 // tiling ti's cell pi sits at index rowOf[ti]*Policies+pi of every
 // plane, and firstTiling[r] is the first tiling stored in row r. It
-// carries the read, write and read+write count of each access category,
-// so one plan reprices under either pricing convention (UseWriteCosts on
-// or off). It retains per-tiling counts rather than a pre-reduced winner
+// carries the read and read+write count of each access category, so one
+// plan reprices under either pricing convention (UseWriteCosts on or
+// off). It retains per-tiling counts rather than a pre-reduced winner
 // because the argmin depends on the objective value, which is priced per
 // backend. Build one with Evaluator.CountScheduleColumn; a FlatColumn is
 // immutable after construction and safe for concurrent repricing.
@@ -78,10 +75,6 @@ func (fc *FlatColumn) storeRow(ri int, row []CellCounts) {
 		d[planeReadBanks*n+j] = float64(r.DifBanks)
 		d[planeReadSubarrays*n+j] = float64(r.DifSubarrays)
 		d[planeReadRows*n+j] = float64(r.DifRows)
-		d[planeWriteColumn*n+j] = float64(w.DifColumn)
-		d[planeWriteBanks*n+j] = float64(w.DifBanks)
-		d[planeWriteSubarrays*n+j] = float64(w.DifSubarrays)
-		d[planeWriteRows*n+j] = float64(w.DifRows)
 		d[planeTotalColumn*n+j] = float64(r.DifColumn + w.DifColumn)
 		d[planeTotalBanks*n+j] = float64(r.DifBanks + w.DifBanks)
 		d[planeTotalSubarrays*n+j] = float64(r.DifSubarrays + w.DifSubarrays)
@@ -111,25 +104,22 @@ func (fc *FlatColumn) SizeBytes() int64 {
 }
 
 // At reconstructs the CellCounts of (tiling ti, policy pi) from the
-// planes - a test and debugging convenience. The round trip is exact
-// while every count fits float64's 53-bit mantissa, which the modeled
-// access counts do by a wide margin.
+// planes, each write count as total - read - a test and debugging
+// convenience. The round trip is exact while every count fits float64's
+// 53-bit mantissa, which resolving a job checks (CheckCountRange).
 func (fc *FlatColumn) At(ti, pi int) CellCounts {
 	i := int(fc.rowOf[ti])*fc.Policies + pi
-	return CellCounts{
-		Read: mapping.Counts{
-			DifColumn:    int64(fc.plane(planeReadColumn)[i]),
-			DifBanks:     int64(fc.plane(planeReadBanks)[i]),
-			DifSubarrays: int64(fc.plane(planeReadSubarrays)[i]),
-			DifRows:      int64(fc.plane(planeReadRows)[i]),
-		},
-		Write: mapping.Counts{
-			DifColumn:    int64(fc.plane(planeWriteColumn)[i]),
-			DifBanks:     int64(fc.plane(planeWriteBanks)[i]),
-			DifSubarrays: int64(fc.plane(planeWriteSubarrays)[i]),
-			DifRows:      int64(fc.plane(planeWriteRows)[i]),
-		},
+	counts := func(column int) mapping.Counts { // column, banks, subarrays, rows planes in order
+		return mapping.Counts{
+			DifColumn:    int64(fc.plane(column)[i]),
+			DifBanks:     int64(fc.plane(column + 1)[i]),
+			DifSubarrays: int64(fc.plane(column + 2)[i]),
+			DifRows:      int64(fc.plane(column + 3)[i]),
+		}
 	}
+	read, write := counts(planeReadColumn), counts(planeTotalColumn)
+	write.Add(read, -1)
+	return CellCounts{Read: read, Write: write}
 }
 
 // flatCosts is the precomputed cost vector of one pricing scan: the
@@ -157,8 +147,9 @@ func costsVec(c AccessCosts) flatCosts {
 // matches pricing the integer counts with priceWith/PriceRW and
 // Objective.Value. The cells are therefore bit-for-bit identical to the
 // direct per-tiling scan for any evaluator whose CountKey matches the
-// plan's producer. A policy with no finite-objective tiling keeps Value
-// +Inf, tiling 0 and a zero cost.
+// plan's producer. Under UseWriteCosts each write count is derived as
+// total - read, which is exact for integers below 2^53. A policy with
+// no finite-objective tiling keeps Value +Inf, tiling 0 and a zero cost.
 // out may be reused across calls, which makes the scan allocation-free.
 //
 // The scan body is hand-flattened: plane slices are hoisted out of the
@@ -183,10 +174,12 @@ func (ev *Evaluator) PriceFlatInto(fc *FlatColumn, obj Objective, out []CellResu
 	}
 	read, write := costsVec(ev.Costs), costsVec(ev.WriteCosts)
 	useWrite := ev.UseWriteCosts
-	rCol, rBank, rSub, rRow := fc.plane(planeReadColumn), fc.plane(planeReadBanks), fc.plane(planeReadSubarrays), fc.plane(planeReadRows)
-	wCol, wBank, wSub, wRow := fc.plane(planeWriteColumn), fc.plane(planeWriteBanks), fc.plane(planeWriteSubarrays), fc.plane(planeWriteRows)
-	if !useWrite {
-		rCol, rBank, rSub, rRow = fc.plane(planeTotalColumn), fc.plane(planeTotalBanks), fc.plane(planeTotalSubarrays), fc.plane(planeTotalRows)
+	// r is what the read costs price: the totals, or the reads alone
+	// when writes are priced apart as t - r.
+	tCol, tBank, tSub, tRow := fc.plane(planeTotalColumn), fc.plane(planeTotalBanks), fc.plane(planeTotalSubarrays), fc.plane(planeTotalRows)
+	rCol, rBank, rSub, rRow := tCol, tBank, tSub, tRow
+	if useWrite {
+		rCol, rBank, rSub, rRow = fc.plane(planeReadColumn), fc.plane(planeReadBanks), fc.plane(planeReadSubarrays), fc.plane(planeReadRows)
 	}
 	policies := fc.Policies
 	i := 0
@@ -196,8 +189,9 @@ func (ev *Evaluator) PriceFlatInto(fc *FlatColumn, obj Objective, out []CellResu
 			cycles := rCol[i]*read.colC + rBank[i]*read.bankC + rSub[i]*read.subC + rRow[i]*read.rowC
 			energy := rCol[i]*read.colE + rBank[i]*read.bankE + rSub[i]*read.subE + rRow[i]*read.rowE
 			if useWrite {
-				cycles += wCol[i]*write.colC + wBank[i]*write.bankC + wSub[i]*write.subC + wRow[i]*write.rowC
-				energy += wCol[i]*write.colE + wBank[i]*write.bankE + wSub[i]*write.subE + wRow[i]*write.rowE
+				wCol, wBank, wSub, wRow := tCol[i]-rCol[i], tBank[i]-rBank[i], tSub[i]-rSub[i], tRow[i]-rRow[i]
+				cycles += wCol*write.colC + wBank*write.bankC + wSub*write.subC + wRow*write.rowC
+				energy += wCol*write.colE + wBank*write.bankE + wSub*write.subE + wRow*write.rowE
 			}
 			var v float64
 			switch obj {

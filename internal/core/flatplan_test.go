@@ -61,8 +61,9 @@ func TestFlatPlanRepricesAcrossBackends(t *testing.T) {
 }
 
 // TestFlattenRoundTrip: the plan's shape matches its grid and, read
-// through each tiling's plan row, the total planes hold the exact int64
-// sums of every cell's read and write counts as At reads them back.
+// through each tiling's plan row, the read and total planes hold the
+// exact int64 read and read+write sums of every cell, counted apart from
+// the plan by the unmemoized group walk.
 func TestFlattenRoundTrip(t *testing.T) {
 	ev := registryEvaluators(t)[0]
 	net := cnn.LeNet5()
@@ -71,24 +72,31 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DSEGrid: %v", err)
 	}
-	flat := ev.CountScheduleColumn(grids[0], 0, tiling.Schedules[0], policies)
-	if flat.Tilings() != len(grids[0].Tilings) || flat.Policies != len(policies) || flat.Cells() != len(grids[0].Tilings)*len(policies) {
+	lg, s := grids[0], tiling.Schedules[0]
+	flat := ev.CountScheduleColumn(lg, 0, s, policies)
+	if flat.Tilings() != len(lg.Tilings) || flat.Policies != len(policies) || flat.Cells() != len(lg.Tilings)*len(policies) {
 		t.Fatalf("flat shape (%d tilings x %d policies, %d cells), want %d x %d",
-			flat.Tilings(), flat.Policies, flat.Cells(), len(grids[0].Tilings), len(policies))
+			flat.Tilings(), flat.Policies, flat.Cells(), len(lg.Tilings), len(policies))
 	}
-	for ti := 0; ti < flat.Tilings(); ti++ {
-		for pi := 0; pi < flat.Policies; pi++ {
-			want := flat.At(ti, pi).Read
-			want.Add(flat.At(ti, pi).Write, 1)
+	planes := func(first, i int) mapping.Counts {
+		return mapping.Counts{
+			DifColumn:    int64(flat.plane(first)[i]),
+			DifBanks:     int64(flat.plane(first + 1)[i]),
+			DifSubarrays: int64(flat.plane(first + 2)[i]),
+			DifRows:      int64(flat.plane(first + 3)[i]),
+		}
+	}
+	for ti, tl := range lg.Tilings {
+		groups := tiling.TileGroups(lg.Layer, tl, s, ev.Batch)
+		for pi, pol := range policies {
+			read, total := ev.GroupCountsRW(pol, groups)
+			total.Add(read, 1)
 			i := int(flat.rowOf[ti])*flat.Policies + pi
-			got := mapping.Counts{
-				DifColumn:    int64(flat.plane(planeTotalColumn)[i]),
-				DifBanks:     int64(flat.plane(planeTotalBanks)[i]),
-				DifSubarrays: int64(flat.plane(planeTotalSubarrays)[i]),
-				DifRows:      int64(flat.plane(planeTotalRows)[i]),
+			if got := planes(planeReadColumn, i); got != read {
+				t.Fatalf("cell (%d, %d): read planes = %+v, want %+v", ti, pi, got, read)
 			}
-			if got != want {
-				t.Fatalf("cell (%d, %d): total plane = %+v, want exact sum %+v", ti, pi, got, want)
+			if got := planes(planeTotalColumn, i); got != total {
+				t.Fatalf("cell (%d, %d): total planes = %+v, want exact sum %+v", ti, pi, got, total)
 			}
 		}
 	}

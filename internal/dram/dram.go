@@ -306,6 +306,9 @@ func (p Power) Validate() error {
 	if p.IDD4R <= p.IDD3N || p.IDD4W <= p.IDD3N {
 		return fmt.Errorf("dram: burst currents must exceed active standby")
 	}
+	if p.ReadIOPicoJPerBit < 0 || p.WriteIOPicoJPerBit < 0 {
+		return fmt.Errorf("dram: I/O energy per bit must be non-negative, got read %g, write %g pJ", p.ReadIOPicoJPerBit, p.WriteIOPicoJPerBit)
+	}
 	if p.SubarrayActFactor < 1 {
 		return fmt.Errorf("dram: SubarrayActFactor must be >= 1, got %g", p.SubarrayActFactor)
 	}

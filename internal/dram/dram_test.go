@@ -147,6 +147,11 @@ func TestPowerValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted IDD4R <= IDD3N")
 	}
+	bad = p
+	bad.ReadIOPicoJPerBit = -250
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted a negative I/O energy")
+	}
 }
 
 func TestPresetConfigsValidate(t *testing.T) {

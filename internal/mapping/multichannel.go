@@ -1,10 +1,6 @@
 package mapping
 
-import (
-	"fmt"
-
-	"drmap/internal/dram"
-)
+import "drmap/internal/dram"
 
 // This file implements the multi-rank/multi-channel stages of the DRMap
 // flowchart (Fig. 5): step 4 wraps within a rank, and step 5 spills to
@@ -113,13 +109,4 @@ func EffectiveParallelism(g dram.Geometry) float64 {
 		return 1
 	}
 	return float64(g.Channels)
-}
-
-// ValidateCapacity reports an error when a tile cannot fit the system.
-func ValidateCapacity(bursts int64, g dram.Geometry) error {
-	total := rankCapacity(g) * int64(g.Ranks) * int64(g.Channels)
-	if bursts > total {
-		return fmt.Errorf("mapping: tile of %d bursts exceeds system capacity %d", bursts, total)
-	}
-	return nil
 }

@@ -140,13 +140,3 @@ func TestEffectiveParallelism(t *testing.T) {
 		t.Errorf("parallelism = %g, want 1", got)
 	}
 }
-
-func TestValidateCapacity(t *testing.T) {
-	g := smallGeom(1, 1)
-	if err := ValidateCapacity(64, g); err != nil {
-		t.Errorf("capacity 64 rejected: %v", err)
-	}
-	if err := ValidateCapacity(65, g); err == nil {
-		t.Error("over-capacity tile accepted")
-	}
-}

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -293,14 +292,4 @@ func inf(sign int) float64 {
 		return -v
 	}
 	return v
-}
-
-// FamilyNames returns the page's family names, sorted.
-func (e *Exposition) FamilyNames() []string {
-	out := make([]string, 0, len(e.Families))
-	for n := range e.Families {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

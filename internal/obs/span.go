@@ -16,7 +16,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -57,11 +56,6 @@ func Str(key, value string) Attr { return Attr{Key: key, Kind: "string", Value: 
 // Int builds an integer attribute.
 func Int(key string, value int) Attr {
 	return Attr{Key: key, Kind: "int", Value: strconv.Itoa(value)}
-}
-
-// F64 builds a float attribute.
-func F64(key string, value float64) Attr {
-	return Attr{Key: key, Kind: "float", Value: strconv.FormatFloat(value, 'g', -1, 64)}
 }
 
 // Bool builds a boolean attribute.
@@ -393,17 +387,4 @@ func TeeSpans(sinks ...SpanSink) SpanSink {
 		return live[0]
 	}
 	return teeSink{sinks: live}
-}
-
-// AttrString renders attributes as "k=v k=v" for logs, the dashboard
-// and CLI trace output.
-func AttrString(attrs []Attr) string {
-	out := ""
-	for i, a := range attrs {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%s", a.Key, a.Value)
-	}
-	return out
 }

@@ -221,14 +221,18 @@ func TestHTTPBadRequests(t *testing.T) {
 }
 
 // TestHTTPRejectsUnboundedCustomLayers: a custom layer padded as wide
-// as its kernel, or one whose element counts overflow int64, is a 400
-// with the validation message on v1 DSE and on v2 submit - not a job
-// priced from a clamped or wrapped geometry.
+// as its kernel, one whose element counts overflow int64, or a valid one
+// whose access counts could reach 2^53 (the 2^28 x 2^28 FC layer once
+// came back as a 200 with a negative EDP) is a 400 with a message naming
+// the layer on v1 DSE and on v2 submit - not a job priced from a
+// clamped, wrapped or rounded count.
 func TestHTTPRejectsUnboundedCustomLayers(t *testing.T) {
 	ts := newTestServer(t, New(Options{Workers: 1, CacheEntries: 4}))
 	layers := []struct{ layer, want string }{
 		{`{"name":"wide-pad","h":4,"w":4,"j":4,"i":4,"p":1,"q":1,"stride":1,"pad":5}`, "smaller than the 1x1 kernel"},
 		{`{"name":"huge","h":1073741824,"w":1073741824,"j":1073741824,"i":1073741824,"p":3,"q":3,"stride":1,"pad":1}`, "too large"},
+		{`{"name":"fc","kind":"fc","h":1,"w":1,"j":268435456,"i":268435456,"p":1,"q":1,"stride":1}`, "layer fc at batch 1: too large to count exactly"},
+		{`{"name":"fc","kind":"fc","h":1,"w":1,"j":2147483648,"i":2147483648,"p":1,"q":1,"stride":1}`, "layer fc at batch 1: too large to count exactly"},
 	}
 	for _, l := range layers {
 		dse := `{"arch":"ddr3","layers":[` + l.layer + `]}`
@@ -244,6 +248,29 @@ func TestHTTPRejectsUnboundedCustomLayers(t *testing.T) {
 				t.Errorf("POST %s: error body %q lacks %q", c.path, body, l.want)
 			}
 		}
+	}
+}
+
+// TestCountRangeKeepsBuiltInNetworks: the count-range check rejects a
+// built-in network only at an absurd batch, naming the layer - a
+// simulate of AlexNet at batch 2^40 once came back as a 200 with
+// negative EDPs; at the batches clients use every built-in network
+// resolves, so its picks (pinned by TestServiceDSEMatchesSerialAndCaches
+// and the dse-picks certificate) stand.
+func TestCountRangeKeepsBuiltInNetworks(t *testing.T) {
+	svc := New(Options{Workers: 1, CacheEntries: 4})
+	for _, name := range []string{"lenet5", "alexnet", "vgg16", "resnet18"} {
+		for _, batch := range []int{1, 4, 1024} {
+			if _, err := svc.parseDSE(DSERequest{Arch: "ddr3", Network: name, Batch: batch}); err != nil {
+				t.Errorf("%s at batch %d: %v", name, batch, err)
+			}
+		}
+	}
+	if _, err := svc.parseDSE(DSERequest{Arch: "ddr3", Network: "alexnet", Batch: 1 << 40}); err == nil || !strings.Contains(err.Error(), "layer CONV1") {
+		t.Errorf("alexnet at batch 2^40: err %v, want one naming CONV1", err)
+	}
+	if _, err := svc.parseSimulate(SimulateRequest{Arch: "ddr3", Network: "alexnet", Batch: 1 << 40}); err == nil || !strings.Contains(err.Error(), "layer CONV1") {
+		t.Errorf("simulate alexnet at batch 2^40: err %v, want one naming CONV1", err)
 	}
 }
 

@@ -216,42 +216,25 @@ func evaluateColumns(ctx context.Context, gate chan struct{}, grids []core.Layer
 	return columns, nil
 }
 
-// characterizeEach fans n characterizations over the worker pool.
-// profile.Characterize builds fresh memctrl.Controllers internally, so
-// each worker owns its controllers and no simulator state is shared
-// across goroutines. Results keep the input order; a canceled context
-// abandons unstarted items. label names item i in errors.
-func characterizeEach(ctx context.Context, n, workers int, one func(i int) (*profile.Profile, error), label func(i int) string) ([]*profile.Profile, error) {
-	profiles := make([]*profile.Profile, n)
-	errs := make([]error, n)
-	err := runPool(ctx, n, workers, func(i int) {
-		profiles[i], errs[i] = one(i)
+// CharacterizeBackends runs the Fig. 1 characterization of several
+// registered backends concurrently; each profile carries its backend
+// identity. profile.CharacterizeBackend builds fresh
+// memctrl.Controllers internally, so each worker owns its controllers
+// and no simulator state is shared across goroutines. Results keep the
+// input order; a canceled context abandons unstarted items.
+func CharacterizeBackends(ctx context.Context, backends []dram.Backend, workers int) ([]*profile.Profile, error) {
+	profiles := make([]*profile.Profile, len(backends))
+	errs := make([]error, len(backends))
+	err := runPool(ctx, len(backends), workers, func(i int) {
+		profiles[i], errs[i] = profile.CharacterizeBackend(backends[i])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("service: characterization canceled: %w", err)
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("service: characterize %s: %w", label(i), err)
+			return nil, fmt.Errorf("service: characterize %s: %w", backends[i].ID, err)
 		}
 	}
 	return profiles, nil
-}
-
-// CharacterizeBackends runs the Fig. 1 characterization of several
-// registered backends concurrently; each profile carries its backend
-// identity.
-func CharacterizeBackends(ctx context.Context, backends []dram.Backend, workers int) ([]*profile.Profile, error) {
-	return characterizeEach(ctx, len(backends), workers,
-		func(i int) (*profile.Profile, error) { return profile.CharacterizeBackend(backends[i]) },
-		func(i int) string { return backends[i].ID })
-}
-
-// CharacterizeConfigs is CharacterizeBackends for ad-hoc (unregistered)
-// configurations, e.g. sweep points mutated off a preset; the profiles
-// carry no backend identity.
-func CharacterizeConfigs(ctx context.Context, cfgs []dram.Config, workers int) ([]*profile.Profile, error) {
-	return characterizeEach(ctx, len(cfgs), workers,
-		func(i int) (*profile.Profile, error) { return profile.Characterize(cfgs[i]) },
-		func(i int) string { return cfgs[i].Arch.String() })
 }

@@ -136,31 +136,6 @@ func TestParallelDSEInputValidation(t *testing.T) {
 	}
 }
 
-// TestCharacterizeConfigsMatchesSerial: the parallel characterization
-// produces the same profiles as serial calls, in input order.
-func TestCharacterizeConfigsMatchesSerial(t *testing.T) {
-	cfgs := []dram.Config{dram.DDR3Config(), dram.SALP1Config(), dram.SALP2Config(), dram.SALPMASAConfig()}
-	par, err := CharacterizeConfigs(context.Background(), cfgs, 4)
-	if err != nil {
-		t.Fatalf("CharacterizeConfigs: %v", err)
-	}
-	if len(par) != len(cfgs) {
-		t.Fatalf("got %d profiles, want %d", len(par), len(cfgs))
-	}
-	for i, cfg := range cfgs {
-		serial, err := profile.Characterize(cfg)
-		if err != nil {
-			t.Fatalf("serial characterize %v: %v", cfg.Arch, err)
-		}
-		if !reflect.DeepEqual(serial, par[i]) {
-			t.Errorf("%v: parallel characterization diverged from serial", cfg.Arch)
-		}
-		if par[i].Arch != cfg.Arch {
-			t.Errorf("profile %d is for %v, want %v (order not preserved)", i, par[i].Arch, cfg.Arch)
-		}
-	}
-}
-
 // TestParallelDSEMatchesSerialOnGeneralityBackend extends the
 // equivalence contract beyond the paper set: on DDR4 (a registered
 // non-paper backend), the parallel executor's DSEResult - including

@@ -358,6 +358,9 @@ func (s *Service) parseDSE(req DSERequest) (DSEJob, error) {
 	if job.Batch == 0 {
 		job.Batch = 1
 	}
+	if err := core.CheckCountRange(job.Network, job.Accel.BytesPerElement, job.Batch); err != nil {
+		return DSEJob{}, err
+	}
 	return job, nil
 }
 
@@ -614,6 +617,13 @@ func (s *Service) parseSimulate(req SimulateRequest) (*simInputs, error) {
 	}
 	in.parallel, err = parseSimEngine(req.Engine)
 	if err != nil {
+		return nil, err
+	}
+	layers := in.network
+	if !in.networkMode {
+		layers = cnn.Network{Layers: []cnn.Layer{in.spec.Layer}}
+	}
+	if err := core.CheckCountRange(layers, in.bpe, in.batch); err != nil {
 		return nil, err
 	}
 	return in, nil

@@ -59,7 +59,10 @@ func (j DSEJob) Validate() error {
 	if len(j.Schedules) == 0 || len(j.Policies) == 0 {
 		return fmt.Errorf("service: job needs at least one schedule and one policy")
 	}
-	return j.Network.Validate()
+	if err := j.Network.Validate(); err != nil {
+		return err
+	}
+	return core.CheckCountRange(j.Network, j.Accel.BytesPerElement, j.Batch)
 }
 
 // DSERunner executes resolved DSE jobs. The service's local pool is the
