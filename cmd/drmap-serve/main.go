@@ -108,7 +108,6 @@ func main() {
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "additional byte cap on resident count plans (0 = entry cap only)")
 	warm := flag.Bool("warm", false, "pre-warm the count-plan cache at boot (registry x warm networks) and on dram.Register; /healthz reports warming -> ready")
 	warmNetworks := flag.String("warm-networks", "", "comma-separated warm set (implies -warm; default alexnet,lenet5 - size -plan-cache/-plan-cache-bytes to hold larger sets)")
-	shardCacheEntries := flag.Int("shard-cache", cluster.DefaultShardCacheEntries, "coordinator shard result cache capacity in (job, span) entries (role=coordinator; negative disables)")
 	timeout := flag.Duration("timeout", service.DefaultRequestTimeout, "per-request evaluation timeout (v1; v2 jobs are unbounded)")
 	grace := flag.Duration("grace", service.DefaultShutdownGrace, "graceful shutdown window")
 	maxJobs := flag.Int("max-jobs", service.DefaultMaxJobs, "v2 job store capacity")
@@ -145,8 +144,7 @@ func main() {
 	case "standalone":
 	case "coordinator":
 		coord := cluster.NewCoordinator(cluster.CoordinatorOptions{
-			HeartbeatTTL: *ttl, ShardCacheEntries: *shardCacheEntries,
-			Registry: svc.Registry(), Logger: logger,
+			HeartbeatTTL: *ttl, Registry: svc.Registry(), Logger: logger,
 		})
 		svc.SetRunner(coord)
 		mount = coord.Mount

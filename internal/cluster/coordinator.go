@@ -36,10 +36,6 @@ const (
 	// Shards evaluate in milliseconds to seconds; two minutes is
 	// generous headroom, not a tuning knob.
 	DefaultShardTimeout = 2 * time.Minute
-	// DefaultShardCacheEntries bounds the coordinator-side shard result
-	// cache (one entry per (job, span)); a typical job cuts 4 shards
-	// per live worker.
-	DefaultShardCacheEntries = 512
 	// idleShardConnsPerHost sizes the default client's keep-alive pool
 	// per worker. Every span of a job is in flight at once and batch
 	// items run concurrently, so one worker sees tens of concurrent
@@ -64,13 +60,6 @@ type CoordinatorOptions struct {
 	// worker is retried elsewhere instead of hanging the job; <= 0
 	// means DefaultShardTimeout.
 	ShardTimeout time.Duration
-	// ShardCacheEntries bounds the coordinator-side shard result cache,
-	// keyed by (resolved-job content hash, span): retried and duplicate
-	// shards - a coordinator re-running an identical job, repeated batch
-	// items that missed the owning service's result cache - skip
-	// dispatch entirely. 0 selects DefaultShardCacheEntries, negative
-	// disables the cache.
-	ShardCacheEntries int
 	// Client performs shard dispatch; nil means a client whose
 	// keep-alive pool holds idleShardConnsPerHost connections per worker
 	// (each call is already bounded by ShardTimeout).
@@ -78,9 +67,9 @@ type CoordinatorOptions struct {
 	// Now is the membership clock; nil means time.Now. Injectable so
 	// stale-heartbeat handling is testable without sleeping.
 	Now func() time.Time
-	// Registry receives the coordinator's membership, shard and
-	// shard-cache series; nil builds a private one. Pass the owning
-	// Service's Registry() so they show on its GET /metrics page.
+	// Registry receives the coordinator's membership and shard series;
+	// nil builds a private one. Pass the owning Service's Registry() so
+	// they show on its GET /metrics page.
 	Registry *obs.Registry
 	// Logger receives shard retry and job completion lines, trace ID
 	// attached; nil discards them.
@@ -99,10 +88,6 @@ type Coordinator struct {
 	shardsPerWorker int
 	maxAttempts     int
 	shardTimeout    time.Duration
-
-	// shardCache remembers completed shard results by (job content hash,
-	// span), so duplicate shards skip dispatch; nil when disabled.
-	shardCache *service.Cache
 
 	inflight  *obs.Gauge   // shards currently dispatched
 	completed *obs.Counter // shards merged successfully
@@ -141,14 +126,6 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	if shardTimeout <= 0 {
 		shardTimeout = DefaultShardTimeout
 	}
-	cacheEntries := opt.ShardCacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = DefaultShardCacheEntries
-	}
-	var shardCache *service.Cache
-	if cacheEntries > 0 {
-		shardCache = service.NewCache(cacheEntries)
-	}
 	reg := opt.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -163,7 +140,6 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		shardsPerWorker: spw,
 		maxAttempts:     attempts,
 		shardTimeout:    shardTimeout,
-		shardCache:      shardCache,
 		inflight: reg.Gauge("drmap_cluster_inflight_shards",
 			"Shards currently dispatched and unresolved.").With(),
 		completed: reg.Counter("drmap_cluster_shards_completed_total",
@@ -179,13 +155,6 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	reg.Func("drmap_cluster_workers", obs.KindGauge,
 		"Cluster members currently alive (heartbeat within TTL).",
 		func() float64 { return float64(len(c.members.Live())) })
-	service.RegisterCacheMetrics(reg, "drmap_cluster_shard_cache", c.ShardCacheStats, service.CacheHelp{
-		Hits:      "Shard-cache lookups served from a completed entry.",
-		Misses:    "Shard-cache lookups that dispatched fresh work.",
-		Coalesced: "Shard dispatches joined while an identical shard was in flight.",
-		Evictions: "Shard-cache LRU evictions.",
-		Entries:   "Resident shard-cache entries.",
-	})
 	return c
 }
 
@@ -218,16 +187,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RegisterResponse{OK: true, TTLMillis: c.members.TTL().Milliseconds()})
 }
 
-// ShardCacheStats snapshots the shard result cache counters; all-zero
-// when the cache is disabled. A hit is a shard answered without any
-// worker dispatch.
-func (c *Coordinator) ShardCacheStats() service.CacheStats {
-	if c.shardCache == nil {
-		return service.CacheStats{}
-	}
-	return c.shardCache.Stats()
-}
-
 // RunDSE distributes one resolved DSE job, whose enumeration is grids
 // (job.Grid), across the live workers by (layer, schedule) column span
 // and merges the shards into a DSEResult bit-for-bit identical to
@@ -243,11 +202,11 @@ func (c *Coordinator) RunDSE(ctx context.Context, job service.DSEJob, grids []co
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	// An unfingerprintable job (resolved jobs JSON-encode by
-	// construction) places by its job fingerprint instead.
+	// Resolved jobs JSON-encode by construction; an unfingerprintable
+	// one places by the empty key.
 	sig, _ := service.PlanSignature(job)
 	res, err := runShards(ctx, c, shardJob[core.CellResult, *core.DSEResult]{
-		kind: "dse", job: job, placement: sig, units: job.Columns(grids),
+		kind: "dse", placement: sig, units: job.Columns(grids),
 		request: func(span core.ColumnSpan, shard, total int) ShardRequest {
 			return ShardRequest{Job: job, Span: span, Shard: shard, Total: total}
 		},

@@ -17,17 +17,14 @@ import (
 )
 
 // shardJob is all one sharded job kind hands the span dispatcher; the
-// shard cache, fan-out, retry, progress and telemetry are shared. E is
-// the element a shard response carries for the kind, R its result.
+// fan-out, retry, progress and telemetry are shared. E is the element
+// a shard response carries for the kind, R its result.
 type shardJob[E, R any] struct {
 	// kind names the job kind ("dse", "simulate") on spans, log lines
-	// and errors, and namespaces its shard-cache keys.
+	// and errors.
 	kind string
-	// job is the resolved job; its fingerprint keys the shard cache.
-	job any
 	// placement keys where the spans run (see pickWorker): jobs with
-	// one key send span i to the same worker. Empty places by the job
-	// fingerprint.
+	// one key send span i to the same worker.
 	placement string
 	// units sizes the shardable index space: DSE columns, sim layers.
 	units int
@@ -41,8 +38,8 @@ type shardJob[E, R any] struct {
 
 // runShards distributes one job across the live workers: it cuts the
 // job's index space into ShardsPerWorker spans per worker, places them
-// by the job's placement key (see pickWorker), resolves every span
-// concurrently (see dispatchShard) and merges the payloads.
+// by the job's placement key (see pickWorker), dispatches every span
+// concurrently (see dispatchRemote) and merges the payloads.
 // With no live workers it returns an error wrapping
 // service.ErrNoWorkers, which the owning Service answers from its local
 // pool - a cluster degrades to standalone rather than failing.
@@ -61,23 +58,8 @@ func runShards[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R])
 		prog.StartColumns(sj.units)
 	}
 	spans := core.ColumnShards(sj.units, workers*c.shardsPerWorker)
-	// One content hash per job run: the shard cache keys every span
-	// under it, so re-running an identical resolved job (a retried v2
-	// job, a batch item that missed the result cache) hits instead of
-	// re-dispatching. The kind prefix keeps the kinds' keys disjoint;
-	// an unfingerprintable job just skips the cache. The hash also
-	// places the spans of a kind that names no placement key.
-	fp, fpErr := service.Fingerprint(sj.job)
-	keyPrefix := ""
-	if c.shardCache != nil && fpErr == nil {
-		keyPrefix = sj.kind + ":" + fp
-	}
-	placement := sj.placement
-	if placement == "" {
-		placement = fp
-	}
 	start := time.Now()
-	shards, done, err := fanOut(ctx, c, sj, keyPrefix, placementBase(placement), spans)
+	shards, done, err := fanOut(ctx, c, sj, placementBase(sj.placement), spans)
 	if err != nil {
 		if prog != nil {
 			prog.ColumnsDone(-done)
@@ -109,11 +91,11 @@ func runShards[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R])
 	return res, nil
 }
 
-// fanOut resolves every span concurrently and returns their payloads in
+// fanOut dispatches every span concurrently and returns their payloads in
 // span order, plus how many units it reported done to the progress sink
 // (so a failing caller can withdraw them). base is the job's placement
 // hash. The first failure cancels the remaining spans.
-func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], keyPrefix string, base uint64, spans []core.ColumnSpan) ([][]E, int, error) {
+func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], base uint64, spans []core.ColumnSpan) ([][]E, int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	prog := core.ProgressFrom(ctx)
@@ -126,7 +108,7 @@ func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], ke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sr, err := c.dispatchShard(ctx, sj.kind, keyPrefix, base, sj.request(span, i, len(spans)))
+			sr, err := c.dispatchRemote(ctx, sj.kind, base, sj.request(span, i, len(spans)))
 			if err != nil {
 				failOnce.Do(func() {
 					firstErr = err
@@ -145,60 +127,13 @@ func fanOut[E, R any](ctx context.Context, c *Coordinator, sj shardJob[E, R], ke
 	return results, int(done.Load()), firstErr
 }
 
-// dispatchShard resolves one span: from the shard result cache when an
-// identical (job, span) has completed before (or is completing right
-// now - identical in-flight spans coalesce), else by remote dispatch,
-// whose response is retained for the next duplicate. The cache is
-// sound because every kind's shard evaluation is bit-for-bit
-// deterministic: a cached span is what any re-dispatch would produce.
-func (c *Coordinator) dispatchShard(ctx context.Context, kind, keyPrefix string, base uint64, req ShardRequest) (ShardResponse, error) {
-	if c.shardCache == nil || keyPrefix == "" {
-		return c.dispatchRemote(ctx, kind, base, req)
-	}
-	key := fmt.Sprintf("%s:%d:%d", keyPrefix, req.Span.Start, req.Span.End)
-	// The wait is bounded by this caller's context (as service.doBounded
-	// does): a coalesced caller must not block behind a foreign flight's
-	// dispatch - potentially attempts x timeout long - after its own job
-	// was canceled.
-	type outcome struct {
-		v      any
-		shared bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, shared, err := c.shardCache.Do(key, func() (any, error) {
-			return c.dispatchRemote(ctx, kind, base, req)
-		})
-		ch <- outcome{v, shared, err}
-	}()
-	select {
-	case o := <-ch:
-		if o.err == nil {
-			return o.v.(ShardResponse), nil
-		}
-		if o.shared && ctx.Err() == nil {
-			// The error belongs to a coalesced peer's flight (its
-			// context died, its job failed elsewhere) - not to this
-			// caller, whose context is still live. Dispatch for
-			// ourselves rather than failing an innocent job with a
-			// foreign cancellation.
-			return c.dispatchRemote(ctx, kind, base, req)
-		}
-		return ShardResponse{}, o.err
-	case <-ctx.Done():
-		return ShardResponse{}, fmt.Errorf("cluster: %s shard %d/%d canceled: %w", kind, req.Shard, req.Total, ctx.Err())
-	}
-}
-
 // dispatchRemote sends one shard to the live worker its placement
 // (base, req.Shard) picks, retrying one slot on when a dispatch fails
 // or times out (the failed worker is marked dead until its next
 // heartbeat, so the rebuilt slot table no longer holds it). Running out of live workers or
 // attempts surfaces as service.ErrNoWorkers so the job as a whole fails
 // over to the owning service's local pool. The worker's spans are
-// forwarded into ctx's trace and stripped, so the cache keeps only the
-// payload.
+// forwarded into ctx's trace and stripped from the response.
 func (c *Coordinator) dispatchRemote(ctx context.Context, kind string, base uint64, req ShardRequest) (ShardResponse, error) {
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)

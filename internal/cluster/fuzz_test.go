@@ -25,11 +25,12 @@ import (
 // FuzzShardRequest sends raw bytes to the worker's shard endpoint as a
 // request body. Whatever a peer posts, the worker answers a 4xx or a
 // 200 whose cells and simulated layers have finite, non-negative values
-// and costs: never a panic, never a 5xx. The committed corpus under
-// testdata/fuzz/FuzzShardRequest holds well-formed DSE and simulate
-// shards of LeNet-5, malformed variants, a valid layer whose counts
-// would leave the exact range and a backend with negative I/O energy,
-// so plain go test replays them offline.
+// and costs, and whose simulated cycles fit int64: never a panic, never
+// a 5xx. The committed corpus under testdata/fuzz/FuzzShardRequest
+// holds well-formed DSE and simulate shards of LeNet-5, malformed
+// variants, a DSE layer and a simulate batch whose counts would leave
+// the exact range and a backend with negative I/O energy, so plain go
+// test replays them offline.
 func FuzzShardRequest(f *testing.F) {
 	w := NewWorker(service.New(service.Options{Workers: 1, CacheEntries: 8}), WorkerOptions{ID: "fuzz"})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -58,6 +59,11 @@ func FuzzShardRequest(f *testing.F) {
 		for _, lr := range resp.SimLayers {
 			if !finiteNonNegative(lr.Cost.Cycles, lr.Cost.Energy) {
 				t.Fatalf("body %q: sim layer %d has a negative or non-finite cost %+v", body, lr.Index, lr.Cost)
+			}
+			// A layer inside the exact count range takes fewer clock
+			// cycles than int64 holds.
+			if lr.Cost.Cycles >= math.MaxInt64 {
+				t.Fatalf("body %q: sim layer %d ran %g cycles, past int64", body, lr.Index, lr.Cost.Cycles)
 			}
 		}
 	})
@@ -113,7 +119,7 @@ func FuzzShardResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, simulate bool, body []byte) {
 		reply.Store(&body)
-		c := NewCoordinator(CoordinatorOptions{ShardCacheEntries: -1})
+		c := NewCoordinator(CoordinatorOptions{})
 		c.Membership().Heartbeat(WorkerInfo{ID: "stub", URL: stub.URL, Capacity: 1})
 		var err error
 		if simulate {

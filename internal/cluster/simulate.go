@@ -22,8 +22,11 @@ func (c *Coordinator) RunSimulate(ctx context.Context, job service.SimulateJob) 
 		return nil, err
 	}
 	layers := len(job.Specs)
+	// Simulate spans carry no count plan, so they place by the job's
+	// content hash; an unfingerprintable job places by the empty key.
+	fp, _ := service.Fingerprint(job)
 	res, err := runShards(ctx, c, shardJob[core.SimLayerResult, []core.SimLayerResult]{
-		kind: "simulate", job: job, units: layers,
+		kind: "simulate", placement: fp, units: layers,
 		request: func(span core.ColumnSpan, shard, total int) ShardRequest {
 			return ShardRequest{Sim: &job, Span: span, Shard: shard, Total: total}
 		},

@@ -86,18 +86,6 @@ func NewCacheSized(capacity int, maxBytes int64, sizeOf func(any) int64) *Cache 
 	}
 }
 
-// Get returns the cached value for key, marking it recently used.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
 // Do returns the value for key, computing it at most once across all
 // concurrent callers: a cached value is returned immediately; callers
 // arriving while an identical computation is in flight block and share

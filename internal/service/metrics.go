@@ -19,15 +19,15 @@ func (s *Service) Registry() *obs.Registry {
 	return s.registry
 }
 
-// CacheHelp is the # HELP text of one cache's series.
-type CacheHelp struct {
+// cacheHelp is the # HELP text of one cache's series.
+type cacheHelp struct {
 	Hits, Misses, Coalesced, Evictions, Entries string
 }
 
-// RegisterCacheMetrics exposes one cache's counters on r as
+// registerCacheMetrics exposes one cache's counters on r as
 // prefix_{hits,misses,coalesced,evictions}_total and prefix_entries,
 // read from stats at every scrape.
-func RegisterCacheMetrics(r *obs.Registry, prefix string, stats func() CacheStats, help CacheHelp) {
+func registerCacheMetrics(r *obs.Registry, prefix string, stats func() CacheStats, help cacheHelp) {
 	for _, m := range []struct {
 		suffix, kind, help string
 		value              func(CacheStats) int64
@@ -52,14 +52,14 @@ func (s *Service) registerMetrics() {
 	r.Func("drmap_evaluations_total", obs.KindCounter,
 		"Fresh (non-cached, non-coalesced) computations run.",
 		func() float64 { return float64(s.Evaluations()) })
-	RegisterCacheMetrics(r, "drmap_cache", s.CacheStats, CacheHelp{
+	registerCacheMetrics(r, "drmap_cache", s.CacheStats, cacheHelp{
 		Hits:      "Result-cache lookups served from a completed entry.",
 		Misses:    "Result-cache lookups that required a fresh computation.",
 		Coalesced: "Result-cache lookups that joined an identical in-flight computation.",
 		Evictions: "Result-cache LRU evictions.",
 		Entries:   "Resident result-cache entries.",
 	})
-	RegisterCacheMetrics(r, "drmap_plan_cache", s.PlanCacheStats, CacheHelp{
+	registerCacheMetrics(r, "drmap_plan_cache", s.PlanCacheStats, cacheHelp{
 		Hits:      "Count-plan-cache hits (columns repriced instead of recounted).",
 		Misses:    "Count-plan-cache misses (columns counted fresh).",
 		Coalesced: "Count-plan computations joined while in flight.",

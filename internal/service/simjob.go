@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"drmap/internal/cnn"
 	"drmap/internal/core"
 	"drmap/internal/dram"
 	"drmap/internal/mapping"
@@ -58,8 +59,10 @@ func (j SimulateJob) Validate() error {
 		if err := sp.Layer.Validate(); err != nil {
 			return fmt.Errorf("service: sim job layer %d: %w", i, err)
 		}
-		if sp.Batch < 1 {
-			return fmt.Errorf("service: sim job layer %d: batch must be >= 1, got %d", i, sp.Batch)
+		// The same exact-range check a resolved request passes: a shard
+		// posted straight to a worker must not simulate counts past it.
+		if err := core.CheckCountRange(cnn.Network{Layers: []cnn.Layer{sp.Layer}}, j.BytesPerElement, sp.Batch); err != nil {
+			return fmt.Errorf("service: sim job layer %d: %w", i, err)
 		}
 	}
 	return nil
