@@ -176,26 +176,8 @@ func TestDistributedSimulateThroughService(t *testing.T) {
 	if !reflect.DeepEqual(dist, want) {
 		t.Errorf("distributed simulate response diverged from local:\ndistributed: %+v\nlocal:       %+v", dist, want)
 	}
-	dispatched := coord.completed.Value()
-	if dispatched == 0 {
+	if coord.completed.Value() == 0 {
 		t.Error("the service's simulate request dispatched no shards")
-	}
-
-	// The same request again is answered from the service's result
-	// cache: no shard is dispatched and the response is unchanged.
-	again, err := svc.Simulate(context.Background(), req)
-	if err != nil {
-		t.Fatalf("repeat distributed simulate: %v", err)
-	}
-	if !again.Cached {
-		t.Error("repeat simulate request not served from the result cache")
-	}
-	if n := coord.completed.Value(); n != dispatched {
-		t.Errorf("repeat simulate request dispatched shards: completed %v -> %v", dispatched, n)
-	}
-	again.Cached = dist.Cached
-	if !reflect.DeepEqual(again, dist) {
-		t.Error("repeat simulate response diverged from the first")
 	}
 }
 
