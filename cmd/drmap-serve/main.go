@@ -8,7 +8,7 @@
 //
 //	drmap-serve [-addr :8080] [-role standalone|coordinator]
 //	            [-workers N] [-cache N] [-timeout 60s]
-//	            [-warm] [-warm-networks LIST] [-plan-cache N] [-plan-cache-bytes N]
+//	            [-plan-cache N] [-plan-cache-bytes N]
 //	            [-log-level info] [-log-format text|json] [-pprof]
 //	            [-version]
 //
@@ -56,20 +56,6 @@
 //	curl -s localhost:8080/api/v1/batch -d '{"jobs":[
 //	  {"arch":"ddr3","network":"alexnet"},{"arch":"masa","network":"alexnet"}]}'
 //
-// # Plan warmup
-//
-// -warm pre-computes the count-plan cache in the background at boot:
-// every registered backend x the warm networks (default alexnet and
-// lenet5; widen with -warm-networks), through the same
-// content-addressed plan path live requests use, so steady-state
-// traffic starts on the vectorized reprice-only path immediately.
-// Backends registered later (embedding processes calling dram.Register)
-// are warmed as they appear. Progress is the drmap_plan_warm_* metric
-// family and the "warm" block of /healthz (state: warming -> ready).
-// -plan-cache-bytes caps the resident bytes of cached plans; when
-// warming large networks, size -plan-cache and -plan-cache-bytes to
-// hold the set, or the boot pass evicts its own output.
-//
 // # Observability
 //
 // Every request is traced (X-Drmap-Trace-Id in and out), timed into
@@ -89,7 +75,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -106,8 +91,6 @@ func main() {
 	cacheEntries := flag.Int("cache", service.DefaultCacheEntries, "result cache capacity in entries (negative disables retention)")
 	planCacheEntries := flag.Int("plan-cache", service.DefaultPlanCacheEntries, "count-plan cache capacity in grid columns (negative disables; plans are backend-independent, so multi-backend batches reprice instead of recount)")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "additional byte cap on resident count plans (0 = entry cap only)")
-	warm := flag.Bool("warm", false, "pre-warm the count-plan cache at boot (registry x warm networks) and on dram.Register; /healthz reports warming -> ready")
-	warmNetworks := flag.String("warm-networks", "", "comma-separated warm set (implies -warm; default alexnet,lenet5 - size -plan-cache/-plan-cache-bytes to hold larger sets)")
 	timeout := flag.Duration("timeout", service.DefaultRequestTimeout, "per-request evaluation timeout (v1; v2 jobs are unbounded)")
 	grace := flag.Duration("grace", service.DefaultShutdownGrace, "graceful shutdown window")
 	maxJobs := flag.Int("max-jobs", service.DefaultMaxJobs, "v2 job store capacity")
@@ -171,23 +154,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if *warm || *warmNetworks != "" {
-		nets := service.WarmNetworks
-		if *warmNetworks != "" {
-			nets = nil
-			for _, name := range strings.Split(*warmNetworks, ",") {
-				if name = strings.TrimSpace(name); name != "" {
-					nets = append(nets, name)
-				}
-			}
-		}
-		if err := svc.EnableWarm(ctx, nets...); err != nil {
-			logger.Error("plan warmup failed to start", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("plan warmup started", "networks", nets)
-	}
-
 	logger.Info("listening", "addr", *addr, "role", *role,
 		"workers", svc.Workers(), "cache_entries", *cacheEntries,
 		"timeout", timeout.String(), "pprof", *pprof)

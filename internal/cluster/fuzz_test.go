@@ -29,8 +29,9 @@ import (
 // a 5xx. The committed corpus under testdata/fuzz/FuzzShardRequest
 // holds well-formed DSE and simulate shards of LeNet-5, malformed
 // variants, a DSE layer and a simulate batch whose counts would leave
-// the exact range and a backend with negative I/O energy, so plain go
-// test replays them offline.
+// the exact range, a backend with negative I/O energy and DSE jobs
+// that repeat a policy or a schedule, so plain go test replays them
+// offline.
 func FuzzShardRequest(f *testing.F) {
 	w := NewWorker(service.New(service.Options{Workers: 1, CacheEntries: 8}), WorkerOptions{ID: "fuzz"})
 	f.Fuzz(func(t *testing.T, body []byte) {

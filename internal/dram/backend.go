@@ -48,31 +48,7 @@ var registry = struct {
 	sync.RWMutex
 	byID   map[string]Backend
 	byName map[string]string // display name -> owning ID
-	// hooks are the OnRegister subscribers, keyed so each can cancel.
-	hooks    map[int]func(Backend)
-	nextHook int
-}{byID: make(map[string]Backend), byName: make(map[string]string), hooks: make(map[int]func(Backend))}
-
-// OnRegister subscribes fn to successful backend registrations: fn runs
-// synchronously after each Register returns the backend to the registry
-// (outside the registry lock, so it may call Lookup/Backends freely).
-// Registrations that happened before the subscription are not replayed;
-// subscribers that need the full set should walk Backends() first. The
-// returned cancel function removes the subscription - long-lived
-// subscribers tied to a context (e.g. the serving daemon's plan warmer)
-// must cancel on shutdown or they leak.
-func OnRegister(fn func(Backend)) (cancel func()) {
-	registry.Lock()
-	id := registry.nextHook
-	registry.nextHook++
-	registry.hooks[id] = fn
-	registry.Unlock()
-	return func() {
-		registry.Lock()
-		delete(registry.hooks, id)
-		registry.Unlock()
-	}
-}
+}{byID: make(map[string]Backend), byName: make(map[string]string)}
 
 // validBackendID reports whether an ID is usable as a flag value, URL
 // fragment and cache-key component: non-empty lowercase letters, digits,
@@ -108,24 +84,15 @@ func Register(b Backend) error {
 		return fmt.Errorf("dram: backend %q: %w", b.ID, err)
 	}
 	registry.Lock()
+	defer registry.Unlock()
 	if _, dup := registry.byID[b.ID]; dup {
-		registry.Unlock()
 		return fmt.Errorf("dram: backend %q already registered", b.ID)
 	}
 	if owner, dup := registry.byName[b.Name]; dup {
-		registry.Unlock()
 		return fmt.Errorf("dram: backend name %q already taken by %q", b.Name, owner)
 	}
 	registry.byID[b.ID] = b
 	registry.byName[b.Name] = b.ID
-	hooks := make([]func(Backend), 0, len(registry.hooks))
-	for _, fn := range registry.hooks {
-		hooks = append(hooks, fn)
-	}
-	registry.Unlock()
-	for _, fn := range hooks {
-		fn(b)
-	}
 	return nil
 }
 

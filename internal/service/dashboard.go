@@ -1,7 +1,7 @@
 // The live ops dashboard: one server-rendered, zero-dependency HTML
 // page at GET /debug/dashboard showing what both daemons are doing
 // right now - jobs in flight, worker liveness (coordinator role),
-// cache hit rates, plan-warm status, and the slowest recently retained
+// cache hit rates, and the slowest recently retained
 // traces with links into the trace API. It auto-refreshes via a meta
 // tag: no JavaScript, no assets, nothing to bundle.
 package service
@@ -63,7 +63,6 @@ type dashboardData struct {
 	Now     string
 	Health  HealthResponse
 	Caches  []dashboardCache
-	Warm    *WarmStatus
 	Jobs    []dashboardJob
 	Workers []DashboardWorker
 	Slowest []dashboardTrace
@@ -98,12 +97,6 @@ a { color: #7ad; text-decoration: none; }
 <tr><th>cache</th><th>hit rate</th><th>hits</th><th>misses</th><th>coalesced</th><th>entries</th><th>bytes</th><th>evictions</th></tr>
 {{range .Caches}}<tr><td>{{.Name}}</td><td>{{.HitRate}}</td><td>{{.Stats.Hits}}</td><td>{{.Stats.Misses}}</td><td>{{.Stats.Coalesced}}</td><td>{{.Stats.Entries}}</td><td>{{.Stats.Bytes}}</td><td>{{.Stats.Evictions}}</td></tr>
 {{end}}</table>
-
-{{with .Warm}}<h2>Plan warmup</h2>
-<table>
-<tr><th>state</th><th>networks</th><th>backends</th><th>columns</th><th>errors</th></tr>
-<tr><td>{{if eq .State "ready"}}<span class="ok">{{.State}}</span>{{else}}{{.State}}{{end}}</td><td>{{range .Networks}}{{.}} {{end}}</td><td>{{.Backends}}</td><td>{{.Columns}}</td><td>{{.Errors}}</td></tr>
-</table>{{end}}
 
 {{if .Workers}}<h2>Cluster workers</h2>
 <table>
@@ -175,7 +168,6 @@ func MountDashboard(mux *http.ServeMux, s *Service, jm *JobManager, opt Dashboar
 		for i := range data.Caches {
 			data.Caches[i].HitRate = hitRate(data.Caches[i].Stats)
 		}
-		data.Warm = data.Health.Warm
 		if st := s.Spans(); st != nil {
 			data.Store = st.Stats()
 			for _, sum := range st.Slowest(10) {

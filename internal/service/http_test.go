@@ -196,6 +196,13 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"/api/v1/dse", `not json`},
 		{"/api/v1/dse", `{"arch":"ddr3","network":"lenet5","bogus_field":1}`},
 		{"/api/v1/sweep", `{"kind":"nope"}`},
+		// Sweep points the sweep could not run: a zero buffer, a
+		// subarray count that does not divide the rows, and batches
+		// whose counts could reach 2^53 (once 200s with a negative EDP).
+		{"/api/v1/sweep", `{"kind":"buffers","values":[0],"network":"lenet5"}`},
+		{"/api/v1/sweep", `{"kind":"subarrays","values":[3],"network":"lenet5"}`},
+		{"/api/v1/sweep", `{"kind":"batch","values":[1099511627776],"network":"alexnet"}`},
+		{"/api/v1/sweep", `{"kind":"buffers","values":[64],"batch":35184372088832,"network":"alexnet"}`},
 		{"/api/v1/simulate", `{"arch":"ddr3","policy":99}`},
 	}
 	for _, c := range cases {

@@ -400,17 +400,23 @@ func TestJobListFilters(t *testing.T) {
 }
 
 // TestJobBatchPartialOnCancel: a canceled batch job keeps the items
-// that finished before the cancel and reports state canceled.
+// that finished before the cancel and reports state canceled. Once the
+// held item's detached evaluation is released, no goroutine the job
+// started survives.
 func TestJobBatchPartialOnCancel(t *testing.T) {
+	checkLeaks := goroutineBaseline(t)
 	svc := New(Options{Workers: 1, CacheEntries: 16})
 	jm := NewJobManager(svc, JobManagerOptions{})
-	// Warm one item so it is an instant cache hit.
+	// Warm one item so it is an instant cache hit, then hold every
+	// fresh DSE until released.
 	if _, err := svc.DSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5"}); err != nil {
 		t.Fatal(err)
 	}
+	runner := &blockingRunner{release: make(chan struct{})}
+	svc.SetRunner(runner)
 	view, err := jm.Submit(context.Background(), JobRequest{Kind: "batch", Batch: &BatchRequest{Jobs: []DSERequest{
 		{Arch: "ddr3", Network: "lenet5"},   // cached: finishes instantly
-		{Arch: "salp2", Network: "alexnet"}, // fresh: long enough to cancel under
+		{Arch: "salp2", Network: "alexnet"}, // fresh: held by the runner
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -447,4 +453,6 @@ func TestJobBatchPartialOnCancel(t *testing.T) {
 	if resp.Completed < 1 {
 		t.Errorf("completed %d, want >= 1", resp.Completed)
 	}
+	close(runner.release)
+	checkLeaks()
 }

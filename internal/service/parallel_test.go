@@ -113,15 +113,18 @@ func TestParallelDSEObjectives(t *testing.T) {
 	}
 }
 
-// TestParallelDSECancellation: a canceled context aborts the run.
+// TestParallelDSECancellation: a canceled context aborts the run, and
+// no executor goroutine outlives it.
 func TestParallelDSECancellation(t *testing.T) {
 	evs := testEvaluators(t)
+	checkLeaks := goroutineBaseline(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ParallelDSE(ctx, cnn.AlexNet(), evs[dram.DDR3], tiling.Schedules, mapping.TableI(), core.MinimizeEDP, 2)
 	if err == nil {
 		t.Fatal("expected an error from a canceled context")
 	}
+	checkLeaks()
 }
 
 // TestParallelDSEInputValidation: grid errors surface unchanged.

@@ -122,9 +122,8 @@ func countKeyOf(job DSEJob) core.CountKey {
 
 // countPlan returns the plan-cache compute closure for one column:
 // count the column into its flat plan and book the time as the count
-// phase. columnEval's two branches and the boot-time plan warmer share
-// it, so a warmed plan is byte-for-byte the plan a live request would
-// build.
+// phase. columnEval's two branches share it, so a cached plan is
+// byte-for-byte the plan a direct count would build.
 func (s *Service) countPlan(ctx context.Context, job DSEJob, ev *core.Evaluator, grids []core.LayerGrid, li, si int) func() (any, error) {
 	return func() (any, error) {
 		start := time.Now()

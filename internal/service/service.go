@@ -51,6 +51,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -140,8 +141,6 @@ type Service struct {
 	// wall-clock by event engine (see simjob.go).
 	simCommands      *obs.CounterVec
 	simEngineSeconds *obs.HistogramVec
-	// warm tracks the plan warmer once EnableWarm has run; nil otherwise.
-	warm *warmer
 	// spans is the tail-sampled trace store behind /api/v1/traces.
 	spans *obs.SpanStore
 }
@@ -219,21 +218,14 @@ func (s *Service) PlanCacheStats() CacheStats {
 // cached and coalesced requests do not increment it.
 func (s *Service) Evaluations() int64 { return s.evals.Load() }
 
-// Health reports liveness and serving counters; with warming enabled it
-// carries the warmer's progress so orchestrators can gate readiness on
-// warm.state == "ready".
+// Health reports liveness and serving counters.
 func (s *Service) Health() HealthResponse {
-	resp := HealthResponse{
+	return HealthResponse{
 		Status:      "ok",
 		Workers:     s.workers,
 		Evaluations: s.Evaluations(),
 		Cache:       s.CacheStats(),
 	}
-	if s.warm != nil {
-		st := s.warm.status()
-		resp.Warm = &st
-	}
-	return resp
 }
 
 // Policies lists the Table I mapping policies.
@@ -809,7 +801,49 @@ func parseSweep(req SweepRequest) (*sweepInputs, error) {
 	if len(in.values) == 0 {
 		in.values = defaults
 	}
+	if err := in.checkPoints(); err != nil {
+		return nil, err
+	}
 	return in, nil
+}
+
+// checkPoints rejects a sweep point whose inputs the sweep could not
+// run, or could only run into an invalid geometry or a rounded count:
+// each subarray count must give a valid SALP-MASA die, each buffer size
+// a valid Table II accelerator, and each batch the sweep runs must be
+// countable exactly (core.CheckCountRange).
+func (in *sweepInputs) checkPoints() error {
+	batches := []int{in.batch}
+	switch in.kind {
+	case "subarrays":
+		for _, v := range in.values {
+			cfg := dram.SALPMASAConfig()
+			cfg.Geometry.Subarrays = v
+			if err := cfg.Validate(); err != nil {
+				return fmt.Errorf("sweep subarrays %d: %w", v, err)
+			}
+		}
+	case "buffers":
+		for _, v := range in.values {
+			if v < 1 || v > math.MaxInt/1024 {
+				return fmt.Errorf("sweep buffers %d KB: want 1 to %d", v, math.MaxInt/1024)
+			}
+			acfg := accel.TableII()
+			acfg.IfmBufBytes, acfg.WgtBufBytes, acfg.OfmBufBytes = v*1024, v*1024, v*1024
+			if err := acfg.Validate(); err != nil {
+				return fmt.Errorf("sweep buffers %d KB: %w", v, err)
+			}
+		}
+	case "batch":
+		batches = in.values
+	}
+	bpe := accel.TableII().BytesPerElement
+	for _, b := range batches {
+		if err := core.CheckCountRange(in.network, bpe, b); err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+	}
+	return nil
 }
 
 // Sweep runs one ablation sweep (subarrays, buffers or batch). Sweeps

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"drmap/internal/accel"
 	"drmap/internal/cnn"
 	"drmap/internal/core"
 	"drmap/internal/dram"
@@ -125,6 +126,52 @@ func TestServiceDSEDistinguishesRequests(t *testing.T) {
 		t.Error("restricted policy set hit the full-search cache entry")
 	}
 	_ = a
+}
+
+// TestServiceDSEDedupesPolicies: a repeated policy ID resolves to one
+// grid entry, so [3,3,3] is the same request as [3] - same result, one
+// cache entry - and cannot multiply the DSE work.
+func TestServiceDSEDedupesPolicies(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 16})
+	rep, err := svc.DSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5", Policies: []int{3, 3, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := svc.DSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5", Policies: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !one.Cached {
+		t.Error("[3] after [3,3,3] was not served from the same cache entry")
+	}
+	one.Cached = rep.Cached
+	if !reflect.DeepEqual(rep, one) {
+		t.Errorf("[3,3,3] and [3] differ:\n%+v\n%+v", rep.Result, one.Result)
+	}
+}
+
+// TestDSEJobValidateRejectsRepeats: a hand-built job (a shard posted
+// straight to a worker) that repeats a schedule or a policy is rejected
+// instead of multiplying the grid.
+func TestDSEJobValidateRejectsRepeats(t *testing.T) {
+	backend, _ := dram.Lookup("ddr3")
+	job := DSEJob{
+		Backend: backend, Accel: accel.TableII(), Network: cnn.LeNet5(),
+		Schedules: tiling.Schedules, Policies: mapping.TableI(),
+		Objective: core.MinimizeEDP, Batch: 1,
+	}
+	if err := job.Validate(); err != nil {
+		t.Fatalf("valid job: %v", err)
+	}
+	p := mapping.TableI()[0]
+	policies, schedules := job, job
+	policies.Policies = []mapping.Policy{p, mapping.TableI()[1], p}
+	schedules.Schedules = []tiling.Schedule{tiling.Schedules[0], tiling.Schedules[0]}
+	for name, j := range map[string]DSEJob{"policies": policies, "schedules": schedules} {
+		if err := j.Validate(); err == nil {
+			t.Errorf("job with repeated %s validated", name)
+		}
+	}
 }
 
 func TestServiceDSECustomNetwork(t *testing.T) {

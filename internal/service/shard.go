@@ -59,10 +59,25 @@ func (j DSEJob) Validate() error {
 	if len(j.Schedules) == 0 || len(j.Policies) == 0 {
 		return fmt.Errorf("service: job needs at least one schedule and one policy")
 	}
+	if hasDuplicate(j.Schedules) || hasDuplicate(j.Policies) {
+		return fmt.Errorf("service: job repeats a schedule or a policy")
+	}
 	if err := j.Network.Validate(); err != nil {
 		return err
 	}
 	return core.CheckCountRange(j.Network, j.Accel.BytesPerElement, j.Batch)
+}
+
+// hasDuplicate reports whether xs holds some element twice.
+func hasDuplicate[T comparable](xs []T) bool {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return true
+		}
+		seen[x] = true
+	}
+	return false
 }
 
 // DSERunner executes resolved DSE jobs. The service's local pool is the

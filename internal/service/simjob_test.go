@@ -237,10 +237,13 @@ func TestNetworkSimulatePickUsesPlanCache(t *testing.T) {
 
 // TestHTTPV2SimulateSubmitStreamCancel: the v2 surface runs simulate
 // jobs end to end - submit, stream sim_layer events, retrieve the
-// result - and a second, held job cancels cleanly over DELETE.
+// result - and a second, held job cancels cleanly over DELETE. Once the
+// held job's detached evaluation is released and the stream closed, no
+// goroutine either job started survives.
 func TestHTTPV2SimulateSubmitStreamCancel(t *testing.T) {
 	svc := New(Options{Workers: 2, CacheEntries: 16})
 	ts := newTestServer(t, svc)
+	checkLeaks := goroutineBaseline(t)
 
 	view := submitJob(t, ts.URL, `{"kind":"simulate","simulate":{"arch":"salp2","network":"lenet5","engine":"parallel"}}`)
 	streamResp, err := http.Get(ts.URL + "/api/v2/jobs/" + view.ID + "/events?from=0")
@@ -281,8 +284,10 @@ func TestHTTPV2SimulateSubmitStreamCancel(t *testing.T) {
 	}
 
 	// Cancel path: hold a fresh simulate job open, then DELETE it.
-	svc.SetRunner(simBlockingRunner{})
-	held := submitJob(t, ts.URL, `{"kind":"simulate","simulate":{"arch":"ddr3","network":"alexnet"}}`)
+	runner := simBlockingRunner{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	svc.SetRunner(runner)
+	held := submitJob(t, ts.URL, `{"kind":"simulate","simulate":{"arch":"ddr3","network":"lenet5"}}`)
+	<-runner.entered // running, with its evaluation detached and parked
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v2/jobs/"+held.ID, nil)
 	delResp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -296,4 +301,7 @@ func TestHTTPV2SimulateSubmitStreamCancel(t *testing.T) {
 	if deadline.State != JobCanceled {
 		t.Fatalf("held job state %s after DELETE, want canceled", deadline.State)
 	}
+	streamResp.Body.Close()
+	close(runner.release)
+	checkLeaks()
 }

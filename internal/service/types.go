@@ -212,16 +212,12 @@ func Version() VersionResponse {
 	return VersionResponse{Service: "drmap", BuildInfo: obs.Build()}
 }
 
-// HealthResponse reports daemon liveness and serving counters. Warm is
-// present only when plan warming is enabled (drmap-serve -warm); its
-// State moves from "warming" to "ready" once the boot pass over the
-// backend registry has finished.
+// HealthResponse reports daemon liveness and serving counters.
 type HealthResponse struct {
-	Status      string      `json:"status"`
-	Workers     int         `json:"workers"`
-	Evaluations int64       `json:"evaluations"`
-	Cache       CacheStats  `json:"cache"`
-	Warm        *WarmStatus `json:"warm,omitempty"`
+	Status      string     `json:"status"`
+	Workers     int        `json:"workers"`
+	Evaluations int64      `json:"evaluations"`
+	Cache       CacheStats `json:"cache"`
 }
 
 // parseSchedules resolves a request's schedule names ("all" expands).
@@ -247,7 +243,9 @@ func parseSchedules(names []string) ([]tiling.Schedule, error) {
 }
 
 // parsePolicies resolves mapping IDs to Table I policies (0 = the
-// commodity default mapping).
+// commodity default mapping), dropping repeats in first-seen order as
+// parseSchedules does: a repeated policy only multiplies the grid, and
+// it never wins the strict-min scan over its first copy.
 func parsePolicies(ids []int) ([]mapping.Policy, error) {
 	if len(ids) == 0 {
 		return mapping.TableI(), nil
@@ -256,13 +254,17 @@ func parsePolicies(ids []int) ([]mapping.Policy, error) {
 	for _, p := range mapping.TableI() {
 		byID[p.ID] = p
 	}
-	out := make([]mapping.Policy, 0, len(ids))
+	var out []mapping.Policy
+	seen := map[int]bool{}
 	for _, id := range ids {
 		p, ok := byID[id]
 		if !ok {
 			return nil, fmt.Errorf("unknown mapping policy %d (want 1-6, or 0 for the default mapping)", id)
 		}
-		out = append(out, p)
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, p)
+		}
 	}
 	return out, nil
 }
