@@ -18,14 +18,18 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"drmap"
 	"drmap/internal/core"
 	"drmap/internal/dram"
 	"drmap/internal/memctrl"
+	"drmap/internal/service"
 	"drmap/internal/sweep"
 	"drmap/internal/trace"
 )
@@ -377,6 +381,57 @@ func dsePicks(resp *drmap.BatchResponse) uint32 {
 	return h.Sum32()
 }
 
+// BenchmarkDSEResultHit drives v1 POST /api/v1/dse result-cache hits
+// through the daemon's real handler, in process: the Observe
+// middleware, the mux, the v1 submit-and-wait job, the result cache
+// and the response write. Twelve distinct requests (LeNet-5, AlexNet,
+// ResNet-18 and a custom stack over three backends and the three
+// objectives) are primed outside the timer; one iteration replays them
+// dseHitRequests times, so it takes tens of milliseconds rather than
+// one noisy sub-millisecond request. Every timed request must answer
+// 200 without a result-cache miss. This is the Go-level probe of the
+// perfbench dse-hot workload.
+func BenchmarkDSEResultHit(b *testing.B) {
+	const dseHitRequests = 1024
+	custom := `"layers":[` +
+		`{"name":"conv1","h":32,"w":32,"j":32,"i":16,"p":3,"q":3,"stride":1,"pad":1},` +
+		`{"name":"conv2","h":16,"w":16,"j":64,"i":32,"p":3,"q":3,"stride":1,"pad":1},` +
+		`{"name":"fc","kind":"fc","h":1,"w":1,"j":10,"i":4096,"p":1,"q":1,"stride":1}]`
+	networks := []string{`"network":"lenet5"`, `"network":"alexnet"`, `"network":"resnet18"`, custom}
+	archs := []string{"ddr3", "salp2", "hbm2"}
+	objectives := []string{"edp", "energy", "delay"}
+	var bodies []string
+	for i, arch := range archs {
+		for j, network := range networks {
+			bodies = append(bodies, fmt.Sprintf(`{"arch":%q,"objective":%q,%s}`,
+				arch, objectives[(i+j)%len(objectives)], network))
+		}
+	}
+	svc := service.New(service.Options{})
+	h := service.NewServer(svc, service.ServerOptions{}).Handler
+	post := func(b *testing.B, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/dse", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /api/v1/dse %s: status %d: %s", body, rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range bodies {
+		post(b, body)
+	}
+	misses := svc.CacheStats().Misses
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < dseHitRequests; j++ {
+			post(b, bodies[j%len(bodies)])
+		}
+	}
+	b.StopTimer()
+	if got := svc.CacheStats().Misses; got != misses {
+		b.Fatalf("timed requests missed the result cache: misses %d -> %d", misses, got)
+	}
+}
+
 // BenchmarkAblationSubarraySweep sweeps subarrays-per-bank on SALP-MASA
 // and reports the subarray-parallel stream cost: the SALP headroom the
 // paper's architecture choice (8 subarrays) buys.
@@ -606,13 +661,14 @@ func BenchmarkCountsClosedForm(b *testing.B) {
 }
 
 // BenchmarkRepriceFlat isolates the repricing inner loop the serving
-// daemon's warm path runs per (column, backend): one AlexNet column
-// (the layer with the most candidate tilings, adaptive-reuse, all six
-// Table I policies) is counted once outside the timer, then repriced
-// per iteration with PriceFlatInto over the packed FlatColumn planes
-// into reused scratch. -benchmem pins the steady-state contract:
-// 0 allocs/op. Equivalence with the direct per-tiling scan is pinned
-// bit-for-bit by core's count/price tests.
+// daemon's warm path runs per (column, backend): every column of the
+// AlexNet grid (each layer under each of the four schedules, all six
+// Table I policies) is counted once outside the timer, then one
+// iteration reprices all of them with PriceFlatInto over the packed
+// FlatColumn planes into reused scratch - a whole reprice-only DSE.
+// -benchmem pins the steady-state contract: 0 allocs/op. Equivalence
+// with the direct per-tiling scan is pinned bit-for-bit by core's
+// count/price tests.
 func BenchmarkRepriceFlat(b *testing.B) {
 	evs := benchEvaluators(b)
 	ev := evs[0]
@@ -621,20 +677,20 @@ func BenchmarkRepriceFlat(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lg := grids[0]
-	for _, g := range grids {
-		if len(g.Tilings) > len(lg.Tilings) {
-			lg = g
+	var flats []*core.FlatColumn
+	for _, lg := range grids {
+		for si, s := range schedules {
+			flats = append(flats, ev.CountScheduleColumn(lg, si, s, policies))
 		}
 	}
-	si := len(schedules) - 1 // adaptive-reuse
-	flat := ev.CountScheduleColumn(lg, si, schedules[si], policies)
 	b.Run("flat", func(b *testing.B) {
-		out := ev.PriceFlatInto(flat, drmap.MinimizeEDP, nil)
+		out := ev.PriceFlatInto(flats[0], drmap.MinimizeEDP, nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out = ev.PriceFlatInto(flat, drmap.MinimizeEDP, out)
+			for _, fc := range flats {
+				out = ev.PriceFlatInto(fc, drmap.MinimizeEDP, out)
+			}
 		}
 	})
 }

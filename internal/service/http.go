@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"drmap/internal/obs"
@@ -52,12 +55,43 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as indented JSON. A DSE result-cache hit writes
+// the body its cache entry encoded once, byte-identical to encoding it
+// here.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if r, ok := v.(*DSEResponse); ok && r.Cached && r.hitBody != nil {
+		_, _ = w.Write(r.hitBody.get(r))
+		return
+	}
+	_ = encodeJSON(w, v) // the status line is already out; nothing to do on error
+}
+
+// encodeJSON is writeJSON's encoding: two-space indent, trailing
+// newline.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to do on error
+	return enc.Encode(v)
+}
+
+// encodedBody is a response body encoded at most once, on first use.
+type encodedBody struct {
+	once sync.Once
+	b    []byte
+}
+
+// get returns v's encodeJSON bytes, encoding on the first call. An
+// encoding error leaves the body empty, as it leaves writeJSON's.
+func (e *encodedBody) get(v any) []byte {
+	e.once.Do(func() {
+		var buf bytes.Buffer
+		if encodeJSON(&buf, v) == nil {
+			e.b = buf.Bytes()
+		}
+	})
+	return e.b
 }
 
 // writeError maps service errors onto HTTP statuses: timeouts 504,

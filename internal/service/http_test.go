@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -366,5 +367,68 @@ func TestHTTPDSEOnGeneralityBackend(t *testing.T) {
 	}
 	if dr.Result.TotalEDPJs <= 0 {
 		t.Error("non-positive total EDP")
+	}
+}
+
+// TestHTTPDSEHitBodyBytes: a v1 DSE body is the typed response in
+// two-space-indented JSON with a trailing newline, byte for byte,
+// whether the request evaluated (cached:false) or hit the result cache
+// and wrote the body its entry encodes once (cached:true; the hits race
+// for that first encoding).
+func TestHTTPDSEHitBodyBytes(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 8})
+	ts := newTestServer(t, svc)
+	for name, body := range map[string]string{
+		"built-in": `{"arch":"ddr3","network":"alexnet"}`,
+		"custom": `{"arch":"salp2","objective":"energy","layers":[` +
+			`{"name":"conv1","h":8,"w":8,"j":16,"i":3,"p":3,"q":3,"stride":1,"pad":1},` +
+			`{"name":"fc","kind":"fc","h":1,"w":1,"j":10,"i":1024,"p":1,"q":1,"stride":1}]}`,
+	} {
+		var bodies [5][]byte
+		post := func(i int) {
+			resp, err := http.Post(ts.URL+"/api/v1/dse", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("%s POST %d: %v", name, i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if bodies[i], err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%s POST %d: status %d, err %v: %s", name, i, resp.StatusCode, err, bodies[i])
+			}
+		}
+		post(0)
+		var wg sync.WaitGroup
+		for i := 1; i < len(bodies); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				post(i)
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		var req DSERequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		typed, err := svc.DSE(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: DSE: %v", name, err)
+		}
+		for i, got := range bodies {
+			typed.Cached = i > 0
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(typed); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s POST %d (cached=%v): body differs from the typed response's encoding:\n got %q\nwant %q",
+					name, i, typed.Cached, got, want.Bytes())
+			}
+		}
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,6 +112,12 @@ type Options struct {
 // DefaultCacheEntries is the drmap-serve default result-cache bound.
 const DefaultCacheEntries = 256
 
+// profileCacheEntries bounds the characterization cache. It is apart
+// from the result cache, so a flood of DSE results cannot evict the
+// profiles simulate picks and local DSE evaluations build on; a
+// profile is a few KB, and the stock registry holds 8 backends.
+const profileCacheEntries = 64
+
 // DefaultPlanCacheEntries is the drmap-serve default count-plan-cache
 // bound, in grid columns (an AlexNet DSE is 20 columns per distinct
 // count signature).
@@ -122,7 +129,12 @@ type Service struct {
 	workers int
 	accel   accel.Config
 	cache   *Cache
-	evals   atomic.Int64 // fresh (non-cached, non-coalesced) computations
+	// profiles holds characterizations, keyed by backend fingerprint.
+	profiles *Cache
+	// prints memoizes backend fingerprints; see backendPrint.
+	printsMu sync.Mutex
+	prints   map[dram.Backend]string
+	evals    atomic.Int64 // fresh (non-cached, non-coalesced) computations
 	// gate bounds the total CPU-bound DSE parallelism across all
 	// concurrently running requests to `workers` tokens, so N distinct
 	// in-flight requests queue for CPU instead of oversubscribing it
@@ -171,6 +183,8 @@ func New(opt Options) *Service {
 		workers:   workers,
 		accel:     opt.Accel,
 		cache:     NewCache(opt.CacheEntries),
+		profiles:  NewCache(profileCacheEntries),
+		prints:    make(map[dram.Backend]string),
 		gate:      make(chan struct{}, workers),
 		runner:    opt.Runner,
 		planCache: planCache,
@@ -251,7 +265,13 @@ func (s *Service) do(kind string, keyable any, compute func() (any, error)) (any
 	if err != nil {
 		return nil, false, &internalError{err: err}
 	}
-	return s.cache.Do(key, func() (any, error) {
+	return s.eval(s.cache, key, compute)
+}
+
+// eval runs compute through c under key, counting it as a fresh
+// evaluation when it runs.
+func (s *Service) eval(c *Cache, key string, compute func() (any, error)) (any, bool, error) {
+	return c.Do(key, func() (any, error) {
 		s.evals.Add(1)
 		v, err := compute()
 		if err != nil {
@@ -263,13 +283,42 @@ func (s *Service) do(kind string, keyable any, compute func() (any, error)) (any
 	})
 }
 
+// backendPrint is the Fingerprint of b (ID, name and configuration),
+// memoized per backend value when b is the registered backend of its
+// ID. The memo only ever holds values equal to a registry entry, so it
+// is bounded by the registry however many arbitrary backends shard
+// requests carry; a re-registered config is a different key, so it
+// never aliases.
+func (s *Service) backendPrint(b dram.Backend) (string, error) {
+	s.printsMu.Lock()
+	fp, ok := s.prints[b]
+	s.printsMu.Unlock()
+	if ok {
+		return fp, nil
+	}
+	fp, err := Fingerprint(b)
+	if err != nil {
+		return "", &internalError{err: err}
+	}
+	if reg, ok := dram.Lookup(b.ID); ok && reg == b {
+		s.printsMu.Lock()
+		s.prints[b] = fp
+		s.printsMu.Unlock()
+	}
+	return fp, nil
+}
+
 // profileFor characterizes one backend, cached and single-flight, and
 // reports whether this call computed the profile fresh (as opposed to
 // a cache hit or a coalesced in-flight evaluation). The cache key is
-// the full backend (ID, name and configuration), so a re-registered ID
-// with a different config can never serve stale data.
+// the full backend's fingerprint (ID, name and configuration), so a
+// re-registered ID with a different config can never serve stale data.
 func (s *Service) profileFor(b dram.Backend) (p *profile.Profile, fresh bool, err error) {
-	v, shared, err := s.do("profile", b, func() (any, error) {
+	key, err := s.backendPrint(b)
+	if err != nil {
+		return nil, false, err
+	}
+	v, shared, err := s.eval(s.profiles, key, func() (any, error) {
 		return profile.CharacterizeBackend(b)
 	})
 	if err != nil {
@@ -314,11 +363,12 @@ func (s *Service) evaluatorFor(b dram.Backend, batch int) (*core.Evaluator, erro
 }
 
 // dseKey is the content address of a DSE request: the full DRAM
-// backend (ID plus configuration) and accelerator configuration plus
-// the resolved workload and search space, so preset changes, registry
-// changes or custom layers can never alias.
+// backend's fingerprint (ID plus configuration, see backendPrint) and
+// accelerator configuration plus the resolved workload and search
+// space, so preset changes, registry changes or custom layers can
+// never alias.
 type dseKey struct {
-	Backend   dram.Backend
+	Backend   string
 	Accel     accel.Config
 	Network   any
 	Schedules []string
@@ -383,8 +433,12 @@ func (s *Service) dse(ctx context.Context, job DSEJob) (*DSEResponse, error) {
 		polIDs[i] = p.ID
 	}
 	obj := job.Objective.String()
+	backendFP, err := s.backendPrint(job.Backend)
+	if err != nil {
+		return nil, err
+	}
 	key := dseKey{
-		Backend: job.Backend, Accel: job.Accel, Network: job.Network,
+		Backend: backendFP, Accel: job.Accel, Network: job.Network,
 		Schedules: schedNames, Policies: polIDs,
 		Objective: obj, Batch: job.Batch,
 	}
@@ -410,6 +464,7 @@ func (s *Service) dse(ctx context.Context, job DSEJob) (*DSEResponse, error) {
 			Objective: obj,
 			Batch:     job.Batch,
 			Result:    report.DSEResultJSON(res, job.Backend.Config.Timing),
+			hitBody:   new(encodedBody),
 		}, nil
 	})
 	if err != nil {
@@ -801,6 +856,17 @@ func parseSweep(req SweepRequest) (*sweepInputs, error) {
 	if len(in.values) == 0 {
 		in.values = defaults
 	}
+	// A repeated value would rerun its point and repeat its row: keep
+	// the first of each, in order, as parsePolicies does.
+	values := make([]int, 0, len(in.values))
+	seen := make(map[int]bool, len(in.values))
+	for _, v := range in.values {
+		if !seen[v] {
+			seen[v] = true
+			values = append(values, v)
+		}
+	}
+	in.values = values
 	if err := in.checkPoints(); err != nil {
 		return nil, err
 	}

@@ -301,3 +301,95 @@ func TestServicePoliciesAndHealth(t *testing.T) {
 		t.Errorf("health %+v", h)
 	}
 }
+
+// TestServiceSweepDedupesValues: a repeated sweep value runs its point
+// once, so [64,64,64] is the same request as [64] - one row, the same
+// rows, one cache entry.
+func TestServiceSweepDedupesValues(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 8})
+	ctx := context.Background()
+	rep, err := svc.Sweep(ctx, SweepRequest{Kind: "buffers", Values: []int{64, 64, 64}, Network: "lenet5"})
+	if err != nil {
+		t.Fatalf("Sweep [64,64,64]: %v", err)
+	}
+	one, err := svc.Sweep(ctx, SweepRequest{Kind: "buffers", Values: []int{64}, Network: "lenet5"})
+	if err != nil {
+		t.Fatalf("Sweep [64]: %v", err)
+	}
+	if len(rep.Table.Rows) != 1 {
+		t.Errorf("[64,64,64] gave %d rows, want 1", len(rep.Table.Rows))
+	}
+	if !one.Cached {
+		t.Error("[64] after [64,64,64] was not served from the same cache entry")
+	}
+	if !reflect.DeepEqual(rep.Table, one.Table) {
+		t.Errorf("[64,64,64] and [64] differ:\n%+v\n%+v", rep.Table, one.Table)
+	}
+}
+
+// TestDSEKeyReregisteredBackendMisses: a backend carrying a registered
+// ID with another config - a re-registration as seen by a process that
+// cached the old one, or a shard from a process with another registry -
+// is a result-cache miss priced on its own config, never a hit on the
+// registered backend's entry, and the backend fingerprint memo does not
+// keep it.
+func TestDSEKeyReregisteredBackendMisses(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 16})
+	ctx := context.Background()
+	req := DSERequest{Arch: "ddr3", Network: "lenet5"}
+	reg, err := svc.DSE(ctx, req)
+	if err != nil {
+		t.Fatalf("DSE: %v", err)
+	}
+	job, err := svc.parseDSE(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Backend.Config.Timing.TCKNanos *= 2
+	got, err := svc.dse(ctx, job)
+	if err != nil {
+		t.Fatalf("DSE on the re-registered config: %v", err)
+	}
+	if got.Cached {
+		t.Fatal("re-registered config was served the registered backend's cached result")
+	}
+	if got.Result.TotalEDPJs == reg.Result.TotalEDPJs {
+		t.Errorf("re-registered config priced like the registered one: EDP %g", got.Result.TotalEDPJs)
+	}
+	svc.printsMu.Lock()
+	_, kept := svc.prints[job.Backend]
+	svc.printsMu.Unlock()
+	if kept {
+		t.Error("the fingerprint memo kept a backend that is not the registered one")
+	}
+	again, err := svc.DSE(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.Result.TotalEDPJs != reg.Result.TotalEDPJs {
+		t.Errorf("registered backend lost its entry: cached=%v EDP %g, want %g",
+			again.Cached, again.Result.TotalEDPJs, reg.Result.TotalEDPJs)
+	}
+}
+
+// TestProfileSurvivesResultFlood: characterizations are held apart from
+// the result LRU, so a flood of DSE results on one backend cannot evict
+// another backend's profile.
+func TestProfileSurvivesResultFlood(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 4})
+	ctx := context.Background()
+	b, _ := dram.Lookup("salp1")
+	if _, fresh, err := svc.profileFor(b); err != nil || !fresh {
+		t.Fatalf("first profileFor: fresh=%v err=%v, want a fresh characterization", fresh, err)
+	}
+	for _, obj := range []string{"edp", "energy", "delay"} {
+		for batch := 1; batch <= 2; batch++ {
+			if _, err := svc.DSE(ctx, DSERequest{Arch: "ddr3", Network: "lenet5", Objective: obj, Batch: batch}); err != nil {
+				t.Fatalf("DSE %s batch %d: %v", obj, batch, err)
+			}
+		}
+	}
+	if _, fresh, err := svc.profileFor(b); err != nil || fresh {
+		t.Errorf("profileFor after 6 DSE results: fresh=%v err=%v, want the cached profile", fresh, err)
+	}
+}

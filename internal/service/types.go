@@ -78,6 +78,9 @@ type DSEResponse struct {
 	// coalesced onto an identical in-flight evaluation) instead of
 	// being evaluated for this request.
 	Cached bool `json:"cached"`
+	// hitBody is the result-cache entry's cached:true body; every copy
+	// of the cached value shares it, and writeJSON writes it for a hit.
+	hitBody *encodedBody
 }
 
 // CharacterizeRequest asks for Fig. 1 characterizations.
