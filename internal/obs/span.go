@@ -14,8 +14,9 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"time"
@@ -27,19 +28,17 @@ import (
 // one connected graph.
 const SpanHeader = "X-Drmap-Span-Id"
 
-// NewSpanID returns a fresh 8-byte random span ID in lowercase hex.
+// NewSpanID returns a fresh 8-byte random span ID in lowercase hex,
+// drawn like NewTraceID's.
 func NewSpanID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Same stance as NewTraceID: a fixed ID beats a panic.
-		return "0000000000000000"
-	}
+	binary.LittleEndian.PutUint64(b[:], rand.Uint64())
 	return hex.EncodeToString(b[:])
 }
 
 // ValidSpanID reports whether id is safe to adopt from the wire; span
 // IDs share the trace-ID alphabet and bounds.
-func ValidSpanID(id string) bool { return traceIDRe.MatchString(id) }
+func ValidSpanID(id string) bool { return ValidTraceID(id) }
 
 // Attr is one typed span attribute. Value always holds the canonical
 // text rendering; Kind preserves the source type so exporters (the

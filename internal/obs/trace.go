@@ -2,9 +2,9 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
-	"regexp"
+	"math/rand/v2"
 )
 
 // TraceHeader carries a request's trace ID between processes: client →
@@ -12,25 +12,31 @@ import (
 // responses so callers learn server-generated IDs.
 const TraceHeader = "X-Drmap-Trace-Id"
 
-// traceIDRe bounds what we accept from the wire: inbound IDs that are
-// not short hex tokens are replaced rather than propagated, since trace
-// IDs end up in logs, metrics labels, and exposition output.
-var traceIDRe = regexp.MustCompile(`^[a-f0-9]{8,32}$`)
-
 // NewTraceID returns a fresh 16-byte random trace ID in lowercase hex.
+// IDs correlate spans, logs and events; they are not credentials
+// (/api/v1/traces lists them), so they come from math/rand/v2's
+// per-thread generator rather than a system call per ID.
 func NewTraceID() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// math-free fallback: rand.Read on supported platforms never
-		// fails; if it somehow does, a fixed ID beats a panic mid-request.
-		return "00000000000000000000000000000000"
-	}
+	binary.LittleEndian.PutUint64(b[:8], rand.Uint64())
+	binary.LittleEndian.PutUint64(b[8:], rand.Uint64())
 	return hex.EncodeToString(b[:])
 }
 
-// ValidTraceID reports whether id is safe to propagate as-is.
+// ValidTraceID reports whether id is safe to propagate as-is: 8 to 32
+// lowercase hex digits. Inbound IDs that are not short hex tokens are
+// replaced rather than propagated, since trace IDs end up in logs,
+// metrics labels, and exposition output.
 func ValidTraceID(id string) bool {
-	return traceIDRe.MatchString(id)
+	if len(id) < 8 || len(id) > 32 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 type traceKey struct{}

@@ -86,6 +86,27 @@ func NewCacheSized(capacity int, maxBytes int64, sizeOf func(any) int64) *Cache 
 	}
 }
 
+// Get returns the completed value cached under key, counting a hit and
+// refreshing its LRU position. A miss counts nothing: the caller goes
+// on to Do, which counts the lookup as a hit, a miss or a coalesced
+// wait, so each request is counted once.
+func (c *Cache) Get(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hitLocked(key)
+}
+
+// hitLocked is Get with c.mu held.
+func (c *Cache) hitLocked(key string) (any, bool) {
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	return el.Value.(*cacheEntry).val, true
+}
+
 // Do returns the value for key, computing it at most once across all
 // concurrent callers: a cached value is returned immediately; callers
 // arriving while an identical computation is in flight block and share
@@ -94,10 +115,7 @@ func NewCacheSized(capacity int, maxBytes int64, sizeOf func(any) int64) *Cache 
 // from cache or from an in-flight computation rather than a fresh call.
 func (c *Cache) Do(key string, compute func() (any, error)) (any, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.stats.Hits++
-		v := el.Value.(*cacheEntry).val
+	if v, ok := c.hitLocked(key); ok {
 		c.mu.Unlock()
 		return v, true, nil
 	}
@@ -119,7 +137,7 @@ func (c *Cache) Do(key string, compute func() (any, error)) (any, bool, error) {
 	completed := false
 	defer func() {
 		if !completed {
-			f.err = fmt.Errorf("service: cache: computation for key %s panicked", key[:8])
+			f.err = fmt.Errorf("service: cache: computation for key %q panicked", key[:8])
 		}
 		c.mu.Lock()
 		delete(c.inflight, key)

@@ -73,6 +73,37 @@ func TestCacheHitAndLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheGetCountsOnlyHits: Get answers a completed entry and counts
+// the hit, refreshing its LRU position like Do; a miss counts nothing,
+// so a Get-then-Do caller is counted once.
+func TestCacheGetCountsOnlyHits(t *testing.T) {
+	c := NewCache(2)
+	if v, ok := c.Get("a"); ok || v != nil {
+		t.Fatalf("Get on an empty cache = %v, %v", v, ok)
+	}
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Fatalf("a Get miss was counted: %+v", st)
+	}
+	for _, k := range []string{"a", "b"} {
+		if _, _, err := c.Do(k, func() (any, error) { return k + "-value", nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := c.Get("a"); !ok || v != "a-value" {
+		t.Fatalf("Get(a) = %v, %v; want a-value", v, ok)
+	}
+	// "a" was refreshed, so "c" evicts "b".
+	if _, _, err := c.Do("c", func() (any, error) { return "c-value", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("b survived; Get did not refresh a's LRU position")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 {
+		t.Errorf("stats %+v, want 1 hit, 3 misses, 1 eviction", st)
+	}
+}
+
 func TestCacheErrorsAreNotCached(t *testing.T) {
 	c := NewCache(4)
 	calls := 0

@@ -15,9 +15,10 @@ import (
 // a 504 or a 200 whose table values are finite and non-negative: never
 // a panic, never a 500. The committed corpus under
 // testdata/fuzz/FuzzSweepRequest holds a valid LeNet-5 sweep of each
-// kind and the points that once got a 500 or a negative EDP: a zero
+// kind, the points that once got a 500 or a negative EDP (a zero
 // buffer, a subarray count that does not divide the rows, and batches
-// whose counts would leave the exact range.
+// whose counts would leave the exact range), and a values list one
+// past maxSweepValues.
 func FuzzSweepRequest(f *testing.F) {
 	h := NewHandler(New(Options{Workers: 1, CacheEntries: 8}), time.Second)
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -225,6 +226,38 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /api/v1/dse: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPSweepValuesCapped: a sweep of more than maxSweepValues values
+// is a 400 naming the cap on v1 and on v2 submit, counted before
+// repeats are dropped; a list at the cap parses.
+func TestHTTPSweepValuesCapped(t *testing.T) {
+	ts := newTestServer(t, New(Options{Workers: 1, CacheEntries: 4}))
+	values := make([]int, maxSweepValues+1)
+	for i := range values {
+		values[i] = 1 + i%2
+	}
+	vals, err := json.Marshal(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := `{"kind":"batch","network":"lenet5","values":` + string(vals) + `}`
+	want := fmt.Sprintf("at most %d", maxSweepValues)
+	for _, c := range []struct{ path, body string }{
+		{"/api/v1/sweep", sweep},
+		{"/api/v2/jobs", `{"kind":"sweep","sweep":` + sweep + `}`},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		var e errorJSON
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400 (%s)", c.path, resp.StatusCode, body)
+		} else if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, want) {
+			t.Errorf("POST %s: error body %q lacks %q", c.path, body, want)
+		}
+	}
+	if _, err := parseSweep(SweepRequest{Kind: "batch", Network: "lenet5", Values: values[:maxSweepValues]}); err != nil {
+		t.Errorf("%d values: %v", maxSweepValues, err)
 	}
 }
 

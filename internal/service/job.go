@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -546,25 +547,27 @@ func (s *jobSink) progressLocked() {
 // trace ID (generating one when absent), so the job's shards, logs and
 // events stay correlatable with the request that submitted it.
 func (m *JobManager) Submit(ctx context.Context, req JobRequest) (JobView, error) {
-	j, err := m.submit(context.Background(), obs.TraceFrom(ctx), obs.SpanIDFrom(ctx), req, false)
+	j, jctx, err := m.submit(context.Background(), obs.TraceFrom(ctx), obs.SpanIDFrom(ctx), req, false)
 	if err != nil {
 		return JobView{}, err
 	}
+	go m.run(jctx, j)
 	return j.view(false), nil
 }
 
-// submit resolves req, admits the job, and starts its executor
-// goroutine under a context derived from parent (context.Background
-// for detached v2 jobs; the request context for v1 sync wrappers, so a
-// v1 client's deadline or disconnect cancels its job exactly as it
-// canceled the pre-job handlers). trace is the submitting request's
-// trace ID; empty or invalid generates a fresh one. parentSpan is the
-// submitting request's span ID ("" when the request was untraced).
-// ephemeral marks a sync wrapper's job (see the job field).
-func (m *JobManager) submit(parent context.Context, trace, parentSpan string, req JobRequest, ephemeral bool) (*job, error) {
+// submit resolves req and admits the job, returning it with the
+// context its executor must run under: one derived from parent
+// (context.Background for detached v2 jobs; the request context for v1
+// sync wrappers, so a v1 client's deadline or disconnect cancels its
+// job exactly as it canceled the pre-job handlers). The caller runs it
+// (m.run). trace is the submitting request's trace ID; empty or
+// invalid generates a fresh one. parentSpan is the submitting
+// request's span ID ("" when the request was untraced). ephemeral
+// marks a sync wrapper's job (see the job field).
+func (m *JobManager) submit(parent context.Context, trace, parentSpan string, req JobRequest, ephemeral bool) (*job, context.Context, error) {
 	run, err := m.resolve(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	now := m.now()
 
@@ -578,10 +581,10 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 	m.evictLocked(now, !ephemeral)
 	if !ephemeral && m.persistent >= m.maxJobs {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w (%d active jobs); retry later", ErrJobStoreFull, m.maxJobs)
+		return nil, nil, fmt.Errorf("%w (%d active jobs); retry later", ErrJobStoreFull, m.maxJobs)
 	}
 	m.nextID++
-	id := fmt.Sprintf("job-%d", m.nextID)
+	id := "job-" + strconv.FormatInt(m.nextID, 10)
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
 	}
@@ -602,9 +605,7 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 	m.submitted.Inc()
 	m.stored.Add(1)
 	m.track(JobPending, 1)
-
-	go m.run(ctx, j)
-	return j, nil
+	return j, ctx, nil
 }
 
 // run executes one job's resolved input with the job's progress sink,
@@ -857,23 +858,24 @@ func (m *JobManager) Wait(ctx context.Context, id string) (JobView, error) {
 	}
 }
 
-// runSync is the v1 bridge: submit a job linked to the caller's context
-// and wait for its outcome. Because the job's context is derived from
-// ctx, a deadline or disconnect propagates into the executor exactly as
-// it did when the v1 handlers called the Service directly - the wait
-// needs no ctx select of its own (cancellation makes the executor
-// return promptly), which also preserves v1 Batch's
-// partial-results-on-deadline contract.
+// runSync is the v1 bridge: admit a job linked to the caller's context
+// and run it on the caller's goroutine. Because the job's context is
+// derived from ctx, a deadline or disconnect propagates into the
+// executor exactly as it did when the v1 handlers called the Service
+// directly - cancellation makes the executor return promptly, which
+// also preserves v1 Batch's partial-results-on-deadline contract. The
+// job is stored while it runs, so the job listing still shows it.
 func runSync[T any](ctx context.Context, m *JobManager, req JobRequest) (*T, error) {
-	j, err := m.submit(ctx, obs.TraceFrom(ctx), obs.SpanIDFrom(ctx), req, true)
+	j, jctx, err := m.submit(ctx, obs.TraceFrom(ctx), obs.SpanIDFrom(ctx), req, true)
 	if err != nil {
 		return nil, err
 	}
-	<-j.done
 	// The outcome is read off the job struct directly; the store entry
-	// has served its purpose (in-flight observability) and is dropped
-	// so v1 traffic never accumulates result payloads against the TTL.
-	m.drop(j.id)
+	// has served its purpose (in-flight observability) and is dropped,
+	// even when exec panics, so v1 traffic never accumulates jobs or
+	// result payloads against the TTL.
+	defer m.drop(j.id)
+	m.run(jctx, j)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {

@@ -456,3 +456,68 @@ func TestJobBatchPartialOnCancel(t *testing.T) {
 	close(runner.release)
 	checkLeaks()
 }
+
+// TestJobSyncRunsOnCaller: a v1 sync job runs on the caller's goroutine
+// yet stays in the store, and so in the listing, while it runs; it
+// leaves the store once answered.
+func TestJobSyncRunsOnCaller(t *testing.T) {
+	runner := &blockingRunner{release: make(chan struct{})}
+	svc := New(Options{Workers: 1, CacheEntries: 8, Runner: runner})
+	jm := NewJobManager(svc, JobManagerOptions{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := jm.SyncDSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5"})
+		done <- err
+	}()
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		if list := jm.List(JobFilter{State: string(JobRunning)}); len(list) == 1 && list[0].Kind == JobDSE {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the running v1 job never showed in the listing")
+		}
+	}
+	close(runner.release)
+	if err := <-done; err != nil {
+		t.Fatalf("SyncDSE: %v", err)
+	}
+	if list := jm.List(JobFilter{}); len(list) != 0 {
+		t.Errorf("answered v1 job still stored: %+v", list)
+	}
+}
+
+// TestJobSyncPanicDropsJob: when a v1 job's executor panics, the panic
+// reaches the caller (net/http's handler recovery in the daemon), and
+// the job is dropped from the store rather than left running in it.
+func TestJobSyncPanicDropsJob(t *testing.T) {
+	const kind JobKind = "test-panic"
+	jobKinds[kind] = jobKind{
+		has: func(r JobRequest) bool { return r.Kind == string(kind) },
+		resolve: func(*Service, JobRequest) (jobRun, error) {
+			return jobRun{exec: func(context.Context, *jobSink) (any, error) { panic("executor bug") }}, nil
+		},
+	}
+	t.Cleanup(func() { delete(jobKinds, kind) })
+	svc := New(Options{Workers: 1, CacheEntries: 8})
+	jm := NewJobManager(svc, JobManagerOptions{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the executor's panic did not reach the caller")
+			}
+		}()
+		_, _ = runSync[DSEResponse](context.Background(), jm, JobRequest{Kind: string(kind)})
+	}()
+	if list := jm.List(JobFilter{}); len(list) != 0 {
+		t.Errorf("panicked v1 job still stored: %+v", list)
+	}
+	page, err := obs.ParseExposition(svc.MetricsText())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"drmap_jobs_active", "drmap_jobs_stored"} {
+		if got, ok := page.Value(name, nil); !ok || got != 0 {
+			t.Errorf("%s = %v, %v after the panic; want 0", name, got, ok)
+		}
+	}
+}

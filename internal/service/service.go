@@ -30,8 +30,8 @@
 //	DELETE /api/v2/jobs/{id}        - cancel
 //
 // The v1 POST endpoints are thin synchronous wrappers over the same
-// job manager (submit + wait), so both surfaces share one execution
-// path, one cache, and one cluster runner.
+// job manager (submit, then run on the request's goroutine), so both
+// surfaces share one execution path, one cache, and one cluster runner.
 //
 // Every "arch" field accepts any registered DRAM backend ID (package
 // dram's registry): the four paper architectures plus the generality
@@ -43,13 +43,16 @@
 //	curl -s localhost:8080/api/v1/dse -d '{"arch":"ddr3","network":"alexnet"}'
 //	curl -s localhost:8080/api/v2/jobs -d '{"kind":"dse","dse":{"arch":"ddr3","network":"alexnet"}}'
 //
-// Identical requests are content-addressed (SHA-256 of the resolved
-// inputs) and served from a bounded LRU cache; concurrent identical
-// requests share one evaluation (single-flight).
+// Identical requests are content-addressed (a key built from the
+// resolved inputs: see dseKey for DSE, Fingerprint for the rest) and
+// served from a bounded LRU cache; concurrent identical requests share
+// one evaluation (single-flight).
 package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -253,19 +256,21 @@ func (s *Service) Backends() BackendsResponse {
 	return BackendsResponse{Backends: report.BackendsJSON(dram.Backends())}
 }
 
-// cacheKey namespaces fingerprints by entry point so, e.g., a profile
-// and a DSE over the same config never collide.
+// cacheKey namespaces fingerprints by entry point so, e.g., a grid and
+// a simulate over the same config never collide.
 type cacheKey struct {
 	Kind  string
 	Value any
 }
 
-func (s *Service) do(kind string, keyable any, compute func() (any, error)) (any, bool, error) {
+// fingerprintKey is the result-cache key of keyable under kind: the
+// Fingerprint of its canonical JSON.
+func fingerprintKey(kind string, keyable any) (string, error) {
 	key, err := Fingerprint(cacheKey{Kind: kind, Value: keyable})
 	if err != nil {
-		return nil, false, &internalError{err: err}
+		return "", &internalError{err: err}
 	}
-	return s.eval(s.cache, key, compute)
+	return key, nil
 }
 
 // eval runs compute through c under key, counting it as a fresh
@@ -342,9 +347,9 @@ type gridKey struct {
 // batch enumerates the identical grid once instead of per backend.
 // Every consumer treats the returned grids as immutable.
 func (s *Service) gridFor(job DSEJob) ([]core.LayerGrid, error) {
-	key, err := Fingerprint(cacheKey{Kind: "grid", Value: gridKey{Network: job.Network, Accel: job.Accel}})
+	key, err := fingerprintKey("grid", gridKey{Network: job.Network, Accel: job.Accel})
 	if err != nil {
-		return nil, &internalError{err: err}
+		return nil, err
 	}
 	v, _, err := s.cache.Do(key, func() (any, error) { return job.Grid() })
 	if err != nil {
@@ -362,19 +367,78 @@ func (s *Service) evaluatorFor(b dram.Backend, batch int) (*core.Evaluator, erro
 	return core.NewEvaluator(p, s.accel, batch)
 }
 
-// dseKey is the content address of a DSE request: the full DRAM
-// backend's fingerprint (ID plus configuration, see backendPrint) and
-// accelerator configuration plus the resolved workload and search
-// space, so preset changes, registry changes or custom layers can
-// never alias.
-type dseKey struct {
-	Backend   string
-	Accel     accel.Config
-	Network   any
-	Schedules []string
-	Policies  []int
-	Objective string
-	Batch     int
+// dseKey is the result-cache key of a DSE job, built from fixed fields
+// without reflection: a "dse" tag, the backend's print (ID plus
+// configuration, see backendPrint), the accelerator's ints, the
+// network's key (networkKey), the objective, the schedule names, the
+// policy IDs and the batch. Every string is length-prefixed and every
+// int fixed-width, so two different jobs never encode alike, and the
+// NUL in the tag keeps the key apart from the hex Fingerprint keys that
+// share the result cache. Preset changes, registry changes and custom
+// layers therefore never alias.
+func (s *Service) dseKey(job DSEJob) (string, error) {
+	backend, err := s.backendPrint(job.Backend)
+	if err != nil {
+		return "", err
+	}
+	net := job.netKey
+	if net == "" {
+		net = networkKey(job.Network, false)
+	}
+	a := job.Accel
+	// A key fits the stack buffer, so building it allocates only the
+	// returned string.
+	var buf [512]byte
+	b := append(buf[:0], "dse\x00"...)
+	b = appendKeyString(b, backend)
+	for _, v := range [...]int{a.MACRows, a.MACCols, a.IfmBufBytes, a.WgtBufBytes, a.OfmBufBytes, a.BytesPerElement} {
+		b = appendKeyInt(b, v)
+	}
+	b = appendKeyString(b, net)
+	b = appendKeyString(b, job.Objective.String())
+	b = appendKeyInt(b, len(job.Schedules))
+	for _, sc := range job.Schedules {
+		b = appendKeyString(b, sc.String())
+	}
+	b = appendKeyInt(b, len(job.Policies))
+	for _, p := range job.Policies {
+		b = appendKeyInt(b, p.ID)
+	}
+	b = appendKeyInt(b, job.Batch)
+	return string(b), nil
+}
+
+// networkKey is a network's part of the DSE key. A built-in network,
+// resolved by name, is keyed by a "builtin" tag and that name: its
+// layers are fixed for the life of the process. Any other network is
+// keyed by a "layers" tag and the SHA-256 of its name and layers,
+// binary-encoded with length-prefixed names, so a custom stack never
+// aliases a built-in one, even with the same layers.
+func networkKey(n cnn.Network, builtin bool) string {
+	if builtin {
+		return "builtin\x00" + n.Name
+	}
+	var buf [1024]byte
+	b := appendKeyString(buf[:0], n.Name)
+	b = appendKeyInt(b, len(n.Layers))
+	for _, l := range n.Layers {
+		b = appendKeyString(b, l.Name)
+		for _, v := range [...]int{int(l.Kind), l.H, l.W, l.J, l.I, l.P, l.Q, l.Stride, l.Pad} {
+			b = appendKeyInt(b, v)
+		}
+	}
+	sum := sha256.Sum256(b)
+	return "layers\x00" + string(sum[:])
+}
+
+// appendKeyInt appends v as 8 little-endian bytes.
+func appendKeyInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+// appendKeyString appends v's length, then v.
+func appendKeyString(b []byte, v string) []byte {
+	return append(appendKeyInt(b, len(v)), v...)
 }
 
 // parseDSE resolves a DSE request into the job it runs: the one parse
@@ -388,6 +452,7 @@ func (s *Service) parseDSE(req DSERequest) (DSEJob, error) {
 	if job.Network, err = parseNetwork(req.Network, req.Layers); err != nil {
 		return DSEJob{}, err
 	}
+	job.netKey = networkKey(job.Network, req.Network != "")
 	if job.Schedules, err = parseSchedules(req.Schedules); err != nil {
 		return DSEJob{}, err
 	}
@@ -424,35 +489,21 @@ func (s *Service) DSE(ctx context.Context, req DSERequest) (*DSEResponse, error)
 
 // dse runs a resolved DSE job through the result cache.
 func (s *Service) dse(ctx context.Context, job DSEJob) (*DSEResponse, error) {
-	schedNames := make([]string, len(job.Schedules))
-	for i, sc := range job.Schedules {
-		schedNames[i] = sc.String()
-	}
-	polIDs := make([]int, len(job.Policies))
-	for i, p := range job.Policies {
-		polIDs[i] = p.ID
-	}
-	obj := job.Objective.String()
-	backendFP, err := s.backendPrint(job.Backend)
+	key, err := s.dseKey(job)
 	if err != nil {
 		return nil, err
 	}
-	key := dseKey{
-		Backend: backendFP, Accel: job.Accel, Network: job.Network,
-		Schedules: schedNames, Policies: polIDs,
-		Objective: obj, Batch: job.Batch,
-	}
-	// The "dse" span opens before the detached evaluation context is
-	// captured, so count/price/shard spans recorded by the compute
-	// closure parent under it even when the evaluation outlives ctx.
+	obj := job.Objective.String()
+	// The "dse" span opens before the compute closure captures it, so
+	// count/price/shard spans recorded under the detached evaluation
+	// context parent under it even when the evaluation outlives ctx.
 	sctx, span := obs.StartSpan(ctx, "dse",
 		obs.Str("backend", job.Backend.ID),
 		obs.Str("network", job.Network.Name),
 		obs.Str("objective", obj),
 		obs.Int("batch", job.Batch))
-	evalCtx := context.WithoutCancel(sctx)
-	v, shared, err := s.doBounded(ctx, "dse", key, func() (any, error) {
-		res, err := s.runJob(evalCtx, job)
+	v, shared, err := s.doBounded(ctx, key, func() (any, error) {
+		res, err := s.runJob(context.WithoutCancel(sctx), job)
 		if err != nil {
 			return nil, err
 		}
@@ -560,19 +611,23 @@ func awaitDetached[T any](ctx context.Context, compute func() (T, error)) (T, er
 	}
 }
 
-// doBounded is do with the caller's wait bounded by ctx while the
-// computation itself is detached (awaitDetached): the single-flight
-// computation finishes in the background and is cached, so its
-// coalesced peers (each waiting under their own context) still get the
-// result and a timed-out client's retry becomes a cache hit. compute
-// must not depend on ctx.
-func (s *Service) doBounded(ctx context.Context, kind string, keyable any, compute func() (any, error)) (any, bool, error) {
+// doBounded runs compute through the result cache under key, with the
+// caller's wait bounded by ctx. A completed entry is answered on the
+// caller's goroutine. Otherwise the single-flight computation is
+// detached (awaitDetached): it finishes in the background and is
+// cached, so its coalesced peers (each waiting under their own context)
+// still get the result and a timed-out client's retry becomes a cache
+// hit. compute must not depend on ctx.
+func (s *Service) doBounded(ctx context.Context, key string, compute func() (any, error)) (any, bool, error) {
+	if v, ok := s.cache.Get(key); ok {
+		return v, true, nil
+	}
 	type shared struct {
 		v      any
 		shared bool
 	}
 	o, err := awaitDetached(ctx, func() (shared, error) {
-		v, sh, err := s.do(kind, keyable, compute)
+		v, sh, err := s.eval(s.cache, key, compute)
 		return shared{v: v, shared: sh}, err
 	})
 	return o.v, o.shared, err
@@ -755,9 +810,12 @@ func (s *Service) simulate(ctx context.Context, in *simInputs) (*SimulateRespons
 		Scheduler  memctrl.Scheduler
 		PagePolicy memctrl.PagePolicy
 	}
-	key := simKey{
+	key, err := fingerprintKey("simulate", simKey{
 		Backend: in.backend, Policy: in.policyID, Specs: specs,
 		BPE: in.bpe, Scheduler: in.scheduler, PagePolicy: in.pagePolicy,
+	})
+	if err != nil {
+		return nil, err
 	}
 	engineName := "serial"
 	if in.parallel {
@@ -772,7 +830,7 @@ func (s *Service) simulate(ctx context.Context, in *simInputs) (*SimulateRespons
 		obs.Int("policy", in.policyID),
 		obs.Int("layers", len(specs)))
 	evalCtx := context.WithoutCancel(sctx)
-	v, shared, err := s.doBounded(ctx, "simulate", key, func() (any, error) {
+	v, shared, err := s.doBounded(ctx, key, func() (any, error) {
 		start := time.Now()
 		res, err := s.runSimJob(evalCtx, job)
 		if err != nil {
@@ -823,6 +881,10 @@ type sweepInputs struct {
 	batch   int
 }
 
+// maxSweepValues caps a sweep's values list: each value is a point the
+// sweep runs, detached from the request timeout.
+const maxSweepValues = 64
+
 // parseSweep resolves a sweep request's names and defaults, in the
 // order network, backend, kind.
 func parseSweep(req SweepRequest) (*sweepInputs, error) {
@@ -855,6 +917,9 @@ func parseSweep(req SweepRequest) (*sweepInputs, error) {
 	}
 	if len(in.values) == 0 {
 		in.values = defaults
+	}
+	if len(in.values) > maxSweepValues {
+		return nil, fmt.Errorf("sweep: %d values given, at most %d allowed", len(in.values), maxSweepValues)
 	}
 	// A repeated value would rerun its point and repeat its row: keep
 	// the first of each, in order, as parsePolicies does.
@@ -943,7 +1008,11 @@ func (s *Service) sweep(ctx context.Context, in *sweepInputs) (*SweepResponse, e
 		// requests share one cache entry.
 		key.Backend = dram.Backend{}
 	}
-	v, shared, err := s.doBounded(ctx, "sweep", key, func() (any, error) {
+	ckey, err := fingerprintKey("sweep", key)
+	if err != nil {
+		return nil, err
+	}
+	v, shared, err := s.doBounded(ctx, ckey, func() (any, error) {
 		var t *sweep.Table
 		var err error
 		switch in.kind {

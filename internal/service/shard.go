@@ -28,6 +28,11 @@ type DSEJob struct {
 	Policies  []mapping.Policy
 	Objective core.Objective
 	Batch     int
+
+	// netKey is the network's part of the result-cache key, set by
+	// parseDSE (see networkKey). It stays in this process: JSON skips
+	// unexported fields, and a job without one is keyed by its layers.
+	netKey string
 }
 
 // Grid enumerates the job's per-layer DSE grids. The enumeration

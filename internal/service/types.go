@@ -297,7 +297,7 @@ func parseNetwork(name string, layers []LayerJSON) (cnn.Network, error) {
 	if len(layers) == 0 {
 		return cnn.Network{}, fmt.Errorf("missing network: name one of alexnet, vgg16, lenet5, resnet18 or give custom layers")
 	}
-	net := cnn.Network{Name: "custom"}
+	net := cnn.Network{Name: "custom", Layers: make([]cnn.Layer, 0, len(layers))}
 	for _, lj := range layers {
 		l, err := lj.toLayer()
 		if err != nil {
