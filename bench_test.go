@@ -30,7 +30,6 @@ import (
 	"drmap/internal/dram"
 	"drmap/internal/memctrl"
 	"drmap/internal/service"
-	"drmap/internal/sweep"
 	"drmap/internal/trace"
 )
 
@@ -722,82 +721,6 @@ func BenchmarkCountColumn(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRegistrySweep measures the delta-repricing trajectory of the
-// whole-registry scan (internal/sweep's plan cache): the DRMap-policy
-// AlexNet DSE across every registered backend. Three paths, all with
-// characterization outside the timer:
-//
-//	recount - the pre-split baseline: one serial RunDSE per backend,
-//	          every backend expands and counts every grid column.
-//	cold    - a fresh plan cache: one count pass per distinct die
-//	          geometry (the paper four share one), every other backend
-//	          repriced from carried-over vectorized plans.
-//	delta   - the cache primed by an earlier pass: the whole registry
-//	          is reprice-only, the cost of re-running a sweep point.
-//
-// Intended cadence: -benchtime=1x -count=3 (the CI bench job).
-func BenchmarkRegistrySweep(b *testing.B) {
-	net := drmap.AlexNet()
-	acfg := drmap.TableII()
-	backends := drmap.Backends()
-	profs := make([]*drmap.Profile, len(backends))
-	for i, backend := range backends {
-		p, err := drmap.CharacterizeBackend(backend)
-		if err != nil {
-			b.Fatal(err)
-		}
-		profs[i] = p
-	}
-	scan := func(b *testing.B, pl *sweep.Planner) {
-		b.Helper()
-		for _, p := range profs {
-			if _, err := pl.TotalEDP(p, acfg, net, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	b.Run("recount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, p := range profs {
-				ev, err := drmap.NewEvaluator(p, acfg, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := drmap.RunDSE(net, ev, drmap.Schedules(),
-					[]drmap.MappingPolicy{drmap.DRMapPolicy()}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		var st sweep.PlanStats
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			pl := sweep.NewPlanner()
-			b.StartTimer()
-			scan(b, pl)
-			st = pl.Stats()
-		}
-		b.ReportMetric(float64(st.Misses), "count-passes")
-		b.ReportMetric(float64(st.Hits), "repriced")
-	})
-	b.Run("delta", func(b *testing.B) {
-		pl := sweep.NewPlanner()
-		scan(b, pl) // prime outside the timer
-		before := pl.Stats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scan(b, pl)
-		}
-		b.StopTimer()
-		if st := pl.Stats(); st.Misses != before.Misses {
-			b.Fatalf("primed registry scan recounted: misses %d -> %d", before.Misses, st.Misses)
-		}
-	})
 }
 
 // simulateBenchSpecs is a mid-size simulation workload at fixed design

@@ -1,9 +1,8 @@
 // Command drmap-sweep regenerates the reproduction's ablation tables:
 // subarrays-per-bank, on-chip buffer capacity, batch size, the
 // soundness of the paper's Table I policy pruning, and the registry
-// scan (DRMap DSE totals across every registered DRAM backend, sharing
-// count plans across backends with one die geometry). Results print as
-// aligned text and can also be exported as CSV.
+// scan (DRMap DSE totals across every registered DRAM backend). Results
+// print as aligned text and can also be exported as CSV.
 //
 // Usage:
 //
@@ -14,6 +13,12 @@
 // buffers/batch/pruning sweeps (defaults: ddr3 for buffers/batch,
 // salp1 for pruning); the subarrays sweep is SALP-MASA by definition
 // and the registry sweep always scans the whole registry.
+//
+// The subarrays, buffers and batch sweeps run on an in-process service
+// (service.Sweep): each point is a DRMap-only DSE job, run concurrently
+// through the service's caches. The registry scan is one service batch
+// of DRMap-only DSE requests, one per registered backend, so backends
+// sharing a die geometry count each grid column once.
 //
 // -server http://host:8080 runs one sweep remotely on a drmap-serve
 // daemon as an asynchronous v2 job (kinds subarrays, buffers or batch;
@@ -31,6 +36,8 @@ import (
 	"drmap"
 	"drmap/client"
 	"drmap/internal/cli"
+	"drmap/internal/report"
+	"drmap/internal/service"
 	"drmap/internal/sweep"
 )
 
@@ -53,28 +60,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Parse -arch exactly once, before any sweep burns time.
-	var archOverride *drmap.Backend
+	// Resolve -arch before any sweep burns time.
+	pruningBackend, ok := drmap.LookupBackend("salp1")
+	if !ok {
+		log.Fatal("default backend salp1 not registered")
+	}
 	if *archFlag != "" {
-		b, err := cli.ParseBackend(*archFlag)
-		if err != nil {
+		if pruningBackend, err = cli.ParseBackend(*archFlag); err != nil {
 			log.Fatal(err)
 		}
-		archOverride = &b
-	}
-	// backendOr resolves -arch, falling back to the sweep's default
-	// (the defaults are seeded at init, so the lookup cannot miss).
-	backendOr := func(def string) drmap.Backend {
-		if archOverride != nil {
-			return *archOverride
-		}
-		b, ok := drmap.LookupBackend(def)
-		if !ok {
-			log.Fatalf("default backend %q not registered", def)
-		}
-		return b
 	}
 
+	svc := service.New(service.Options{})
 	var last *sweep.Table
 	run := func(name string, build func() (*sweep.Table, error)) {
 		if *kind != "all" && *kind != name {
@@ -88,21 +85,26 @@ func main() {
 		fmt.Println()
 		last = t
 	}
+	// serviceSweep runs one ablation sweep on the in-process service;
+	// an empty -arch selects the service's ddr3 default.
+	serviceSweep := func(kind string) func() (*sweep.Table, error) {
+		return func() (*sweep.Table, error) {
+			resp, err := svc.Sweep(context.Background(), service.SweepRequest{Kind: kind, Arch: *archFlag, Network: *networkFlag})
+			if err != nil {
+				return nil, err
+			}
+			return tableOf(resp.Table), nil
+		}
+	}
 
-	run("subarrays", func() (*sweep.Table, error) {
-		return sweep.Subarrays([]int{2, 4, 8, 16}, net, 1)
-	})
-	run("buffers", func() (*sweep.Table, error) {
-		return sweep.Buffers([]int{32, 64, 128, 256}, backendOr("ddr3"), net, 1)
-	})
-	run("batch", func() (*sweep.Table, error) {
-		return sweep.Batches([]int{1, 2, 4, 8}, backendOr("ddr3"), net)
-	})
+	run("subarrays", serviceSweep("subarrays"))
+	run("buffers", serviceSweep("buffers"))
+	run("batch", serviceSweep("batch"))
 	run("pruning", func() (*sweep.Table, error) {
-		return sweep.PolicyPruning(backendOr("salp1"), net.Layers[1], 1)
+		return sweep.PolicyPruning(pruningBackend, net.Layers[1], 1)
 	})
 	run("registry", func() (*sweep.Table, error) {
-		return sweep.Registry(drmap.Backends(), net, 1)
+		return registryScan(svc, *networkFlag, net.Name)
 	})
 
 	if last == nil {
@@ -152,13 +154,7 @@ func runRemote(server, kind, arch, network, csvPath string) {
 	}
 	fmt.Println(s)
 	if csvPath != "" {
-		// Rebuild a sweep.Table from the JSON rows and reuse its CSV
-		// writer, so local and remote CSVs share one format.
-		t := sweep.Table{Name: resp.Table.Name, Header: resp.Table.Header}
-		for _, row := range resp.Table.Rows {
-			t.Labels = append(t.Labels, row.Label)
-			t.Rows = append(t.Rows, row.Values)
-		}
+		t := tableOf(resp.Table)
 		f, err := os.Create(csvPath)
 		if err != nil {
 			log.Fatal(err)
@@ -169,4 +165,49 @@ func runRemote(server, kind, arch, network, csvPath string) {
 		}
 		fmt.Printf("wrote CSV to %s\n", csvPath)
 	}
+}
+
+// registryScan is the registry sweep: one service batch of DRMap-only
+// DSE requests, one per registered backend. A row is the backend's
+// total EDP, the in-order sum of its layers' seconds, and its total
+// energy.
+func registryScan(svc *service.Service, network, netName string) (*sweep.Table, error) {
+	backends := drmap.Backends()
+	jobs := make([]service.DSERequest, len(backends))
+	for i, b := range backends {
+		jobs[i] = service.DSERequest{Arch: b.ID, Network: network, Policies: []int{drmap.DRMapPolicy().ID}}
+	}
+	resp, err := svc.Batch(context.Background(), service.BatchRequest{Jobs: jobs})
+	if err != nil {
+		return nil, err
+	}
+	t := &sweep.Table{
+		Name:   "Registry scan: DRMap DSE (" + netName + ", batch 1)",
+		Header: []string{"backend", "DRMap-total-EDP[uJs]", "delay[ms]", "energy[mJ]"},
+	}
+	for i, item := range resp.Results {
+		if item.Error != "" {
+			return nil, fmt.Errorf("%s: %s", backends[i].ID, item.Error)
+		}
+		r := item.Result.Result
+		var seconds float64
+		for _, l := range r.Layers {
+			seconds += l.Seconds
+		}
+		if err := t.AddRow(backends[i].ID, r.TotalEDPJs*1e6, seconds*1e3, r.TotalEnergyJ*1e3); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// tableOf rebuilds a sweep table from its JSON rows, so local and
+// remote sweeps share one rendering and one CSV format.
+func tableOf(j report.SweepJSON) *sweep.Table {
+	t := &sweep.Table{Name: j.Name, Header: j.Header}
+	for _, row := range j.Rows {
+		t.Labels = append(t.Labels, row.Label)
+		t.Rows = append(t.Rows, row.Values)
+	}
+	return t
 }

@@ -91,7 +91,7 @@ func TestDSEKeyDistinguishesFields(t *testing.T) {
 	base := DSERequest{Arch: "ddr3", Layers: hitStack}
 	key := func(req DSERequest) string {
 		t.Helper()
-		job, err := svc.parseDSE(req)
+		job, err := parseDSE(req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -299,18 +299,17 @@ func TestHTTPRejectsUnboundedCustomLayers(t *testing.T) {
 // resolves, so its picks (pinned by TestServiceDSEMatchesSerialAndCaches
 // and the dse-picks certificate) stand.
 func TestCountRangeKeepsBuiltInNetworks(t *testing.T) {
-	svc := New(Options{Workers: 1, CacheEntries: 4})
 	for _, name := range []string{"lenet5", "alexnet", "vgg16", "resnet18"} {
 		for _, batch := range []int{1, 4, 1024} {
-			if _, err := svc.parseDSE(DSERequest{Arch: "ddr3", Network: name, Batch: batch}); err != nil {
+			if _, err := parseDSE(DSERequest{Arch: "ddr3", Network: name, Batch: batch}); err != nil {
 				t.Errorf("%s at batch %d: %v", name, batch, err)
 			}
 		}
 	}
-	if _, err := svc.parseDSE(DSERequest{Arch: "ddr3", Network: "alexnet", Batch: 1 << 40}); err == nil || !strings.Contains(err.Error(), "layer CONV1") {
+	if _, err := parseDSE(DSERequest{Arch: "ddr3", Network: "alexnet", Batch: 1 << 40}); err == nil || !strings.Contains(err.Error(), "layer CONV1") {
 		t.Errorf("alexnet at batch 2^40: err %v, want one naming CONV1", err)
 	}
-	if _, err := svc.parseSimulate(SimulateRequest{Arch: "ddr3", Network: "alexnet", Batch: 1 << 40}); err == nil || !strings.Contains(err.Error(), "layer CONV1") {
+	if _, err := parseSimulate(SimulateRequest{Arch: "ddr3", Network: "alexnet", Batch: 1 << 40}); err == nil || !strings.Contains(err.Error(), "layer CONV1") {
 		t.Errorf("simulate alexnet at batch 2^40: err %v, want one naming CONV1", err)
 	}
 }

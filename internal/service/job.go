@@ -966,7 +966,7 @@ var jobKinds = map[JobKind]jobKind{
 	JobDSE: {
 		has: func(r JobRequest) bool { return r.DSE != nil },
 		resolve: func(s *Service, r JobRequest) (jobRun, error) {
-			job, err := s.parseDSE(*r.DSE)
+			job, err := parseDSE(*r.DSE)
 			if err != nil {
 				return jobRun{}, err
 			}
@@ -1013,7 +1013,7 @@ var jobKinds = map[JobKind]jobKind{
 	JobSimulate: {
 		has: func(r JobRequest) bool { return r.Simulate != nil },
 		resolve: func(s *Service, r JobRequest) (jobRun, error) {
-			in, err := s.parseSimulate(*r.Simulate)
+			in, err := parseSimulate(*r.Simulate)
 			if err != nil {
 				return jobRun{}, err
 			}

@@ -11,6 +11,7 @@ import (
 	"drmap/internal/core"
 	"drmap/internal/dram"
 	"drmap/internal/mapping"
+	"drmap/internal/profile"
 	"drmap/internal/tiling"
 )
 
@@ -44,7 +45,7 @@ func TestBatchMultiBackendSharesCountPlans(t *testing.T) {
 	// generality presets have four distinct geometries.
 	keys := map[core.CountKey]bool{}
 	for _, b := range backends {
-		ev, err := svc.evaluatorFor(b, 1)
+		ev, err := svc.evaluatorFor(DSEJob{Backend: b, Accel: accel.TableII(), Batch: 1})
 		if err != nil {
 			t.Fatalf("evaluator %s: %v", b.ID, err)
 		}
@@ -163,6 +164,57 @@ func TestEvaluateShardUsesPlanCache(t *testing.T) {
 	}
 }
 
+// TestEvaluateShardPricesJobAccel: a shard is priced under the
+// accelerator its job carries, the one its grid and plan key come
+// from. A LeNet-5 shard at 2 bytes per element reduces to the serial
+// scan's picks at 2 bytes per element, layer for layer.
+func TestEvaluateShardPricesJobAccel(t *testing.T) {
+	b, ok := dram.Lookup("ddr3")
+	if !ok {
+		t.Fatal("ddr3 not registered")
+	}
+	acfg := accel.TableII()
+	acfg.BytesPerElement = 2
+	job := DSEJob{
+		Backend: b, Accel: acfg, Network: cnn.LeNet5(),
+		Schedules: tiling.Schedules, Policies: mapping.TableI(),
+		Objective: core.MinimizeEDP, Batch: 1,
+	}
+	grids, err := job.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{Workers: 2, CacheEntries: 64})
+	cells, err := svc.EvaluateShard(context.Background(), job, core.ColumnSpan{Start: 0, End: job.Columns(grids)})
+	if err != nil {
+		t.Fatalf("EvaluateShard: %v", err)
+	}
+	perLayer := make([][]core.CellResult, len(grids))
+	for _, c := range cells {
+		perLayer[c.LayerIndex] = append(perLayer[c.LayerIndex], c)
+	}
+
+	prof, err := profile.CharacterizeBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := core.NewEvaluator(prof, acfg, job.Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := core.RunDSE(job.Network, ev, job.Schedules, job.Policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, lg := range grids {
+		got := core.ReduceCells(lg, job.Schedules, job.Policies, perLayer[li], b.Config.Timing)
+		if !reflect.DeepEqual(got, serial.Layers[li]) {
+			t.Errorf("layer %s: shard pick EDP %.6g, serial at 2 bytes per element %.6g",
+				lg.Layer.Name, got.MinEDP, serial.Layers[li].MinEDP)
+		}
+	}
+}
+
 // TestPlanKeySeparatesCustomPolicies: ID 0 marks any policy outside
 // Table I, so two jobs differing only in a custom ID-0 policy's loop
 // order must not alias to one count plan - each must match its own
@@ -213,7 +265,7 @@ func TestPlanSignatureMatchesEvaluator(t *testing.T) {
 			t.Fatalf("%s not registered", id)
 		}
 		return DSEJob{
-			Backend: b, Accel: svc.accel, Network: cnn.LeNet5(),
+			Backend: b, Accel: accel.TableII(), Network: cnn.LeNet5(),
 			Schedules: tiling.Schedules, Policies: mapping.TableI(),
 			Objective: obj, Batch: batch,
 		}
@@ -221,7 +273,7 @@ func TestPlanSignatureMatchesEvaluator(t *testing.T) {
 	for _, b := range dram.Backends() {
 		for _, batch := range []int{1, 4} {
 			j := job(b.ID, core.MinimizeEDP, batch)
-			ev, err := svc.evaluatorFor(j.Backend, j.Batch)
+			ev, err := svc.evaluatorFor(j)
 			if err != nil {
 				t.Fatalf("%s: %v", b.ID, err)
 			}

@@ -55,6 +55,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,7 @@ import (
 	"drmap/internal/report"
 	"drmap/internal/sweep"
 	"drmap/internal/tiling"
+	"drmap/internal/trace"
 )
 
 // Options tune a Service.
@@ -92,9 +94,6 @@ type Options struct {
 	// sized exactly, and LRU plans are evicted once the sum exceeds the
 	// budget, whatever the entry count. 0 leaves only the entry cap.
 	PlanCacheBytes int64
-	// Accel is the accelerator configuration; the zero value selects
-	// the paper's Table II accelerator.
-	Accel accel.Config
 	// Runner, when set, executes resolved DSE jobs - e.g. a cluster
 	// coordinator distributing shards over remote workers - instead of
 	// the local pool. A runner returning an error that wraps
@@ -130,7 +129,6 @@ const DefaultPlanCacheEntries = 512
 // drmap-serve. It is safe for concurrent use.
 type Service struct {
 	workers int
-	accel   accel.Config
 	cache   *Cache
 	// profiles holds characterizations, keyed by backend fingerprint.
 	profiles *Cache
@@ -162,9 +160,6 @@ type Service struct {
 
 // New builds a Service.
 func New(opt Options) *Service {
-	if opt.Accel == (accel.Config{}) {
-		opt.Accel = accel.TableII()
-	}
 	if opt.CacheEntries == 0 {
 		opt.CacheEntries = DefaultCacheEntries
 	}
@@ -184,7 +179,6 @@ func New(opt Options) *Service {
 	workers := defaultWorkers(opt.Workers)
 	s := &Service{
 		workers:   workers,
-		accel:     opt.Accel,
 		cache:     NewCache(opt.CacheEntries),
 		profiles:  NewCache(profileCacheEntries),
 		prints:    make(map[dram.Backend]string),
@@ -358,13 +352,14 @@ func (s *Service) gridFor(job DSEJob) ([]core.LayerGrid, error) {
 	return v.([]core.LayerGrid), nil
 }
 
-// evaluatorFor builds an evaluator on the cached characterization.
-func (s *Service) evaluatorFor(b dram.Backend, batch int) (*core.Evaluator, error) {
-	p, _, err := s.profileFor(b)
+// evaluatorFor builds the job's evaluator - its accelerator and batch
+// on the cached characterization of its backend.
+func (s *Service) evaluatorFor(job DSEJob) (*core.Evaluator, error) {
+	p, _, err := s.profileFor(job.Backend)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewEvaluator(p, s.accel, batch)
+	return core.NewEvaluator(p, job.Accel, job.Batch)
 }
 
 // dseKey is the result-cache key of a DSE job, built from fixed fields
@@ -443,8 +438,8 @@ func appendKeyString(b []byte, v string) []byte {
 
 // parseDSE resolves a DSE request into the job it runs: the one parse
 // Service.DSE and a dse job share.
-func (s *Service) parseDSE(req DSERequest) (DSEJob, error) {
-	job := DSEJob{Accel: s.accel, Batch: req.Batch}
+func parseDSE(req DSERequest) (DSEJob, error) {
+	job := DSEJob{Accel: accel.TableII(), Batch: req.Batch}
 	var err error
 	if job.Backend, err = parseBackend(req.Arch); err != nil {
 		return DSEJob{}, err
@@ -480,7 +475,7 @@ func (s *Service) parseDSE(req DSERequest) (DSEJob, error) {
 // whose callers all gave up still completes and is cached, so retries
 // hit the cache instead of recomputing.
 func (s *Service) DSE(ctx context.Context, req DSERequest) (*DSEResponse, error) {
-	job, err := s.parseDSE(req)
+	job, err := parseDSE(req)
 	if err != nil {
 		return nil, err
 	}
@@ -654,7 +649,7 @@ type simInputs struct {
 // single-layer parse order (backend, policy, layer, schedule, batch,
 // element width) predates network mode and is preserved exactly, so
 // error text never changes for existing clients.
-func (s *Service) parseSimulate(req SimulateRequest) (*simInputs, error) {
+func parseSimulate(req SimulateRequest) (*simInputs, error) {
 	in := &simInputs{policyID: req.Policy}
 	var err error
 	in.backend, err = parseBackend(req.Arch)
@@ -705,9 +700,9 @@ func (s *Service) parseSimulate(req SimulateRequest) (*simInputs, error) {
 	in.spec.Batch = in.batch
 	in.bpe = req.BytesPerElement
 	if in.bpe == 0 {
-		// Default to the service accelerator's element width so the
-		// validation path prices the same datatype the DSE models.
-		in.bpe = s.accel.BytesPerElement
+		// Default to the Table II element width so the validation path
+		// prices the same datatype the DSE models.
+		in.bpe = accel.TableII().BytesPerElement
 	}
 	in.scheduler, err = parseSimScheduler(req.Scheduler)
 	if err != nil {
@@ -745,11 +740,11 @@ func (s *Service) simSpecsFor(ctx context.Context, in *simInputs) ([]core.LayerS
 		return []core.LayerSpec{in.spec}, nil
 	}
 	job := DSEJob{
-		Backend: in.backend, Accel: s.accel, Network: in.network,
+		Backend: in.backend, Accel: accel.TableII(), Network: in.network,
 		Schedules: []tiling.Schedule{in.sched}, Policies: []mapping.Policy{in.policy},
 		Objective: core.MinimizeEDP, Batch: in.batch,
 	}
-	ev, err := s.evaluatorFor(job.Backend, job.Batch)
+	ev, err := s.evaluatorFor(job)
 	if err != nil {
 		return nil, err
 	}
@@ -777,7 +772,7 @@ func (s *Service) simSpecsFor(ctx context.Context, in *simInputs) ([]core.LayerS
 // like DSE, the evaluation is detached from any one caller and a
 // distributed runner shards network jobs across cluster workers.
 func (s *Service) Simulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
-	in, err := s.parseSimulate(req)
+	in, err := parseSimulate(req)
 	if err != nil {
 		return nil, err
 	}
@@ -872,13 +867,14 @@ func (s *Service) simulate(ctx context.Context, in *simInputs) (*SimulateRespons
 }
 
 // sweepInputs are a sweep request's parsed fields: the one parse
-// Service.Sweep and a sweep job share.
+// Service.Sweep and a sweep job share. Each swept value resolves to
+// one point, a DSE job (see resolvePoints).
 type sweepInputs struct {
 	kind    string
 	values  []int
 	backend dram.Backend
 	network cnn.Network
-	batch   int
+	points  []DSEJob // one per value, in order
 }
 
 // maxSweepValues caps a sweep's values list: each value is a point the
@@ -888,7 +884,7 @@ const maxSweepValues = 64
 // parseSweep resolves a sweep request's names and defaults, in the
 // order network, backend, kind.
 func parseSweep(req SweepRequest) (*sweepInputs, error) {
-	in := &sweepInputs{kind: req.Kind, values: req.Values, batch: req.Batch}
+	in := &sweepInputs{kind: req.Kind, values: req.Values}
 	netName := req.Network
 	if netName == "" {
 		netName = "alexnet"
@@ -904,8 +900,9 @@ func parseSweep(req SweepRequest) (*sweepInputs, error) {
 	if in.backend, err = parseBackend(archName); err != nil {
 		return nil, err
 	}
-	if in.batch == 0 {
-		in.batch = 1
+	batch := req.Batch
+	if batch == 0 {
+		batch = 1
 	}
 	defaults := map[string][]int{
 		"subarrays": {2, 4, 8, 16},
@@ -932,55 +929,63 @@ func parseSweep(req SweepRequest) (*sweepInputs, error) {
 		}
 	}
 	in.values = values
-	if err := in.checkPoints(); err != nil {
+	if err := in.resolvePoints(batch); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
-// checkPoints rejects a sweep point whose inputs the sweep could not
-// run, or could only run into an invalid geometry or a rounded count:
-// each subarray count must give a valid SALP-MASA die, each buffer size
-// a valid Table II accelerator, and each batch the sweep runs must be
-// countable exactly (core.CheckCountRange).
-func (in *sweepInputs) checkPoints() error {
-	batches := []int{in.batch}
-	switch in.kind {
-	case "subarrays":
-		for _, v := range in.values {
+// resolvePoints builds each value's point: a DRMap-only, all-schedules,
+// minimum-EDP DSE of the built-in network on the Table II accelerator
+// at the given batch, with the swept field set. A subarrays point runs
+// on an unregistered SALP-MASA backend, so it never aliases the
+// registered masa die. A point the sweep could not run, or could only
+// run into an invalid geometry or a rounded count, is rejected: each
+// subarray count must give a valid SALP-MASA die, each buffer size a
+// valid Table II accelerator, and each point's batch must be countable
+// exactly (core.CheckCountRange).
+func (in *sweepInputs) resolvePoints(batch int) error {
+	in.points = make([]DSEJob, len(in.values))
+	for i, v := range in.values {
+		job := DSEJob{
+			Backend: in.backend, Accel: accel.TableII(), Network: in.network,
+			Schedules: tiling.Schedules, Policies: []mapping.Policy{mapping.DRMap()},
+			Objective: core.MinimizeEDP, Batch: batch,
+			netKey: networkKey(in.network, true),
+		}
+		switch in.kind {
+		case "subarrays":
 			cfg := dram.SALPMASAConfig()
 			cfg.Geometry.Subarrays = v
 			if err := cfg.Validate(); err != nil {
 				return fmt.Errorf("sweep subarrays %d: %w", v, err)
 			}
-		}
-	case "buffers":
-		for _, v := range in.values {
+			job.Backend = dram.Backend{Config: cfg}
+		case "buffers":
 			if v < 1 || v > math.MaxInt/1024 {
 				return fmt.Errorf("sweep buffers %d KB: want 1 to %d", v, math.MaxInt/1024)
 			}
-			acfg := accel.TableII()
-			acfg.IfmBufBytes, acfg.WgtBufBytes, acfg.OfmBufBytes = v*1024, v*1024, v*1024
-			if err := acfg.Validate(); err != nil {
+			job.Accel.IfmBufBytes, job.Accel.WgtBufBytes, job.Accel.OfmBufBytes = v*1024, v*1024, v*1024
+			if err := job.Accel.Validate(); err != nil {
 				return fmt.Errorf("sweep buffers %d KB: %w", v, err)
 			}
+		case "batch":
+			job.Batch = v
 		}
-	case "batch":
-		batches = in.values
+		in.points[i] = job
 	}
-	bpe := accel.TableII().BytesPerElement
-	for _, b := range batches {
-		if err := core.CheckCountRange(in.network, bpe, b); err != nil {
+	for _, job := range in.points {
+		if err := core.CheckCountRange(job.Network, job.Accel.BytesPerElement, job.Batch); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	return nil
 }
 
-// Sweep runs one ablation sweep (subarrays, buffers or batch). Sweeps
-// are the reproduction's ablation studies and always use the paper's
-// Table II accelerator (package sweep's contract), regardless of
-// Options.Accel; the buffers sweep varies the buffer sizes itself.
+// Sweep runs one ablation sweep (subarrays, buffers or batch). Each
+// point runs as a DSE job through the path a batch item takes: the
+// result, plan and profile caches, single-flight, the CPU gate and the
+// cluster runner.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
 	in, err := parseSweep(req)
 	if err != nil {
@@ -989,49 +994,54 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 	return s.sweep(ctx, in)
 }
 
-// sweep runs a resolved sweep through the result cache.
+// sweep runs a resolved sweep's points concurrently over the worker
+// pool, as batch runs its items, and tabulates them in value order.
+// The table is not cached itself; Cached reports that every point was
+// a result-cache hit.
 func (s *Service) sweep(ctx context.Context, in *sweepInputs) (*SweepResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	type sweepKey struct {
-		Kind    string
-		Values  []int
-		Backend dram.Backend
-		Network string
-		Batch   int
-	}
-	key := sweepKey{Kind: in.kind, Values: in.values, Backend: in.backend, Network: in.network.Name, Batch: in.batch}
-	if in.kind == "subarrays" {
-		// The subarrays sweep is SALP-MASA by definition and ignores
-		// the arch field; normalize it out of the key so arch-differing
-		// requests share one cache entry.
-		key.Backend = dram.Backend{}
-	}
-	ckey, err := fingerprintKey("sweep", key)
-	if err != nil {
+	resps := make([]*DSEResponse, len(in.points))
+	errs := make([]error, len(in.points))
+	if err := runPool(ctx, len(in.points), s.workers, func(i int) {
+		resps[i], errs[i] = s.dse(ctx, in.points[i])
+	}); err != nil {
 		return nil, err
 	}
-	v, shared, err := s.doBounded(ctx, ckey, func() (any, error) {
-		var t *sweep.Table
-		var err error
-		switch in.kind {
-		case "subarrays":
-			t, err = sweep.Subarrays(in.values, in.network, in.batch)
-		case "buffers":
-			t, err = sweep.Buffers(in.values, in.backend, in.network, in.batch)
-		default:
-			t, err = sweep.Batches(in.values, in.backend, in.network)
+	const edpColumn = "DRMap-total-EDP[uJs]"
+	var t *sweep.Table
+	switch in.kind {
+	case "subarrays":
+		t = &sweep.Table{Name: "Ablation: subarrays per bank (SALP-MASA, " + in.network.Name + ")",
+			Header: []string{"subarrays", "subarray-cycles/access", "subarray-nJ/access", edpColumn}}
+	case "buffers":
+		t = &sweep.Table{Name: fmt.Sprintf("Ablation: on-chip buffer capacity (%s, %s)", in.backend.Label(), in.network.Name),
+			Header: []string{"buffer-KB", edpColumn}}
+	default:
+		t = &sweep.Table{Name: fmt.Sprintf("Ablation: batch size (%s, %s)", in.backend.Label(), in.network.Name),
+			Header: []string{"batch", edpColumn}}
+	}
+	cached := true
+	for i, v := range in.values {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if err != nil {
+		cached = cached && resps[i].Cached
+		row := []float64{resps[i].Result.TotalEDPJs * 1e6}
+		if in.kind == "subarrays" {
+			// The profile the point's evaluator priced with: each die is
+			// characterized once, into the profile cache.
+			prof, _, err := s.profileFor(in.points[i].Backend)
+			if err != nil {
+				return nil, err
+			}
+			cost := prof.Stream[trace.AccessSubarraySwitch]
+			row = append([]float64{cost.Cycles, cost.Energy * 1e9}, row...)
+		}
+		if err := t.AddRow(strconv.Itoa(v), row...); err != nil {
 			return nil, err
 		}
-		return &SweepResponse{Table: report.SweepTableJSON(t)}, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	resp := *(v.(*SweepResponse))
-	resp.Cached = shared
-	return &resp, nil
+	return &SweepResponse{Table: report.SweepTableJSON(t), Cached: cached}, nil
 }

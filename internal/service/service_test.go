@@ -327,6 +327,64 @@ func TestServiceSweepDedupesValues(t *testing.T) {
 	}
 }
 
+// TestSweepBufferPointSharesDSEEntry: a sweep point is a DSE job, so
+// the buffers point at the Table II 64 KB is the DRMap-only v1 DSE of
+// the same backend and network, and the two share one result-cache
+// entry in either order.
+func TestSweepBufferPointSharesDSEEntry(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 16})
+	ctx := context.Background()
+	sw, err := svc.Sweep(ctx, SweepRequest{Kind: "buffers", Values: []int{64}, Arch: "ddr3", Network: "lenet5"})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if sw.Cached {
+		t.Error("first sweep reported cached")
+	}
+	dse, err := svc.DSE(ctx, DSERequest{Arch: "ddr3", Network: "lenet5", Policies: []int{mapping.DRMap().ID}})
+	if err != nil {
+		t.Fatalf("DSE: %v", err)
+	}
+	if !dse.Cached {
+		t.Error("the DRMap-only DSE missed the sweep point's entry")
+	}
+	if got, want := sw.Table.Rows[0].Values[0], dse.Result.TotalEDPJs*1e6; got != want {
+		t.Errorf("sweep row %.17g != DSE total %.17g", got, want)
+	}
+	again, err := svc.Sweep(ctx, SweepRequest{Kind: "buffers", Values: []int{64}, Arch: "ddr3", Network: "lenet5"})
+	if err != nil {
+		t.Fatalf("Sweep (repeat): %v", err)
+	}
+	if !again.Cached {
+		t.Error("repeated sweep: not every point was a hit")
+	}
+}
+
+// TestSubarraySweepCharacterizesOnce: a subarrays sweep of N values
+// characterizes N dies, once each - the point's evaluator and the
+// stream-cost column read one cached profile - and a repeat is all
+// hits.
+func TestSubarraySweepCharacterizesOnce(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheEntries: 16})
+	req := SweepRequest{Kind: "subarrays", Values: []int{2, 4, 16}, Network: "lenet5"}
+	if _, err := svc.Sweep(context.Background(), req); err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if got := svc.profiles.Stats().Misses; got != int64(len(req.Values)) {
+		t.Errorf("profile cache misses = %d, want %d (one per die)", got, len(req.Values))
+	}
+	again, err := svc.Sweep(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Sweep (repeat): %v", err)
+	}
+	if !again.Cached {
+		t.Error("repeated sweep: not every point was a hit")
+	}
+	if got := svc.profiles.Stats().Misses; got != int64(len(req.Values)) {
+		t.Errorf("repeated sweep characterized again: %d misses", got)
+	}
+}
+
 // TestDSEKeyReregisteredBackendMisses: a backend carrying a registered
 // ID with another config - a re-registration as seen by a process that
 // cached the old one, or a shard from a process with another registry -
@@ -341,7 +399,7 @@ func TestDSEKeyReregisteredBackendMisses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DSE: %v", err)
 	}
-	job, err := svc.parseDSE(req)
+	job, err := parseDSE(req)
 	if err != nil {
 		t.Fatal(err)
 	}

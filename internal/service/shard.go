@@ -117,7 +117,7 @@ func (s *Service) runJob(ctx context.Context, job DSEJob) (*core.DSEResult, erro
 			return res, err
 		}
 	}
-	ev, err := s.evaluatorFor(job.Backend, job.Batch)
+	ev, err := s.evaluatorFor(job)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func (s *Service) EvaluateShard(ctx context.Context, job DSEJob, span core.Colum
 	if span.Start < 0 || span.End < span.Start || span.End > job.Columns(grids) {
 		return nil, fmt.Errorf("service: shard span [%d, %d) outside column space [0, %d)", span.Start, span.End, job.Columns(grids))
 	}
-	ev, err := s.evaluatorFor(job.Backend, job.Batch)
+	ev, err := s.evaluatorFor(job)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"drmap/internal/accel"
 	"drmap/internal/core"
 	"drmap/internal/mapping"
 	"drmap/internal/report"
@@ -199,7 +200,7 @@ func TestNetworkSimulatePickUsesPlanCache(t *testing.T) {
 	svc := New(Options{Workers: 2, CacheEntries: 16})
 	ctx := context.Background()
 	req := SimulateRequest{Arch: "ddr3", Network: "lenet5", Policy: 6}
-	in, err := svc.parseSimulate(req)
+	in, err := parseSimulate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestNetworkSimulatePickUsesPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simSpecsFor: %v", err)
 	}
-	ev, err := svc.evaluatorFor(in.backend, in.batch)
+	ev, err := svc.evaluatorFor(DSEJob{Backend: in.backend, Accel: accel.TableII(), Batch: in.batch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,8 +193,9 @@ type SweepRequest struct {
 
 // SweepResponse is the sweep table.
 type SweepResponse struct {
-	Table  report.SweepJSON `json:"table"`
-	Cached bool             `json:"cached"`
+	Table report.SweepJSON `json:"table"`
+	// Cached reports that every point was a result-cache hit.
+	Cached bool `json:"cached"`
 }
 
 // BackendsResponse lists the registered DRAM backends.

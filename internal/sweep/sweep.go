@@ -1,8 +1,9 @@
-// Package sweep runs the parameter sweeps behind the reproduction's
-// ablation studies: subarrays-per-bank, on-chip buffer capacity, batch
-// size and the data-toggle energy term. Each sweep produces a Table
-// that renders as aligned text or CSV, so the ablation numbers in
-// EXPERIMENTS.md are regenerable from one command.
+// Package sweep holds the table behind the reproduction's ablation
+// studies, which renders as aligned text or CSV so the ablation numbers
+// in EXPERIMENTS.md are regenerable from one command, and the Table I
+// pruning-soundness check. The subarrays-per-bank, buffer-capacity and
+// batch sweeps run their points as DSE jobs through the service
+// (service.Sweep), and the registry scan is a service batch.
 package sweep
 
 import (
@@ -20,7 +21,6 @@ import (
 	"drmap/internal/mapping"
 	"drmap/internal/profile"
 	"drmap/internal/tiling"
-	"drmap/internal/trace"
 )
 
 // Table is a sweep result: one labelled row per swept value.
@@ -78,94 +78,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// drmapTotalEDP characterizes the config and returns the DRMap-only DSE
-// total EDP of the network, repricing through the sweep's plan cache:
-// consecutive sweep points whose count identity carries over (same die
-// geometry, batch and tiling candidates) skip the counting pass.
-func drmapTotalEDP(pl *Planner, cfg dram.Config, acfg accel.Config, net cnn.Network, batch int) (float64, error) {
-	prof, err := profile.Characterize(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return pl.TotalEDP(prof, acfg, net, batch)
-}
-
-// Subarrays sweeps subarrays-per-bank on SALP-MASA: the subarray-stream
-// cost and the network's DRMap EDP quantify how much parallelism
-// headroom the architecture choice buys.
-func Subarrays(counts []int, net cnn.Network, batch int) (*Table, error) {
-	t := &Table{
-		Name:   "Ablation: subarrays per bank (SALP-MASA, " + net.Name + ")",
-		Header: []string{"subarrays", "subarray-cycles/access", "subarray-nJ/access", "DRMap-total-EDP[uJs]"},
-	}
-	pl := NewPlanner()
-	for _, sa := range counts {
-		cfg := dram.SALPMASAConfig()
-		cfg.Geometry.Subarrays = sa
-		prof, err := profile.Characterize(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cost := prof.Stream[trace.AccessSubarraySwitch]
-		edp, err := drmapTotalEDP(pl, cfg, accel.TableII(), net, batch)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(strconv.Itoa(sa), cost.Cycles, cost.Energy*1e9, edp*1e6); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// Buffers sweeps the on-chip buffer capacity on any registered DRAM
-// backend: smaller buffers force finer partitionings and more DRAM
-// traffic.
-func Buffers(sizesKB []int, backend dram.Backend, net cnn.Network, batch int) (*Table, error) {
-	t := &Table{
-		Name:   fmt.Sprintf("Ablation: on-chip buffer capacity (%s, %s)", backend.Label(), net.Name),
-		Header: []string{"buffer-KB", "DRMap-total-EDP[uJs]"},
-	}
-	cfg := backend.Config
-	// One plan cache across the trajectory: the count signature is
-	// buffer-independent, so layers whose tiling candidates coincide
-	// between budgets reprice the carried-over plans.
-	pl := NewPlanner()
-	for _, kb := range sizesKB {
-		acfg := accel.TableII()
-		acfg.IfmBufBytes, acfg.WgtBufBytes, acfg.OfmBufBytes = kb*1024, kb*1024, kb*1024
-		edp, err := drmapTotalEDP(pl, cfg, acfg, net, batch)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(strconv.Itoa(kb), edp*1e6); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// Batches sweeps the batch size on any registered DRAM backend:
-// traffic scales linearly, EDP super-linearly (energy x delay).
-func Batches(batches []int, backend dram.Backend, net cnn.Network) (*Table, error) {
-	t := &Table{
-		Name:   fmt.Sprintf("Ablation: batch size (%s, %s)", backend.Label(), net.Name),
-		Header: []string{"batch", "DRMap-total-EDP[uJs]"},
-	}
-	cfg := backend.Config
-	pl := NewPlanner()
-	for _, b := range batches {
-		edp, err := drmapTotalEDP(pl, cfg, accel.TableII(), net, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(strconv.Itoa(b), edp*1e6); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // PolicyPruning validates the paper's Table I pruning on a layer: it
 // prices all 24 loop-order permutations and reports the best EDP among
 // the pruned-away 18 versus the Table I six. The pruning is sound if
@@ -216,49 +128,6 @@ func PolicyPruning(backend dram.Backend, layer cnn.Layer, batch int) (*Table, er
 	}
 	if err := t.AddRow("pruned-eighteen", bestPruned*1e6); err != nil {
 		return nil, err
-	}
-	return t, nil
-}
-
-// Registry sweeps the whole DRAM backend registry: the DRMap-policy DSE
-// total EDP (and its delay and energy factors) of one network on every
-// given backend - the multi-backend scan the count/price split was
-// built for. Each (layer, schedule) column's count plan is computed
-// once per distinct count signature (core.CountKey) and repriced for
-// every backend sharing it, so the paper's four architectures expand
-// and count their tile streams once instead of four times; every row
-// is bit-for-bit the backend's serial core.RunDSE total.
-func Registry(backends []dram.Backend, net cnn.Network, batch int) (*Table, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("sweep: registry sweep needs at least one backend")
-	}
-	t := &Table{
-		Name:   fmt.Sprintf("Registry scan: DRMap DSE (%s, batch %d)", net.Name, batch),
-		Header: []string{"backend", "DRMap-total-EDP[uJs]", "delay[ms]", "energy[mJ]"},
-	}
-	acfg := accel.TableII()
-	policies := []mapping.Policy{mapping.DRMap()}
-	// One plan cache across the scan: a backend whose count signature
-	// (die geometry, element width, batch) appeared earlier reprices the
-	// cached vectorized plans in a flat linear scan, into scratch buffers
-	// the planner recycles across backends.
-	pl := NewPlanner()
-	for _, b := range backends {
-		prof, err := profile.CharacterizeBackend(b)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := core.NewEvaluator(prof, acfg, batch)
-		if err != nil {
-			return nil, err
-		}
-		totalEDP, totalSeconds, totalEnergy, err := pl.run(ev, net, tiling.Schedules, policies)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(b.ID, totalEDP*1e6, totalSeconds*1e3, totalEnergy*1e3); err != nil {
-			return nil, err
-		}
 	}
 	return t, nil
 }
