@@ -723,6 +723,31 @@ func BenchmarkCountColumn(b *testing.B) {
 	}
 }
 
+// BenchmarkCountLayer measures the same whole-network count phase as
+// BenchmarkCountColumn, the way the serving daemon runs it: one
+// CountLayer per layer, which expands each tiling once and derives all
+// four schedule columns from the per-tensor sums. Its planes equal
+// BenchmarkCountColumn's column for column; the gap between the two is
+// the expansion the schedules share.
+func BenchmarkCountLayer(b *testing.B) {
+	ev := benchEvaluators(b)[0]
+	schedules, policies := drmap.Schedules(), drmap.TableIPolicies()
+	for _, net := range []drmap.Network{drmap.AlexNet(), drmap.VGG16()} {
+		grids, err := core.DSEGrid(net, ev, schedules, policies)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(net.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, lg := range grids {
+					ev.CountLayer(lg, schedules, policies)
+				}
+			}
+		})
+	}
+}
+
 // simulateBenchSpecs is a mid-size simulation workload at fixed design
 // points: three AlexNet conv layers, each cut into multiple tile
 // streams. Each tile stream is an independent controller domain on the

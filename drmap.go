@@ -266,9 +266,10 @@ type (
 
 // The count/price split: a design point's access-count structure is
 // independent of the DRAM device's characterization - only the
-// per-access costs change (DRMap Sec. V-B). Evaluator.CountScheduleColumn
-// computes a grid column's counts once as a FlatColumn;
-// Evaluator.PriceFlatInto reprices it under any evaluator whose
+// per-access costs change (DRMap Sec. V-B). Evaluator.CountLayer
+// computes a layer's schedule columns in one pass, each as a
+// FlatColumn (Evaluator.CountScheduleColumn counts one column);
+// Evaluator.PriceFlatInto reprices one under any evaluator whose
 // CountKey matches (the paper's four architectures share one), with
 // results bit-for-bit identical to the direct scan. The service's
 // count-plan cache, Fig9Series and the registry sweep are built on it.

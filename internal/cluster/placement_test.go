@@ -81,8 +81,8 @@ func (pc *placementCluster) workerOf(backend string, obj core.Objective, shard i
 	return pc.served[fmt.Sprintf("%s/%s/%d", backend, obj, shard)]
 }
 
-// planMisses sums the workers' count-plan cache misses: one per column
-// counted anywhere in the cluster.
+// planMisses sums the workers' count-plan cache misses: one per layer
+// run counted anywhere in the cluster.
 func (pc *placementCluster) planMisses() int64 {
 	var n int64
 	for _, w := range pc.workers {
@@ -250,12 +250,20 @@ func TestObjectiveReaskRepricesAcrossCluster(t *testing.T) {
 		b, _ := dram.Lookup(id)
 		geometries[b.Config.Geometry] = true
 	}
-	want := int64(len(geometries) * len(placementStack) * len(tiling.Schedules))
+	// A worker counts each layer's share of a shard span as one run -
+	// one plan-cache miss - so a signature's misses are the spans'
+	// per-layer runs.
+	ns := len(tiling.Schedules)
+	runs := 0
+	for _, span := range core.ColumnShards(len(placementStack)*ns, len(pc.workers)*DefaultShardsPerWorker) {
+		runs += (span.End-1)/ns - span.Start/ns + 1
+	}
+	want := int64(len(geometries) * runs)
 
 	pc.batch(t, "edp")
 	if got := pc.planMisses(); got != want {
-		t.Errorf("first batch: worker plan-cache misses %d, want %d signatures x %d columns = %d",
-			got, len(geometries), len(placementStack)*len(tiling.Schedules), want)
+		t.Errorf("first batch: worker plan-cache misses %d, want %d signatures x %d layer runs = %d",
+			got, len(geometries), runs, want)
 	}
 	pc.batch(t, "energy")
 	if got := pc.planMisses(); got != want {

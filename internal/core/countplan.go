@@ -8,14 +8,15 @@
 // (DRMap Sec. V-B's generality argument, made explicit in PENDRAM).
 // Pricing is a handful of multiply-adds per design point.
 //
-// This file factors the evaluation kernel accordingly: CountScheduleColumn
-// computes a grid column's backend-independent count plan (a FlatColumn)
-// once, and PriceFlatInto reprices it under any evaluator whose CountKey
-// matches - same geometry, element width, batch and counting convention.
-// EvaluateScheduleColumn is exactly PriceFlatInto over
-// CountScheduleColumn, so the serial scan, the parallel executor, the
-// cluster shards and any plan cache above them share one code path and
-// produce bit-for-bit identical results.
+// This file factors the evaluation kernel accordingly: CountLayer
+// computes a layer's backend-independent count plans (one FlatColumn per
+// schedule column) once, and PriceFlatInto reprices each under any
+// evaluator whose CountKey matches - same geometry, element width, batch
+// and counting convention. CountScheduleColumn is CountLayer over one
+// schedule, and EvaluateScheduleColumn is PriceFlatInto over it, so the
+// serial scan, the parallel executor, the cluster shards and any plan
+// cache above them share one count kernel and produce bit-for-bit
+// identical results.
 package core
 
 import (
@@ -33,9 +34,8 @@ import (
 // read-cost pricing and the direction-aware refinement can be repriced
 // from the same plan: the read-only convention prices Read+Write with
 // one cost set (integer-exact, so the sum equals the unsplit counts).
-// The count kernel accumulates a tiling's cells in this form and stores
-// Read and the Read+Write total into the plan's planes; FlatColumn.At
-// reads one back, Write as total - read.
+// A plan stores Read and the Read+Write total in its planes;
+// FlatColumn.At reads one back in this form, Write as total - read.
 type CellCounts struct {
 	Read  mapping.Counts `json:"read"`
 	Write mapping.Counts `json:"write"`
@@ -110,49 +110,66 @@ func countBound(l cnn.Layer, bytesPerElement, batch int) (uint64, bool) {
 	return bound, true
 }
 
-// CountScheduleColumn computes one grid column's count plan: for every
-// distinct tile stream among the candidate tilings it expands the tile
-// groups and accumulates the read/write access-category counts of every
-// policy - the expensive phase of EvaluateScheduleColumn, and the part
-// that is valid for every evaluator sharing this evaluator's CountKey.
+// CountScheduleColumn computes one grid column's count plan - the
+// expensive phase of EvaluateScheduleColumn, and the part that is valid
+// for every evaluator sharing this evaluator's CountKey. It is CountLayer
+// over the one schedule, with the column stamped as schedule
+// scheduleIdx of its job.
+func (ev *Evaluator) CountScheduleColumn(lg LayerGrid, scheduleIdx int, s tiling.Schedule, policies []mapping.Policy) *FlatColumn {
+	fc := ev.CountLayer(lg, []tiling.Schedule{s}, policies)[0]
+	fc.ScheduleIndex = scheduleIdx
+	return fc
+}
+
+// CountLayer computes the count plans of one layer's run of schedule
+// columns in one pass: column k is schedule k's plan, with
+// ScheduleIndex k (a caller counting a sub-run of a job's schedules
+// offsets it). A tiling's tile streams are the same under every
+// schedule; only each tensor's load factor changes (tiling.Split). So
+// each plan row expands its tiling once, sums every policy's
+// access-category counts per tensor - sum over tile sizes of tiles x
+// streamCounts(pol, bursts) for ifms, weights and ofms - and then forms
+// each schedule's row as a four-term integer combination of those sums
+// with the schedule's load factors: reads ifm*Ifm + wgt*Wgt +
+// ofm*OfmRead, writes ofm*OfmWrite. AdaptiveReuse resolves per tiling
+// from the same split.
 //
 // In a square layer a tiling and its Th/Tw mirror expand to the same
-// multiset of tile groups and resolve AdaptiveReuse alike, so the later
+// multiset of tile streams and resolve AdaptiveReuse alike, so the later
 // of the two reuses the earlier one's plan row instead of being counted
 // and stored again (planRows); At, Tilings and Cells still cover every
-// tiling. Integer sums are order-free, so the shared row is exactly
-// what the later tiling would have counted.
+// tiling, and the columns share the row index.
 //
-// A stream's counts depend only on (policy, bursts), and a column's
+// A stream's counts depend only on (policy, bursts), and a layer's
 // thousands of tilings repeat a few hundred burst lengths, so the call
 // keeps a memo from burst length to the counts of every policy (one
-// slab, len(policies) entries per length) and each row only accumulates
-// Loads x memo[bursts] into an int64 scratch row. A cell's sums are
-// final once its tiling's groups are summed, so the row is then stored
-// into the plan's planes: the reads, and the read+write totals as exact
-// int64 sums.
-// Integer accumulation is exact, so every cell equals GroupCountsRW over
-// TileGroups bit for bit. The memo, the scratch row and the reused group
-// buffer are local to the call and the evaluator is only read, so one
-// evaluator may serve many concurrent calls.
-func (ev *Evaluator) CountScheduleColumn(lg LayerGrid, scheduleIdx int, s tiling.Schedule, policies []mapping.Policy) *FlatColumn {
+// slab, len(policies) entries per length). A row's cells are final once
+// its tiling's sums are combined, so each is stored into its column's
+// planes: the reads, and the read+write totals as exact int64 sums.
+// Integer arithmetic is exact and distributes, so every cell equals
+// GroupCountsRW over TileGroups bit for bit. The memo and the
+// per-tensor sums are local to the call and the evaluator is only read,
+// so one evaluator may serve many concurrent calls.
+func (ev *Evaluator) CountLayer(lg LayerGrid, schedules []tiling.Schedule, policies []mapping.Policy) []*FlatColumn {
 	np := len(policies)
 	rowOf, firstTiling := planRows(lg.Layer, lg.Tilings)
-	fc := &FlatColumn{LayerIndex: lg.Index, ScheduleIndex: scheduleIdx, Policies: np,
-		rowOf: rowOf, firstTiling: firstTiling, data: make([]float64, flatPlanes*len(firstTiling)*np)}
+	cols := make([]*FlatColumn, len(schedules))
+	n := flatPlanes * len(firstTiling) * np // one column's planes
+	data := make([]float64, len(schedules)*n)
+	for si := range cols {
+		cols[si] = &FlatColumn{LayerIndex: lg.Index, ScheduleIndex: si, Policies: np,
+			rowOf: rowOf, firstTiling: firstTiling, data: data[si*n : (si+1)*n : (si+1)*n]}
+	}
 	memo := make(map[int64]int) // bursts -> offset of its counts in slab
 	var slab []mapping.Counts
-	var groups []tiling.TileGroup
-	row := make([]CellCounts, np)
-	for r, ti := range firstTiling {
-		groups = tiling.AppendTileGroups(groups[:0], lg.Layer, lg.Tilings[ti], s, ev.Batch)
-		clear(row)
-		// An ofm tile's read and write streams are adjacent groups of
-		// one length, so the previous group's lookup often still holds.
+	// sum adds tiles x counts(bursts) of every policy into acc for each
+	// tile size. Adjacent sizes can hold equal element counts (a square
+	// layer's two edge tiles), so the previous lookup is kept.
+	sum := func(acc []mapping.Counts, sizes []tiling.TileCount) {
 		lastElems, off := int64(-1), 0
-		for _, grp := range groups {
-			if grp.Elems != lastElems {
-				bursts := ev.burstsOf(grp.Elems)
+		for _, g := range sizes {
+			if g.Elems != lastElems {
+				bursts := ev.burstsOf(g.Elems)
 				var ok bool
 				if off, ok = memo[bursts]; !ok {
 					off = len(slab)
@@ -161,20 +178,27 @@ func (ev *Evaluator) CountScheduleColumn(lg LayerGrid, scheduleIdx int, s tiling
 					}
 					memo[bursts] = off
 				}
-				lastElems = grp.Elems
+				lastElems = g.Elems
 			}
 			counts := slab[off : off+np]
-			for pi := range row {
-				if grp.Write {
-					row[pi].Write.Add(counts[pi], grp.Loads)
-				} else {
-					row[pi].Read.Add(counts[pi], grp.Loads)
-				}
+			for pi := range acc {
+				acc[pi].Add(counts[pi], g.Tiles)
 			}
 		}
-		fc.storeRow(r, row)
 	}
-	return fc
+	sums := make([]mapping.Counts, 3*np)
+	ifm, wgt, ofm := sums[:np], sums[np:2*np], sums[2*np:]
+	for r, ti := range firstTiling {
+		sp := tiling.SplitOf(lg.Layer, lg.Tilings[ti], ev.Batch)
+		clear(sums)
+		sum(ifm, sp.Ifm())
+		sum(wgt, sp.Wgt())
+		sum(ofm, sp.Ofm())
+		for si, s := range schedules {
+			cols[si].storeRow(r, sp.Loads(s), ifm, wgt, ofm)
+		}
+	}
+	return cols
 }
 
 // planRows assigns the column's tilings to plan rows: rowOf[ti] is

@@ -428,3 +428,86 @@ func TestCountBoundCoversBuiltInNetworks(t *testing.T) {
 		}
 	}
 }
+
+// TestCountLayerMatchesTileGroups is the oracle for the one-pass layer
+// kernel: every cell of every column CountLayer returns equals
+// GroupCountsRW over TileGroups for that (tiling, schedule, policy) -
+// the per-schedule definition - on every registered geometry, for
+// LeNet-5, AlexNet and a custom non-square stride-2 layer, hand-built
+// remainder tilings (Enumerate yields only divisors), batch 1 and 3,
+// both counting conventions, and the schedule sets default, adaptive
+// alone and [ofms, ifms].
+func TestCountLayerMatchesTileGroups(t *testing.T) {
+	policies := append(mapping.TableI(), mapping.Default())
+	evs := registryEvaluators(t)
+	custom := cnn.Layer{Name: "rect-s2", H: 15, W: 9, J: 24, I: 10, P: 5, Q: 3, Stride: 2, Pad: 1}
+	grids := append(remainderGrids(), LayerGrid{Index: 2, Layer: custom, Tilings: []tiling.Tiling{
+		{Th: 15, Tw: 9, Tj: 24, Ti: 10}, {Th: 4, Tw: 2, Tj: 7, Ti: 3}, {Th: 2, Tw: 4, Tj: 7, Ti: 3},
+		{Th: 7, Tw: 9, Tj: 5, Ti: 4}, {Th: 1, Tw: 1, Tj: 24, Ti: 1},
+	}})
+	for _, net := range []cnn.Network{cnn.LeNet5(), cnn.AlexNet()} {
+		gs, err := DSEGrid(net, evs[0], tiling.Schedules, policies)
+		if err != nil {
+			t.Fatalf("%s: DSEGrid: %v", net.Name, err)
+		}
+		grids = append(grids, gs...)
+	}
+	scheduleSets := [][]tiling.Schedule{
+		tiling.Schedules,
+		{tiling.AdaptiveReuse},
+		{tiling.OfmsReuse, tiling.IfmsReuse},
+	}
+	seen := make(map[dram.Geometry]bool)
+	for _, base := range evs {
+		if seen[base.Profile.Config.Geometry] {
+			continue
+		}
+		seen[base.Profile.Config.Geometry] = true
+		t.Run(base.Label(), func(t *testing.T) {
+			t.Parallel()
+			for _, batch := range []int{1, 3} {
+				for _, physical := range []bool{false, true} {
+					ev := *base
+					ev.Batch = batch
+					ev.UsePhysicalCounts = physical
+					for _, lg := range grids {
+						for _, schedules := range scheduleSets {
+							checkCountLayer(t, &ev, lg, schedules, policies)
+						}
+					}
+				}
+			}
+		})
+	}
+	if len(seen) < 2 {
+		t.Fatalf("registry covers %d geometries; the oracle needs at least two", len(seen))
+	}
+}
+
+// checkCountLayer compares one CountLayer pass, column by column, with
+// the per-schedule tile-group definition.
+func checkCountLayer(t *testing.T, ev *Evaluator, lg LayerGrid, schedules []tiling.Schedule, policies []mapping.Policy) {
+	t.Helper()
+	cols := ev.CountLayer(lg, schedules, policies)
+	if len(cols) != len(schedules) {
+		t.Fatalf("%s: %d columns for %d schedules", lg.Layer.Name, len(cols), len(schedules))
+	}
+	for si, s := range schedules {
+		fc := cols[si]
+		if fc.LayerIndex != lg.Index || fc.ScheduleIndex != si || fc.Tilings() != len(lg.Tilings) || fc.Policies != len(policies) {
+			t.Fatalf("%s %v: column is layer %d schedule %d, %dx%d; want layer %d schedule %d, %dx%d",
+				lg.Layer.Name, s, fc.LayerIndex, fc.ScheduleIndex, fc.Tilings(), fc.Policies,
+				lg.Index, si, len(lg.Tilings), len(policies))
+		}
+		for ti, tl := range lg.Tilings {
+			groups := tiling.TileGroups(lg.Layer, tl, s, ev.Batch)
+			for pi, pol := range policies {
+				read, write := ev.GroupCountsRW(pol, groups)
+				if got := fc.At(ti, pi); got != (CellCounts{Read: read, Write: write}) {
+					t.Fatalf("batch %d physical %v layer %s %v %v policy %s: CountLayer %+v, TileGroups read %+v write %+v",
+						ev.Batch, ev.UsePhysicalCounts, lg.Layer.Name, s, tl, pol.Name, got, read, write)
+				}
+			}
+		}
+	}
+}

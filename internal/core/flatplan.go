@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"drmap/internal/mapping"
+	"drmap/internal/tiling"
 )
 
 // Plane indices of a FlatColumn: the read counts of the four access
@@ -43,8 +44,9 @@ const (
 // plan reprices under either pricing convention (UseWriteCosts on or
 // off). It retains per-tiling counts rather than a pre-reduced winner
 // because the argmin depends on the objective value, which is priced per
-// backend. Build one with Evaluator.CountScheduleColumn; a FlatColumn is
-// immutable after construction and safe for concurrent repricing.
+// backend. Build a layer's columns with Evaluator.CountLayer, or one
+// with CountScheduleColumn. A FlatColumn is immutable once its producer
+// has set its ScheduleIndex, and safe for concurrent repricing.
 type FlatColumn struct {
 	LayerIndex    int
 	ScheduleIndex int
@@ -63,22 +65,35 @@ type FlatColumn struct {
 // planeLen is the length of one plane: every stored row's cells.
 func (fc *FlatColumn) planeLen() int { return len(fc.firstTiling) * fc.Policies }
 
-// storeRow writes one plan row's finished counts into the planes, cell
-// row[k] at index ri*Policies+k. The total planes are converted from the
-// exact int64 read+write sums - not summed in float64 - so the
-// read-cost convention prices exactly the unsplit counts.
-func (fc *FlatColumn) storeRow(ri int, row []CellCounts) {
-	d, n, base := fc.data, fc.planeLen(), ri*fc.Policies
-	for k := range row {
-		r, w, j := &row[k].Read, &row[k].Write, base+k
-		d[planeReadColumn*n+j] = float64(r.DifColumn)
-		d[planeReadBanks*n+j] = float64(r.DifBanks)
-		d[planeReadSubarrays*n+j] = float64(r.DifSubarrays)
-		d[planeReadRows*n+j] = float64(r.DifRows)
-		d[planeTotalColumn*n+j] = float64(r.DifColumn + w.DifColumn)
-		d[planeTotalBanks*n+j] = float64(r.DifBanks + w.DifBanks)
-		d[planeTotalSubarrays*n+j] = float64(r.DifSubarrays + w.DifSubarrays)
-		d[planeTotalRows*n+j] = float64(r.DifRows + w.DifRows)
+// storeRow writes one plan row's finished counts into the planes: cell
+// k, at index ri*Policies+k, reads ifm[k]*f.Ifm + wgt[k]*f.Wgt +
+// ofm[k]*f.OfmRead and writes ofm[k]*f.OfmWrite. Both, and the
+// read+write totals, are exact int64 sums converted once - not summed
+// in float64 - so the read-cost convention prices exactly the unsplit
+// counts.
+func (fc *FlatColumn) storeRow(ri int, f tiling.Loads, ifm, wgt, ofm []mapping.Counts) {
+	np := len(ifm)
+	wgt, ofm = wgt[:np], ofm[:np]
+	d, n, lo := fc.data, fc.planeLen(), ri*fc.Policies
+	// One row's cells of each plane, each exactly np long, so the loop
+	// indexes them without bounds checks.
+	cell := func(p int) []float64 { return d[p*n+lo:][:np] }
+	rCol, rBank, rSub, rRow := cell(planeReadColumn), cell(planeReadBanks), cell(planeReadSubarrays), cell(planeReadRows)
+	tCol, tBank, tSub, tRow := cell(planeTotalColumn), cell(planeTotalBanks), cell(planeTotalSubarrays), cell(planeTotalRows)
+	for k := range ifm {
+		var r, w mapping.Counts
+		r.Add(ifm[k], f.Ifm)
+		r.Add(wgt[k], f.Wgt)
+		r.Add(ofm[k], f.OfmRead)
+		w.Add(ofm[k], f.OfmWrite)
+		rCol[k] = float64(r.DifColumn)
+		rBank[k] = float64(r.DifBanks)
+		rSub[k] = float64(r.DifSubarrays)
+		rRow[k] = float64(r.DifRows)
+		tCol[k] = float64(r.DifColumn + w.DifColumn)
+		tBank[k] = float64(r.DifBanks + w.DifBanks)
+		tSub[k] = float64(r.DifSubarrays + w.DifSubarrays)
+		tRow[k] = float64(r.DifRows + w.DifRows)
 	}
 }
 

@@ -178,11 +178,14 @@ func ReduceCells(lg LayerGrid, schedules []tiling.Schedule, policies []mapping.P
 }
 
 // EvaluateLayerGrid runs every (schedule, policy) cell of one layer
-// serially and reduces - the per-layer unit RunDSE executes.
+// serially and reduces - the per-layer unit RunDSE executes: one
+// CountLayer pass, then each column priced.
 func (ev *Evaluator) EvaluateLayerGrid(lg LayerGrid, schedules []tiling.Schedule, policies []mapping.Policy, obj Objective) LayerResult {
 	cells := make([]CellResult, 0, len(schedules)*len(policies))
-	for si, s := range schedules {
-		cells = append(cells, ev.EvaluateScheduleColumn(lg, si, s, policies, obj)...)
+	var buf []CellResult
+	for _, fc := range ev.CountLayer(lg, schedules, policies) {
+		buf = ev.PriceFlatInto(fc, obj, buf)
+		cells = append(cells, buf...)
 	}
 	return ReduceCells(lg, schedules, policies, cells, ev.Timing())
 }

@@ -42,9 +42,10 @@ type flight struct {
 }
 
 type cacheEntry struct {
-	key  string
-	val  any
-	size int64
+	key    string
+	val    any
+	size   int64
+	weight int
 }
 
 // Cache is a bounded, content-addressed result cache with LRU eviction
@@ -56,6 +57,11 @@ type Cache struct {
 	maxBytes int64
 	sizeOf   func(any) int64
 	bytes    int64
+	// weighOf, when set, weighs each retained value against capacity
+	// (nil weighs every value 1, so capacity bounds the entry count);
+	// weight is the resident sum.
+	weighOf  func(any) int
+	weight   int
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	inflight map[string]*flight
@@ -142,21 +148,7 @@ func (c *Cache) Do(key string, compute func() (any, error)) (any, bool, error) {
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if completed && f.err == nil && c.capacity > 0 {
-			var size int64
-			if c.sizeOf != nil {
-				size = c.sizeOf(f.val)
-			}
-			c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: f.val, size: size})
-			c.bytes += size
-			for c.ll.Len() > c.capacity ||
-				(c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1) {
-				old := c.ll.Back()
-				c.ll.Remove(old)
-				e := old.Value.(*cacheEntry)
-				delete(c.items, e.key)
-				c.bytes -= e.size
-				c.stats.Evictions++
-			}
+			c.insertLocked(key, f.val)
 		}
 		c.mu.Unlock()
 		close(f.done)
@@ -164,6 +156,39 @@ func (c *Cache) Do(key string, compute func() (any, error)) (any, bool, error) {
 	f.val, f.err = compute()
 	completed = true
 	return f.val, false, f.err
+}
+
+// insertLocked retains a computed value at the LRU front, then evicts
+// from the back until the resident weight fits capacity and the bytes
+// fit maxBytes. A value weighing more than the whole capacity is not
+// retained: it would flush every other entry and still not fit. The
+// most recent entry is never evicted by the byte budget, so one
+// oversized value parks instead of thrashing the cache empty.
+func (c *Cache) insertLocked(key string, val any) {
+	weight := 1
+	if c.weighOf != nil {
+		weight = c.weighOf(val)
+	}
+	if weight > c.capacity {
+		return
+	}
+	var size int64
+	if c.sizeOf != nil {
+		size = c.sizeOf(val)
+	}
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, size: size, weight: weight})
+	c.bytes += size
+	c.weight += weight
+	for c.weight > c.capacity ||
+		(c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1) {
+		old := c.ll.Back()
+		c.ll.Remove(old)
+		e := old.Value.(*cacheEntry)
+		delete(c.items, e.key)
+		c.bytes -= e.size
+		c.weight -= e.weight
+		c.stats.Evictions++
+	}
 }
 
 // Stats snapshots the counters.

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"container/heap"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -231,9 +233,17 @@ type JobManager struct {
 	queueSeconds *obs.HistogramVec
 	runSeconds   *obs.HistogramVec
 
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // insertion order, for eviction
+	mu   sync.Mutex
+	jobs map[string]*job
+	// order lists the stored jobs by submission, for the listing.
+	order *list.List
+	// finished lists the terminal jobs by finish time, earliest first:
+	// the TTL sweep pops its front while that job is past the TTL.
+	finished *list.List
+	// terminal holds the terminal non-ephemeral jobs by submission: its
+	// root is the job a full store evicts. With the two, a submit
+	// touches only the jobs it evicts.
+	terminal jobHeap
 	// persistent counts the non-ephemeral (v2-submitted) entries: the
 	// only ones the MaxJobs retention bound is about. Ephemeral v1
 	// sync jobs pass through the store but neither consume capacity
@@ -265,6 +275,8 @@ func NewJobManager(s *Service, opt JobManagerOptions) *JobManager {
 		maxEvents: opt.MaxEvents,
 		now:       opt.Now,
 		jobs:      make(map[string]*job),
+		order:     list.New(),
+		finished:  list.New(),
 		states: r.Gauge("drmap_jobs_state",
 			"Jobs resident in the store by lifecycle state.", "state"),
 		active: r.Gauge("drmap_jobs_active", "Stored jobs not yet terminal.").With(),
@@ -317,6 +329,14 @@ type job struct {
 	// moment the waiting handler has read the outcome - sustained v1
 	// traffic must not pin response payloads for the job TTL.
 	ephemeral bool
+	// The job's places in the manager's eviction index, guarded by the
+	// manager's mu: its submission number, its elements in order and
+	// (once terminal) finished, and its index in terminal (-1 if not
+	// there).
+	seq        int64
+	orderEl    *list.Element
+	finishedEl *list.Element
+	heapIdx    int
 
 	mu              sync.Mutex
 	state           JobState
@@ -593,11 +613,12 @@ func (m *JobManager) submit(parent context.Context, trace, parentSpan string, re
 		id: id, kind: JobKind(req.Kind), jobRun: run, created: now,
 		trace: trace, parentSpan: parentSpan,
 		cancel: cancel, done: make(chan struct{}), ephemeral: ephemeral,
+		seq: m.nextID, heapIdx: -1,
 		state: JobPending, maxEvents: m.maxEvents,
 		changed: make(chan struct{}),
 	}
 	m.jobs[id] = j
-	m.order = append(m.order, id)
+	j.orderEl = m.order.PushBack(j)
 	if !ephemeral {
 		m.persistent++
 	}
@@ -669,6 +690,9 @@ func (m *JobManager) finish(j *job, result any, err error) {
 		}
 	}
 
+	// The job turns terminal and joins the eviction index in one step
+	// under m.mu, so a submit that sees it terminal can also evict it.
+	m.mu.Lock()
 	j.mu.Lock()
 	j.finished = m.now()
 	j.result, j.rawResult = result, raw
@@ -698,6 +722,13 @@ func (m *JobManager) finish(j *job, result any, err error) {
 	j.appendLocked(JobEvent{Type: EventState, State: state})
 	ran := j.finished.Sub(j.started)
 	j.mu.Unlock()
+	if j.orderEl != nil {
+		j.finishedEl = m.finished.PushBack(j)
+		if !j.ephemeral {
+			heap.Push(&m.terminal, j)
+		}
+	}
+	m.mu.Unlock()
 	m.track(JobRunning, -1)
 	m.track(state, 1)
 	m.runSeconds.With(string(j.kind)).Observe(ran.Seconds())
@@ -705,53 +736,74 @@ func (m *JobManager) finish(j *job, result any, err error) {
 }
 
 // evictLocked drops terminal jobs past the TTL, then - when makeRoom
-// is set and the store is still full - the oldest terminal jobs;
-// callers hold m.mu. Ephemeral submits pass makeRoom=false: they take
-// no retention, so they must not cost a v2 job its TTL window.
+// is set and the store is still full - the earliest-submitted terminal
+// non-ephemeral jobs; callers hold m.mu. Ephemeral submits pass
+// makeRoom=false: they take no retention, so they must not cost a v2
+// job its TTL window. Jobs join finished in finish-time order, so the
+// TTL sweep stops at the first job still inside the TTL.
 func (m *JobManager) evictLocked(now time.Time, makeRoom bool) {
-	keep := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		j.mu.Lock()
-		stale := j.state.Terminal() && now.Sub(j.finished) > m.ttl
-		j.mu.Unlock()
-		if stale {
-			m.removeLocked(j)
-			m.evicted.Inc()
-		} else {
-			keep = append(keep, id)
+	for el := m.finished.Front(); el != nil; el = m.finished.Front() {
+		j := el.Value.(*job)
+		if now.Sub(j.finished) <= m.ttl {
+			break
 		}
+		m.removeLocked(j)
+		m.evicted.Inc()
 	}
-	m.order = keep
-	for i := 0; makeRoom && m.persistent >= m.maxJobs && i < len(m.order); {
-		id := m.order[i]
-		j := m.jobs[id]
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		j.mu.Unlock()
-		if terminal && !j.ephemeral {
-			m.removeLocked(j)
-			m.evicted.Inc()
-			m.order = append(m.order[:i], m.order[i+1:]...)
-		} else {
-			i++
-		}
+	for makeRoom && m.persistent >= m.maxJobs && len(m.terminal) > 0 {
+		m.removeLocked(m.terminal[0])
+		m.evicted.Inc()
 	}
 }
 
-// removeLocked removes one store entry and keeps the persistent count
-// and store gauges in step; callers hold m.mu and fix m.order
-// themselves.
+// removeLocked removes one store entry, unlinks it from the eviction
+// index and keeps the persistent count and store gauges in step;
+// callers hold m.mu.
 func (m *JobManager) removeLocked(j *job) {
 	delete(m.jobs, j.id)
 	if !j.ephemeral {
 		m.persistent--
+	}
+	m.order.Remove(j.orderEl)
+	j.orderEl = nil
+	if j.finishedEl != nil {
+		m.finished.Remove(j.finishedEl)
+		j.finishedEl = nil
+	}
+	if j.heapIdx >= 0 {
+		heap.Remove(&m.terminal, j.heapIdx)
 	}
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()
 	m.track(state, -1)
 	m.stored.Add(-1)
+}
+
+// jobHeap is a min-heap of jobs by submission number that keeps each
+// job's heapIdx current.
+type jobHeap []*job
+
+func (h jobHeap) Len() int           { return len(h) }
+func (h jobHeap) Less(a, b int) bool { return h[a].seq < h[b].seq }
+func (h jobHeap) Swap(a, b int) {
+	h[a], h[b] = h[b], h[a]
+	h[a].heapIdx, h[b].heapIdx = a, b
+}
+
+func (h *jobHeap) Push(x any) {
+	j := x.(*job)
+	j.heapIdx = len(*h)
+	*h = append(*h, j)
+}
+
+func (h *jobHeap) Pop() any {
+	old := *h
+	j := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	j.heapIdx = -1
+	return j
 }
 
 // lookup returns the stored job.
@@ -795,11 +847,9 @@ type JobFilter struct {
 // List returns matching jobs, newest first, without result payloads.
 func (m *JobManager) List(f JobFilter) []JobView {
 	m.mu.Lock()
-	ids := make([]string, len(m.order))
-	copy(ids, m.order)
-	jobs := make([]*job, 0, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- { // newest first
-		jobs = append(jobs, m.jobs[ids[i]])
+	jobs := make([]*job, 0, m.order.Len())
+	for el := m.order.Back(); el != nil; el = el.Prev() { // newest first
+		jobs = append(jobs, el.Value.(*job))
 	}
 	m.mu.Unlock()
 
@@ -893,12 +943,6 @@ func (m *JobManager) drop(id string) {
 		return
 	}
 	m.removeLocked(j)
-	for i, other := range m.order {
-		if other == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // SyncDSE is POST /api/v1/dse as a submit-and-wait over the job store.

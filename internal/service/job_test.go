@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -282,6 +283,136 @@ func TestJobStoreTTLAndBound(t *testing.T) {
 	}
 	if _, ok := jm.Get(active2.ID); !ok {
 		t.Error("active job was evicted")
+	}
+}
+
+// TestJobStoreEvictionOrder pins which jobs a submit evicts: past-TTL
+// jobs by finish time, and in a full store the earliest-submitted
+// terminal job - not the earliest-finished one, and never an active
+// one, however early it was submitted.
+func TestJobStoreEvictionOrder(t *testing.T) {
+	var nowNanos atomic.Int64
+	nowNanos.Store(time.Unix(1000, 0).UnixNano())
+	clock := func() time.Time { return time.Unix(0, nowNanos.Load()) }
+	runner := &blockingRunner{release: make(chan struct{})}
+	defer close(runner.release)
+	svc := New(Options{Workers: 1, CacheEntries: 8, Runner: runner})
+	jm := NewJobManager(svc, JobManagerOptions{MaxJobs: 3, TTL: time.Minute, Now: clock})
+	submit := func(req JobRequest) string {
+		t.Helper()
+		v, err := jm.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		return v.ID
+	}
+	dse := func(arch string) JobRequest {
+		return JobRequest{Kind: "dse", DSE: &DSERequest{Arch: arch, Network: "lenet5"}}
+	}
+	characterize := JobRequest{Kind: "characterize", Characterize: &CharacterizeRequest{Archs: []string{"ddr3"}}}
+	stored := func(step string, want ...string) {
+		t.Helper()
+		var got []string
+		for _, v := range jm.List(JobFilter{}) {
+			got = append([]string{v.ID}, got...) // List is newest first
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stored jobs %v, want %v", step, got, want)
+		}
+	}
+
+	// Submission order active, early, late; finish order late, early.
+	active := submit(dse("ddr3")) // blocks in the runner
+	early := submit(dse("salp1"))
+	late := submit(characterize)
+	waitTerminal(t, jm, late)
+	nowNanos.Add(int64(30 * time.Second))
+	if _, err := jm.Cancel(early); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, jm, early)
+
+	// Full store: the earliest-submitted terminal job goes, though it
+	// finished last; the active job stays.
+	next := submit(characterize)
+	stored("first eviction", active, late, next)
+	waitTerminal(t, jm, next)
+	// TTL: late finished 30 s before next, so 70 s on only late is
+	// past the one-minute TTL, and the store is no longer full.
+	nowNanos.Add(int64(40 * time.Second))
+	last := submit(characterize)
+	stored("TTL eviction", active, next, last)
+	waitTerminal(t, jm, last)
+	// Full again with one active job: the earlier terminal job goes.
+	final := submit(characterize)
+	stored("second eviction", active, last, final)
+}
+
+// TestJobStoreConcurrentEviction: v2 submits that keep evicting and v1
+// sync jobs that drop themselves, from several goroutines at once,
+// leave the store within its bound with the eviction index (the
+// listing, the finish-time list, the terminal heap) and the gauges in
+// step with the job map.
+func TestJobStoreConcurrentEviction(t *testing.T) {
+	const maxJobs = 6
+	svc := New(Options{Workers: 2, CacheEntries: 8})
+	jm := NewJobManager(svc, JobManagerOptions{MaxJobs: maxJobs})
+	characterize := JobRequest{Kind: "characterize", Characterize: &CharacterizeRequest{Archs: []string{"ddr3"}}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				v, err := jm.Submit(context.Background(), characterize)
+				if errors.Is(err, ErrJobStoreFull) {
+					continue // every stored job still running: legal
+				}
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if _, err := jm.Wait(context.Background(), v.ID); err != nil {
+					t.Errorf("wait %s: %v", v.ID, err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if _, err := jm.SyncCharacterize(context.Background(), *characterize.Characterize); err != nil {
+					t.Errorf("sync characterize: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	if jm.persistent > maxJobs || len(jm.jobs) != jm.persistent {
+		t.Errorf("store holds %d jobs, %d persistent; bound %d, and v1 jobs must all be dropped", len(jm.jobs), jm.persistent, maxJobs)
+	}
+	if jm.order.Len() != len(jm.jobs) || jm.finished.Len() != len(jm.jobs) || len(jm.terminal) != len(jm.jobs) {
+		t.Errorf("index out of step: %d jobs, %d listed, %d finished, %d in the heap",
+			len(jm.jobs), jm.order.Len(), jm.finished.Len(), len(jm.terminal))
+	}
+	for i, j := range jm.terminal {
+		if j.heapIdx != i || jm.jobs[j.id] != j {
+			t.Errorf("heap slot %d holds %s with index %d", i, j.id, j.heapIdx)
+		}
+	}
+	page, err := obs.ParseExposition(svc.MetricsText())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := page.Value("drmap_jobs_stored", nil); got != float64(len(jm.jobs)) {
+		t.Errorf("drmap_jobs_stored = %v, store holds %d", got, len(jm.jobs))
 	}
 }
 

@@ -61,15 +61,15 @@ feed:
 }
 
 // ParallelDSE executes Algorithm 1 with the layer x schedule x policy
-// grid fanned out over a worker pool, one (layer, schedule) column per
-// work unit so each tiling's tile groups are computed once and shared
-// across all policies, as in the serial loop nest. Every column is
-// evaluated by core.(*Evaluator).EvaluateScheduleColumn - the same
-// code the serial RunDSE runs - and core.ReduceCells restores the
-// serial pick order, so the returned DSEResult is bit-for-bit
-// identical to core.RunDSEObjective's for any worker count. The
-// evaluator is shared (its methods only read it); cancellation of ctx
-// abandons unstarted columns and returns the context's error.
+// grid fanned out over a worker pool, one layer per work unit: a layer's
+// schedule columns are counted in one core.(*Evaluator).CountLayer pass,
+// so each tiling is expanded once and shared across all schedules and
+// policies, then each column is priced. That is the code the serial
+// RunDSE runs, and core.ReduceCells restores the serial pick order, so
+// the returned DSEResult is bit-for-bit identical to
+// core.RunDSEObjective's for any worker count. The evaluator is shared
+// (its methods only read it); cancellation of ctx abandons unstarted
+// layers and returns the context's error.
 func ParallelDSE(ctx context.Context, net cnn.Network, ev *core.Evaluator, schedules []tiling.Schedule, policies []mapping.Policy, obj core.Objective, workers int) (*core.DSEResult, error) {
 	grids, err := core.DSEGrid(net, ev, schedules, policies)
 	if err != nil {
@@ -79,82 +79,71 @@ func ParallelDSE(ctx context.Context, net cnn.Network, ev *core.Evaluator, sched
 }
 
 // parallelDSE is ParallelDSE with an optional service-wide gate: when
-// non-nil, every column evaluation holds one gate token, so the total
+// non-nil, every layer evaluation holds one gate token, so the total
 // CPU-bound parallelism across all concurrently running requests is
 // bounded by the gate's capacity rather than multiplying per request.
 //
-// Each layer is reduced eagerly: the worker that completes a layer's
-// last column runs core.ReduceCells for it right then, so a progress
-// sink on ctx (core.WithProgress) receives the layer's committed pick
-// while other layers are still evaluating - the source of the v2 job
-// API's streamed per-layer events. The reduction consumes the same
-// cell multiset in any execution order, so the final DSEResult stays
-// bit-for-bit identical to serial core.RunDSEObjective's.
+// The worker that evaluates a layer reduces it right away with
+// core.ReduceCells, so a progress sink on ctx (core.WithProgress)
+// receives the layer's committed pick while other layers are still
+// evaluating - the source of the v2 job API's streamed per-layer
+// events. The reduction consumes the same cell multiset in any
+// execution order, so the final DSEResult stays bit-for-bit identical
+// to serial core.RunDSEObjective's.
 //
-// colEval, when non-nil, replaces the direct per-column evaluation -
-// the service passes its plan-cache-backed columnEval so repeated and
+// eval, when non-nil, replaces the direct per-layer evaluation - the
+// service passes its plan-cache-backed runEval so repeated and
 // multi-backend evaluations reprice cached count plans. It must return
-// the cells core.EvaluateScheduleColumn would.
+// the cells the direct count and price would.
 //
 // The grid arrives pre-enumerated: it depends only on the workload and
 // the accelerator buffers, so the service shares one enumeration across
 // every backend, objective and batch of the same network (gridFor) -
 // on the warm path re-enumerating tilings per job cost more than the
 // repricing itself. Callers must treat grids as immutable.
-func parallelDSE(ctx context.Context, gate chan struct{}, grids []core.LayerGrid, ev *core.Evaluator, schedules []tiling.Schedule, policies []mapping.Policy, obj core.Objective, workers int, colEval columnEvalFn) (*core.DSEResult, error) {
-	var err error
-	if colEval == nil {
-		colEval = func(_ context.Context, grids []core.LayerGrid, li, si int) []core.CellResult {
-			return ev.EvaluateScheduleColumn(grids[li], si, schedules[si], policies, obj)
+func parallelDSE(ctx context.Context, gate chan struct{}, grids []core.LayerGrid, ev *core.Evaluator, schedules []tiling.Schedule, policies []mapping.Policy, obj core.Objective, workers int, eval runEvalFn) (*core.DSEResult, error) {
+	if eval == nil {
+		eval = func(_ context.Context, grids []core.LayerGrid, li, first, end int) [][]core.CellResult {
+			cols := ev.CountLayer(grids[li], schedules[first:end], policies)
+			out := make([][]core.CellResult, len(cols))
+			for k, fc := range cols {
+				fc.ScheduleIndex += first
+				out[k] = ev.PriceFlatInto(fc, obj, getCellBuf())
+			}
+			return out
 		}
 	}
-	total := len(grids) * len(schedules)
 	prog := core.ProgressFrom(ctx)
 	if prog != nil {
-		prog.StartColumns(total)
-	}
-
-	// One slot per (layer, schedule) column: workers write disjoint
-	// slots, and the atomic remaining-counter decrement publishes them
-	// to whichever worker performs the layer's reduction.
-	colCells := make([][][]core.CellResult, len(grids))
-	remaining := make([]atomic.Int32, len(grids))
-	for li := range grids {
-		colCells[li] = make([][]core.CellResult, len(schedules))
-		remaining[li].Store(int32(len(schedules)))
+		prog.StartColumns(len(grids) * len(schedules))
 	}
 	layers := make([]core.LayerResult, len(grids))
-
 	var skipped atomic.Bool
-	err = runPool(ctx, total, workers, func(col int) {
+	err := runPool(ctx, len(grids), workers, func(li int) {
 		if !acquireGate(ctx, gate) {
 			skipped.Store(true)
 			return
 		}
 		defer releaseGate(gate)
-		li, si := col/len(schedules), col%len(schedules)
-		colCells[li][si] = colEval(ctx, grids, li, si)
+		cols := eval(ctx, grids, li, 0, len(schedules))
 		if prog != nil {
-			prog.ColumnsDone(1)
+			prog.ColumnsDone(len(schedules))
 		}
-		if remaining[li].Add(-1) == 0 {
-			reduceStart := time.Now()
-			cells := make([]core.CellResult, 0, len(schedules)*len(policies))
-			for _, cc := range colCells[li] {
-				cells = append(cells, cc...)
-			}
-			layers[li] = core.ReduceCells(grids[li], schedules, policies, cells, ev.Timing())
-			obs.RecordSpan(ctx, "reduce", reduceStart, time.Now(),
-				obs.Int("layer", li), obs.Int("cells", len(cells)))
-			// The reduction copied everything it keeps; the layer's column
-			// buffers go back to the pool for the next reprice.
-			for si := range colCells[li] {
-				putCellBuf(colCells[li][si])
-				colCells[li][si] = nil
-			}
-			if prog != nil {
-				prog.LayerDone(li, len(grids), layers[li])
-			}
+		reduceStart := time.Now()
+		cells := make([]core.CellResult, 0, len(schedules)*len(policies))
+		for _, cc := range cols {
+			cells = append(cells, cc...)
+		}
+		layers[li] = core.ReduceCells(grids[li], schedules, policies, cells, ev.Timing())
+		obs.RecordSpan(ctx, "reduce", reduceStart, time.Now(),
+			obs.Int("layer", li), obs.Int("cells", len(cells)))
+		// The reduction copied everything it keeps; the layer's column
+		// buffers go back to the pool for the next reprice.
+		for _, cc := range cols {
+			putCellBuf(cc)
+		}
+		if prog != nil {
+			prog.LayerDone(li, len(grids), layers[li])
 		}
 	})
 	if err == nil && skipped.Load() {
@@ -187,25 +176,43 @@ func releaseGate(gate chan struct{}) {
 	}
 }
 
-// evaluateColumns fans one span of the (layer, schedule) column space
-// over a local worker pool: column i covers layer i/nSchedules,
-// schedule i%nSchedules. The returned slice holds one cell list per
-// column, indexed relative to span.Start. The gate bounds CPU-bound
-// parallelism across concurrent requests (see parallelDSE); colEval
-// (required) evaluates each column - the service passes its
-// plan-cache-backed columnEval.
-func evaluateColumns(ctx context.Context, gate chan struct{}, grids []core.LayerGrid, nSchedules int, span core.ColumnSpan, workers int, colEval columnEvalFn) ([][]core.CellResult, error) {
+// columnRun is one layer's contiguous schedules [first, end) within a
+// column span: the unit evaluateRuns counts in one pass.
+type columnRun struct{ layer, first, end int }
+
+// spanRuns cuts a span of the (layer, schedule) column space - column i
+// covers layer i/nSchedules, schedule i%nSchedules - into its per-layer
+// runs, in column order.
+func spanRuns(span core.ColumnSpan, nSchedules int) []columnRun {
+	var runs []columnRun
+	for col := span.Start; col < span.End; {
+		li, first := col/nSchedules, col%nSchedules
+		end := min(nSchedules, first+span.End-col)
+		runs = append(runs, columnRun{layer: li, first: first, end: end})
+		col += end - first
+	}
+	return runs
+}
+
+// evaluateRuns fans one span of the column space over a local worker
+// pool, one layer run (spanRuns) per work unit. The returned slice holds
+// one cell list per column, indexed relative to span.Start. The gate
+// bounds CPU-bound parallelism across concurrent requests (see
+// parallelDSE); eval (required) evaluates each run - the service passes
+// its plan-cache-backed runEval.
+func evaluateRuns(ctx context.Context, gate chan struct{}, grids []core.LayerGrid, nSchedules int, span core.ColumnSpan, workers int, eval runEvalFn) ([][]core.CellResult, error) {
+	runs := spanRuns(span, nSchedules)
 	columns := make([][]core.CellResult, span.Len())
 	var skipped atomic.Bool
-	err := runPool(ctx, span.Len(), workers, func(i int) {
+	err := runPool(ctx, len(runs), workers, func(i int) {
 		if !acquireGate(ctx, gate) {
 			skipped.Store(true)
 			return
 		}
 		defer releaseGate(gate)
-		col := span.Start + i
-		li, si := col/nSchedules, col%nSchedules
-		columns[i] = colEval(ctx, grids, li, si)
+		r := runs[i]
+		offset := r.layer*nSchedules + r.first - span.Start
+		copy(columns[offset:], eval(ctx, grids, r.layer, r.first, r.end))
 	})
 	if err == nil && skipped.Load() {
 		err = ctx.Err()

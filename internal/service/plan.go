@@ -1,17 +1,17 @@
 // The service-side half of the count/price split (core/countplan.go):
 // a content-addressed cache of backend-independent count plans, one per
-// evaluated (layer, schedule) grid column. Every execution path that
-// evaluates grid columns - the local parallel executor behind
-// /api/v1/dse and the v2 jobs, the batch fan-out, and the cluster
-// workers' shard endpoint - routes through columnEval, so a batch that
-// fans one network over many DRAM backends counts each column once and
-// reprices it per backend, and a shard re-dispatched (or duplicated)
-// to the same worker reprices instead of recounting.
+// evaluated run of a layer's (layer, schedule) grid columns. Every
+// execution path that evaluates grid columns - the local parallel
+// executor behind /api/v1/dse and the v2 jobs, the batch fan-out, and
+// the cluster workers' shard endpoint - routes through runEval, so a
+// batch that fans one network over many DRAM backends counts each
+// layer once and reprices it per backend, and a shard re-dispatched
+// (or duplicated) to the same worker reprices instead of recounting.
 package service
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -42,20 +42,27 @@ func putCellBuf(buf []core.CellResult) {
 	cellBufs.Put(&buf)
 }
 
-// planSizeBytes sizes a cached count plan for the plan cache's byte
-// budget (Options.PlanCacheBytes).
+// planSizeBytes sizes a cached count plan - one layer run's columns -
+// for the plan cache's byte budget (Options.PlanCacheBytes).
 func planSizeBytes(v any) int64 {
-	if fc, ok := v.(*core.FlatColumn); ok {
-		return fc.SizeBytes()
+	var n int64
+	for _, fc := range v.([]*core.FlatColumn) {
+		n += fc.SizeBytes()
 	}
-	return 0
+	return n
 }
 
-// columnEvalFn evaluates one (layer, schedule) column of a job's grid
-// into its cells; parallelDSE and evaluateColumns fan it out. ctx
-// carries the evaluation's telemetry hooks (trace ID, phase recorder),
-// never cancellation - the pool feeding loop owns that.
-type columnEvalFn func(ctx context.Context, grids []core.LayerGrid, li, si int) []core.CellResult
+// planColumns weighs a cached count plan by its column count, so the
+// plan cache's entry bound (Options.PlanCacheEntries) stays a bound in
+// grid columns whatever the length of the runs it holds.
+func planColumns(v any) int { return len(v.([]*core.FlatColumn)) }
+
+// runEvalFn evaluates one run of a job's grid columns - layer li,
+// schedules [first, end) - into one cell list per column;
+// parallelDSE and evaluateRuns fan it out. ctx carries the
+// evaluation's telemetry hooks (trace ID, phase recorder), never
+// cancellation - the pool feeding loop owns that.
+type runEvalFn func(ctx context.Context, grids []core.LayerGrid, li, first, end int) [][]core.CellResult
 
 // recordPhase observes one finished evaluation phase everywhere it is
 // watched: the service-wide drmap_eval_phase_seconds histogram, the
@@ -92,10 +99,10 @@ type planKey struct {
 
 // PlanSignature fingerprints the backend-independent part of a job:
 // jobs with equal signatures count identical plans, column for column.
-// The per-column plan-cache key is the signature plus the column
-// index, and a cluster coordinator places a job's shards by it, so the
-// jobs sharing a signature send each span to the worker that already
-// holds its plans.
+// The plan-cache key of a layer run is the signature plus the layer
+// index and schedule range, and a cluster coordinator places a job's
+// shards by it, so the jobs sharing a signature send each span to the
+// worker that already holds its plans.
 func PlanSignature(job DSEJob) (string, error) {
 	schedNames := make([]string, len(job.Schedules))
 	for i, sc := range job.Schedules {
@@ -120,42 +127,59 @@ func countKeyOf(job DSEJob) core.CountKey {
 	}
 }
 
-// countPlan returns the plan-cache compute closure for one column:
-// count the column into its flat plan and book the time as the count
-// phase. columnEval's two branches share it, so a cached plan is
-// byte-for-byte the plan a direct count would build.
-func (s *Service) countPlan(ctx context.Context, job DSEJob, ev *core.Evaluator, grids []core.LayerGrid, li, si int) func() (any, error) {
-	return func() (any, error) {
-		start := time.Now()
-		flat := ev.CountScheduleColumn(grids[li], si, job.Schedules[si], job.Policies)
-		s.recordPhase(ctx, core.PhaseCount, start,
-			obs.Int("layer", li), obs.Int("schedule", si))
-		return flat, nil
+// countRun counts one layer run - layer li, schedules [first, end) of
+// the job - in one core.CountLayer pass, stamps each column with its
+// schedule index in the job, and books the time as one count phase.
+// runEval's two branches share it, so a cached plan is byte-for-byte
+// the plan a direct count would build.
+func (s *Service) countRun(ctx context.Context, job DSEJob, ev *core.Evaluator, grids []core.LayerGrid, li, first, end int) []*core.FlatColumn {
+	start := time.Now()
+	cols := ev.CountLayer(grids[li], job.Schedules[first:end], job.Policies)
+	for _, fc := range cols {
+		fc.ScheduleIndex += first
 	}
+	s.recordPhase(ctx, core.PhaseCount, start,
+		obs.Int("layer", li), obs.Str("schedules", scheduleRange(first, end)))
+	return cols
 }
 
-// columnEval returns the column evaluator a job's execution uses. Both
-// branches count a column with countPlan and reprice the flat plan
+// scheduleRange renders schedules [first, end) as "first-last", the
+// form the plan-cache key and the count span carry.
+func scheduleRange(first, end int) string {
+	return strconv.Itoa(first) + "-" + strconv.Itoa(end-1)
+}
+
+// runEval returns the run evaluator a job's execution uses. Both
+// branches count a run with countRun and reprice each of its columns
 // under the job's backend and objective as a linear scan into a pooled
-// cell buffer (priceColumn), so they produce identical cells. With the
-// plan cache enabled, each column's plan is computed at most once per
-// count signature (content-addressed, single-flight: the same column
-// counted concurrently for two backends coalesces); without it, every
-// column is counted fresh. Both split their time into the count and
-// price phases (recordPhase) - the measurement the warm-repricing work
-// reads. On the cached path only a fresh count (cache miss) records
-// count time, while a hit or coalesced wait spends pricing time alone,
-// which is exactly what the split should show.
-func (s *Service) columnEval(job DSEJob, ev *core.Evaluator) columnEvalFn {
-	priceColumn := func(ctx context.Context, fc *core.FlatColumn, attrs ...obs.Attr) []core.CellResult {
-		start := time.Now()
-		cells := ev.PriceFlatInto(fc, job.Objective, getCellBuf())
-		s.recordPhase(ctx, core.PhasePrice, start, attrs...)
-		return cells
+// cell buffer, so they produce identical cells. With the plan cache
+// enabled, each run's plan is computed at most once per count signature
+// (content-addressed, single-flight: the same run counted concurrently
+// for two backends coalesces); without it, every run is counted fresh.
+// Both split their time into the count and price phases (recordPhase) -
+// the measurement the warm-repricing work reads. On the cached path
+// only a fresh count (cache miss) records count time, while a hit or
+// coalesced wait spends pricing time alone, which is exactly what the
+// split should show.
+func (s *Service) runEval(job DSEJob, ev *core.Evaluator) runEvalFn {
+	// price reprices a run's columns; cached runs tag each price span
+	// with whether the plan was shared (a hit or a coalesced wait).
+	price := func(ctx context.Context, li int, cols []*core.FlatColumn, cached, shared bool) [][]core.CellResult {
+		out := make([][]core.CellResult, len(cols))
+		for k, fc := range cols {
+			start := time.Now()
+			out[k] = ev.PriceFlatInto(fc, job.Objective, getCellBuf())
+			attrs := [...]obs.Attr{obs.Int("layer", li), obs.Int("schedule", fc.ScheduleIndex), obs.Bool("plan_cache_hit", shared)}
+			n := 2
+			if cached {
+				n = 3
+			}
+			s.recordPhase(ctx, core.PhasePrice, start, attrs[:n]...)
+		}
+		return out
 	}
-	direct := func(ctx context.Context, grids []core.LayerGrid, li, si int) []core.CellResult {
-		v, _ := s.countPlan(ctx, job, ev, grids, li, si)()
-		return priceColumn(ctx, v.(*core.FlatColumn), obs.Int("layer", li), obs.Int("schedule", si))
+	direct := func(ctx context.Context, grids []core.LayerGrid, li, first, end int) [][]core.CellResult {
+		return price(ctx, li, s.countRun(ctx, job, ev, grids, li, first, end), false, false)
 	}
 	if s.planCache == nil {
 		return direct
@@ -167,13 +191,14 @@ func (s *Service) columnEval(job DSEJob, ev *core.Evaluator) columnEvalFn {
 		// without sharing.
 		return direct
 	}
-	return func(ctx context.Context, grids []core.LayerGrid, li, si int) []core.CellResult {
-		key := fmt.Sprintf("%s:%d:%d", prefix, li, si)
-		v, shared, err := s.planCache.Do(key, s.countPlan(ctx, job, ev, grids, li, si))
+	return func(ctx context.Context, grids []core.LayerGrid, li, first, end int) [][]core.CellResult {
+		key := prefix + ":" + strconv.Itoa(li) + ":" + scheduleRange(first, end)
+		v, shared, err := s.planCache.Do(key, func() (any, error) {
+			return s.countRun(ctx, job, ev, grids, li, first, end), nil
+		})
 		if err != nil {
-			return direct(ctx, grids, li, si)
+			return direct(ctx, grids, li, first, end)
 		}
-		return priceColumn(ctx, v.(*core.FlatColumn),
-			obs.Int("layer", li), obs.Int("schedule", si), obs.Bool("plan_cache_hit", shared))
+		return price(ctx, li, v.([]*core.FlatColumn), true, shared)
 	}
 }

@@ -51,12 +51,14 @@ func TestBatchMultiBackendSharesCountPlans(t *testing.T) {
 		}
 		keys[ev.CountKey()] = true
 	}
-	columns := len(cnn.LeNet5().Layers) * len(tiling.Schedules)
+	// A DSE counts each layer's schedule columns as one run: one
+	// plan-cache lookup per layer.
+	runs := len(cnn.LeNet5().Layers)
 	ps := svc.PlanCacheStats()
-	if want := int64(len(keys) * columns); ps.Misses != want {
-		t.Errorf("plan cache misses = %d, want %d (%d signatures x %d columns)", ps.Misses, want, len(keys), columns)
+	if want := int64(len(keys) * runs); ps.Misses != want {
+		t.Errorf("plan cache misses = %d, want %d (%d signatures x %d layer runs)", ps.Misses, want, len(keys), runs)
 	}
-	if want := int64((len(backends) - len(keys)) * columns); ps.Hits+ps.Coalesced != want {
+	if want := int64((len(backends) - len(keys)) * runs); ps.Hits+ps.Coalesced != want {
 		t.Errorf("plan cache hits+coalesced = %d, want %d", ps.Hits+ps.Coalesced, want)
 	}
 
@@ -320,5 +322,125 @@ func TestMetricsIncludePlanCacheGauges(t *testing.T) {
 	ps := svc.PlanCacheStats()
 	if ps.Misses == 0 || ps.Entries == 0 {
 		t.Errorf("plan cache unused after a DSE: %+v", ps)
+	}
+}
+
+// TestEvaluateShardSplitsLayersMidSchedules: shard spans that cut
+// layers between schedules - so a worker counts partial layer runs -
+// return exactly the cells of a direct per-column scan, in column
+// order, on both the cached and the plan-free path; merged, they reduce
+// to serial RunDSE's picks layer for layer.
+func TestEvaluateShardSplitsLayersMidSchedules(t *testing.T) {
+	b, ok := dram.Lookup("masa")
+	if !ok {
+		t.Fatal("masa not registered")
+	}
+	job := DSEJob{
+		Backend: b, Accel: accel.TableII(), Network: cnn.LeNet5(),
+		Schedules: tiling.Schedules, Policies: mapping.TableI(),
+		Objective: core.MinimizeEDP, Batch: 1,
+	}
+	grids, err := job.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := len(job.Schedules)
+	// Every cut but the last falls inside a layer's schedules.
+	spans := []core.ColumnSpan{{Start: 0, End: 1}, {Start: 1, End: 6}, {Start: 6, End: 7}, {Start: 7, End: 14}, {Start: 14, End: job.Columns(grids)}}
+	for _, svc := range []*Service{New(Options{Workers: 2, CacheEntries: 64}), planDisabled()} {
+		ev, err := svc.evaluatorFor(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perLayer := make([][]core.CellResult, len(grids))
+		for _, span := range spans {
+			cells, err := svc.EvaluateShard(context.Background(), job, span)
+			if err != nil {
+				t.Fatalf("EvaluateShard %v: %v", span, err)
+			}
+			var want []core.CellResult
+			for col := span.Start; col < span.End; col++ {
+				li, si := col/ns, col%ns
+				want = append(want, ev.EvaluateScheduleColumn(grids[li], si, job.Schedules[si], job.Policies, job.Objective)...)
+			}
+			if !reflect.DeepEqual(cells, want) {
+				t.Fatalf("span %v: shard cells diverge from the per-column scan", span)
+			}
+			for _, c := range cells {
+				perLayer[c.LayerIndex] = append(perLayer[c.LayerIndex], c)
+			}
+		}
+		serial, err := core.RunDSEObjective(job.Network, ev, job.Schedules, job.Policies, job.Objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, lg := range grids {
+			if got := core.ReduceCells(lg, job.Schedules, job.Policies, perLayer[li], ev.Timing()); !reflect.DeepEqual(got, serial.Layers[li]) {
+				t.Errorf("layer %d: merged shards pick %+v, serial RunDSE %+v", li, got, serial.Layers[li])
+			}
+		}
+	}
+}
+
+// TestPlanCacheBoundedInColumns: the plan cache's entry bound counts
+// grid columns, so layer runs of any length never hold more than the
+// bound, and a run longer than the whole bound is not retained.
+func TestPlanCacheBoundedInColumns(t *testing.T) {
+	const bound = 10
+	svc := New(Options{Workers: 2, CacheEntries: 64, PlanCacheEntries: bound})
+	resident := func() int {
+		svc.planCache.mu.Lock()
+		defer svc.planCache.mu.Unlock()
+		return svc.planCache.weight
+	}
+	columns := func() int {
+		n := 0
+		svc.planCache.mu.Lock()
+		defer svc.planCache.mu.Unlock()
+		for el := svc.planCache.ll.Front(); el != nil; el = el.Next() {
+			n += len(el.Value.(*cacheEntry).val.([]*core.FlatColumn))
+		}
+		return n
+	}
+	b, _ := dram.Lookup("ddr3")
+	job := DSEJob{
+		Backend: b, Accel: accel.TableII(), Network: cnn.LeNet5(),
+		Schedules: tiling.Schedules, Policies: mapping.TableI(),
+		Objective: core.MinimizeEDP, Batch: 1,
+	}
+	// Runs of 1 to 4 columns: single-column shards, partial layers and
+	// whole DSEs over several networks and schedule sets.
+	for _, span := range []core.ColumnSpan{{Start: 0, End: 1}, {Start: 1, End: 3}, {Start: 3, End: 9}, {Start: 9, End: 20}} {
+		if _, err := svc.EvaluateShard(context.Background(), job, span); err != nil {
+			t.Fatal(err)
+		}
+		if n := columns(); n > bound || n != resident() {
+			t.Fatalf("after span %v: %d columns resident (weight %d), bound %d", span, n, resident(), bound)
+		}
+	}
+	for _, req := range []DSERequest{
+		{Arch: "ddr4", Network: "lenet5"},
+		{Arch: "hbm2", Network: "alexnet"},
+		{Arch: "ddr3", Network: "lenet5", Schedules: []string{"ofms", "ifms"}},
+		{Arch: "ddr3", Network: "lenet5", Schedules: []string{"adaptive"}},
+	} {
+		if _, err := svc.DSE(context.Background(), req); err != nil {
+			t.Fatalf("DSE %+v: %v", req, err)
+		}
+		if n := columns(); n > bound || n != resident() {
+			t.Fatalf("after DSE %+v: %d columns resident (weight %d), bound %d", req, n, resident(), bound)
+		}
+	}
+	if st := svc.PlanCacheStats(); st.Evictions == 0 {
+		t.Error("a workload of many more columns than the bound evicted nothing")
+	}
+
+	// A bound below one layer's run keeps nothing rather than overflow.
+	tiny := New(Options{Workers: 1, CacheEntries: 8, PlanCacheEntries: 3})
+	if _, err := tiny.DSE(context.Background(), DSERequest{Arch: "ddr3", Network: "lenet5"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := tiny.PlanCacheStats(); st.Entries != 0 {
+		t.Errorf("4-column runs in a 3-column cache: %d entries resident, want 0", st.Entries)
 	}
 }

@@ -83,11 +83,12 @@ type Options struct {
 	// DefaultCacheEntries, negative disables retention (single-flight
 	// deduplication still applies).
 	CacheEntries int
-	// PlanCacheEntries bounds the count-plan cache, which holds one
-	// backend-independent count plan per evaluated (layer, schedule)
-	// grid column: 0 selects DefaultPlanCacheEntries, negative disables
-	// the cache entirely (every evaluation recounts, the pre-split
-	// behavior - mainly useful for baselines and benchmarks).
+	// PlanCacheEntries bounds the count-plan cache in grid columns. The
+	// cache holds one backend-independent count plan per evaluated run
+	// of a layer's (layer, schedule) columns, weighed by its column
+	// count: 0 selects DefaultPlanCacheEntries, negative disables the
+	// cache entirely (every evaluation recounts, the pre-split behavior
+	// - mainly useful for baselines and benchmarks).
 	PlanCacheEntries int
 	// PlanCacheBytes, when > 0, additionally caps the plan cache's
 	// resident bytes: plans are stored vectorized (core.FlatColumn) and
@@ -121,8 +122,8 @@ const DefaultCacheEntries = 256
 const profileCacheEntries = 64
 
 // DefaultPlanCacheEntries is the drmap-serve default count-plan-cache
-// bound, in grid columns (an AlexNet DSE is 20 columns per distinct
-// count signature).
+// bound, in grid columns (an AlexNet DSE is 32 columns - 8 layers x 4
+// schedules - per distinct count signature).
 const DefaultPlanCacheEntries = 512
 
 // Service is the concurrent DSE/characterization engine behind
@@ -143,7 +144,8 @@ type Service struct {
 	gate   chan struct{}
 	runner DSERunner
 	// planCache holds backend-independent count plans, one per (job
-	// minus costs/timing, grid column); nil when disabled. See plan.go.
+	// minus costs/timing, layer run of grid columns), weighed in
+	// columns; nil when disabled. See plan.go.
 	planCache *Cache
 	registry  *obs.Registry
 	// phaseSeconds is the drmap_eval_phase_seconds histogram; the column
@@ -169,6 +171,7 @@ func New(opt Options) *Service {
 	var planCache *Cache
 	if opt.PlanCacheEntries > 0 {
 		planCache = NewCacheSized(opt.PlanCacheEntries, opt.PlanCacheBytes, planSizeBytes)
+		planCache.weighOf = planColumns
 	}
 	if opt.Registry == nil {
 		opt.Registry = obs.NewRegistry()
@@ -753,7 +756,7 @@ func (s *Service) simSpecsFor(ctx context.Context, in *simInputs) ([]core.LayerS
 		return nil, err
 	}
 	res, err := parallelDSE(core.WithProgress(ctx, nil), s.gate, grids, ev, job.Schedules, job.Policies,
-		job.Objective, s.workers, s.columnEval(job, ev))
+		job.Objective, s.workers, s.runEval(job, ev))
 	if err != nil {
 		return nil, err
 	}

@@ -121,16 +121,17 @@ func (s *Service) runJob(ctx context.Context, job DSEJob) (*core.DSEResult, erro
 	if err != nil {
 		return nil, err
 	}
-	return parallelDSE(ctx, s.gate, grids, ev, job.Schedules, job.Policies, job.Objective, s.workers, s.columnEval(job, ev))
+	return parallelDSE(ctx, s.gate, grids, ev, job.Schedules, job.Policies, job.Objective, s.workers, s.runEval(job, ev))
 }
 
 // EvaluateShard executes one shard - a span of the job's (layer,
 // schedule) column space - on the local worker pool and returns its
 // cells. The backend characterization comes from the content-addressed
-// cache (so repeated shards of one job characterize once), columns run
-// through the count-plan cache (so a re-dispatched or duplicated shard,
-// and shards of the same job for a count-compatible backend, reprice
-// cached plans instead of recounting), evaluation
+// cache (so repeated shards of one job characterize once), the span's
+// columns are counted one layer run at a time (spanRuns) through the
+// count-plan cache (so a re-dispatched or duplicated shard, and shards
+// of the same job for a count-compatible backend, reprice cached plans
+// instead of recounting), evaluation
 // holds the service gate like any other CPU-bound work, and cells with
 // a non-finite objective value are dropped: core.ReduceCells skips them
 // anyway, and finite-only cells keep the shard JSON-encodable. The
@@ -154,7 +155,7 @@ func (s *Service) EvaluateShard(ctx context.Context, job DSEJob, span core.Colum
 	if err != nil {
 		return nil, err
 	}
-	columns, err := evaluateColumns(ctx, s.gate, grids, len(job.Schedules), span, s.workers, s.columnEval(job, ev))
+	columns, err := evaluateRuns(ctx, s.gate, grids, len(job.Schedules), span, s.workers, s.runEval(job, ev))
 	if err != nil {
 		return nil, fmt.Errorf("service: shard [%d, %d) canceled: %w", span.Start, span.End, err)
 	}

@@ -225,99 +225,169 @@ func TileGroupsByTensor(l cnn.Layer, t Tiling, s Schedule, batch int) TensorGrou
 }
 
 // AppendTileGroups appends TileGroups(l, t, s, batch) to dst and
-// returns the extended slice, so a caller expanding many tilings - the
-// count kernel scans thousands per grid column - reuses one buffer
-// (pass dst[:0]) instead of allocating per tiling.
+// returns the extended slice, so a caller expanding many tilings
+// reuses one buffer (pass dst[:0]) instead of allocating per tiling.
 func AppendTileGroups(dst []TileGroup, l cnn.Layer, t Tiling, s Schedule, batch int) []TileGroup {
 	dst, _, _ = appendTileGroups(dst, l, t, s, batch)
 	return dst
 }
 
-// appendTileGroups is the one expansion of the tile-stream loop nest:
+// appendTileGroups multiplies out one tiling's Split under schedule s:
 // it appends the ifms, then weights, then ofms groups to dst and also
-// reports how many ifms and weights groups it appended.
+// reports how many ifms and weights groups it appended. An ofm tile
+// size yields a read stream (when the schedule re-reads partial sums)
+// followed by its write stream.
 func appendTileGroups(dst []TileGroup, l cnn.Layer, t Tiling, s Schedule, batch int) (out []TileGroup, nIfm, nWgt int) {
-	if s == AdaptiveReuse {
-		s = ResolveAdaptive(l, t, batch)
+	sp := SplitOf(l, t, batch)
+	f := sp.Loads(s)
+	for _, g := range sp.Ifm() {
+		dst = append(dst, TileGroup{Elems: g.Elems, Loads: g.Tiles * f.Ifm})
 	}
+	for _, g := range sp.Wgt() {
+		dst = append(dst, TileGroup{Elems: g.Elems, Loads: g.Tiles * f.Wgt})
+	}
+	for _, g := range sp.Ofm() {
+		if f.OfmRead > 0 {
+			dst = append(dst, TileGroup{Elems: g.Elems, Loads: g.Tiles * f.OfmRead})
+		}
+		dst = append(dst, TileGroup{Elems: g.Elems, Loads: g.Tiles * f.OfmWrite, Write: true})
+	}
+	return dst, len(sp.Ifm()), len(sp.Wgt())
+}
+
+// TileCount is one distinct tile size of a tensor: Tiles tiles of Elems
+// elements each make up one pass over the tensor for a whole batch.
+type TileCount struct {
+	Elems int64
+	Tiles int64
+}
+
+// Split is the schedule-free half of the tile-stream loop nest of one
+// (layer, tiling, batch): each tensor's distinct tile sizes with their
+// tile counts, plus the tile counts along the loop dimensions. Under a
+// schedule every tile of a tensor travels the same number of times -
+// the schedule's Loads - so a schedule's streams are a Split's tile
+// counts times its load factors, and one Split serves every schedule.
+// A dimension cuts into full tiles plus at most one remainder, so a
+// tensor has at most 8 tile sizes and a Split is a fixed-size value
+// that SplitOf fills without allocating.
+type Split struct {
+	ifm, ofm         [8]TileCount
+	wgt              [4]TileCount
+	nIfm, nWgt, nOfm int
+	nhw, nj, ni      int64 // ofm-plane tiles, ofm-depth tiles, ifm-depth tiles
+	// One pass over each tensor, in elements: the volumes each
+	// schedule's traffic multiplies.
+	ifmVol, wgtVol, ofmVol int64
+}
+
+// Loads is one fixed schedule's reuse factors: how many times each tile
+// travels per batch - ifms and weights read, ofms read back as partial
+// sums and written.
+type Loads struct {
+	Ifm, Wgt, OfmRead, OfmWrite int64
+}
+
+// SplitOf splits the layer's dimensions by the tiling and lists each
+// tensor's tile sizes: ifms indexed by (h, w, i), one set per image;
+// weights by (i, j), re-fetched per image because the batch loop is
+// outermost in Fig. 3; ofms by (h, w, j) per image. Sizes with no tile
+// are skipped.
+func SplitOf(l cnn.Layer, t Tiling, batch int) Split {
 	b := int64(batch)
 	hs := splitDim(l.H, t.Th)
 	ws := splitDim(l.W, t.Tw)
 	js := splitDim(l.J, t.Tj)
 	is := splitDim(l.I, t.Ti)
-	nh, nw, nj, ni := hs.tiles(), ws.tiles(), js.tiles(), is.tiles()
-
-	var ifmLoads, wgtLoads int64
-	var ofmReads, ofmWrites int64 // per ofm tile
-	switch s {
-	case IfmsReuse:
-		ifmLoads = 1
-		wgtLoads = nh * nw
-		ofmReads = ni - 1
-		ofmWrites = ni
-	case WghsReuse:
-		ifmLoads = nj
-		wgtLoads = 1
-		ofmReads = ni - 1
-		ofmWrites = ni
-	case OfmsReuse:
-		ifmLoads = nj
-		wgtLoads = nh * nw
-		ofmReads = 0
-		ofmWrites = 1
-	default:
-		panic(fmt.Sprintf("tiling: unresolved schedule %v", s))
-	}
-
+	sp := Split{nhw: hs.tiles() * ws.tiles(), nj: js.tiles(), ni: is.tiles()}
 	hsz, wsz, jsz, isz := hs.sizes(), ws.sizes(), js.sizes(), is.sizes()
-	start := len(dst)
-	// ifms tiles: indexed by (h, w, i); each image has its own set.
 	for _, sh := range hsz {
 		for _, sw := range wsz {
 			for _, si := range isz {
-				tiles := sh.Count * sw.Count * si.Count
-				if tiles == 0 {
-					continue
+				if tiles := sh.Count * sw.Count * si.Count; tiles != 0 {
+					elems := int64(ifmSpan(sh.Size, l.Stride, l.P)) *
+						int64(ifmSpan(sw.Size, l.Stride, l.Q)) * int64(si.Size)
+					sp.ifm[sp.nIfm] = TileCount{Elems: elems, Tiles: tiles * b}
+					sp.nIfm++
+					sp.ifmVol += elems * tiles * b
 				}
-				elems := int64(ifmSpan(sh.Size, l.Stride, l.P)) *
-					int64(ifmSpan(sw.Size, l.Stride, l.Q)) * int64(si.Size)
-				dst = append(dst, TileGroup{Elems: elems, Loads: tiles * b * ifmLoads})
 			}
 		}
 	}
-	nIfm = len(dst) - start
-	// weights tiles: indexed by (i, j); re-fetched per image because the
-	// batch loop is outermost in Fig. 3.
 	for _, si := range isz {
 		for _, sj := range jsz {
-			tiles := si.Count * sj.Count
-			if tiles == 0 {
-				continue
+			if tiles := si.Count * sj.Count; tiles != 0 {
+				elems := int64(l.P) * int64(l.Q) * int64(si.Size) * int64(sj.Size)
+				sp.wgt[sp.nWgt] = TileCount{Elems: elems, Tiles: tiles * b}
+				sp.nWgt++
+				sp.wgtVol += elems * tiles * b
 			}
-			elems := int64(l.P) * int64(l.Q) * int64(si.Size) * int64(sj.Size)
-			dst = append(dst, TileGroup{Elems: elems, Loads: tiles * b * wgtLoads})
 		}
 	}
-	nWgt = len(dst) - start - nIfm
-	// ofms tiles: indexed by (h, w, j) per image; reads and writes are
-	// separate streams.
 	for _, sh := range hsz {
 		for _, sw := range wsz {
 			for _, sj := range jsz {
-				tiles := sh.Count * sw.Count * sj.Count
-				if tiles == 0 {
-					continue
+				if tiles := sh.Count * sw.Count * sj.Count; tiles != 0 {
+					elems := int64(sh.Size) * int64(sw.Size) * int64(sj.Size)
+					sp.ofm[sp.nOfm] = TileCount{Elems: elems, Tiles: tiles * b}
+					sp.nOfm++
+					sp.ofmVol += elems * tiles * b
 				}
-				elems := int64(sh.Size) * int64(sw.Size) * int64(sj.Size)
-				count := tiles * b
-				if ofmReads > 0 {
-					dst = append(dst, TileGroup{Elems: elems, Loads: count * ofmReads})
-				}
-				dst = append(dst, TileGroup{Elems: elems, Loads: count * ofmWrites, Write: true})
 			}
 		}
 	}
-	return dst, nIfm, nWgt
+	return sp
+}
+
+// Ifm returns the ifms tile sizes, in (h, w, i) loop order.
+func (sp *Split) Ifm() []TileCount { return sp.ifm[:sp.nIfm] }
+
+// Wgt returns the weights tile sizes, in (i, j) loop order.
+func (sp *Split) Wgt() []TileCount { return sp.wgt[:sp.nWgt] }
+
+// Ofm returns the ofms tile sizes, in (h, w, j) loop order.
+func (sp *Split) Ofm() []TileCount { return sp.ofm[:sp.nOfm] }
+
+// Loads returns schedule s's load factors; AdaptiveReuse resolves to
+// its fixed schedule first (Resolve).
+func (sp *Split) Loads(s Schedule) Loads {
+	if s == AdaptiveReuse {
+		s = sp.Resolve()
+	}
+	switch s {
+	case IfmsReuse:
+		return Loads{Ifm: 1, Wgt: sp.nhw, OfmRead: sp.ni - 1, OfmWrite: sp.ni}
+	case WghsReuse:
+		return Loads{Ifm: sp.nj, Wgt: 1, OfmRead: sp.ni - 1, OfmWrite: sp.ni}
+	case OfmsReuse:
+		return Loads{Ifm: sp.nj, Wgt: sp.nhw, OfmRead: 0, OfmWrite: 1}
+	default:
+		panic(fmt.Sprintf("tiling: unresolved schedule %v", s))
+	}
+}
+
+// traffic returns the element volumes under schedule s.
+func (sp *Split) traffic(s Schedule) Traffic {
+	f := sp.Loads(s)
+	return Traffic{
+		IfmReadElems: sp.ifmVol * f.Ifm, WgtReadElems: sp.wgtVol * f.Wgt,
+		OfmReadElems: sp.ofmVol * f.OfmRead, OfmWriteElems: sp.ofmVol * f.OfmWrite,
+		Resolved: s,
+	}
+}
+
+// Resolve returns the fixed schedule with the least total traffic - how
+// the paper's adaptive-reuse scheme chooses; a tie keeps the earlier of
+// IfmsReuse, WghsReuse, OfmsReuse.
+func (sp *Split) Resolve() Schedule {
+	best := IfmsReuse
+	bestElems := sp.traffic(IfmsReuse).TotalElems()
+	for _, s := range [...]Schedule{WghsReuse, OfmsReuse} {
+		if e := sp.traffic(s).TotalElems(); e < bestElems {
+			best, bestElems = s, e
+		}
+	}
+	return best
 }
 
 // Traffic aggregates the DRAM element volumes of a layer under a
@@ -337,87 +407,20 @@ func (tr Traffic) TotalElems() int64 {
 	return tr.IfmReadElems + tr.WgtReadElems + tr.OfmReadElems + tr.OfmWriteElems
 }
 
-// volumes holds what every schedule's traffic is built from for one
-// (layer, tiling, batch): one full pass over each tensor and the tile
-// counts that multiply them. Computing it once lets Estimate and
-// ResolveAdaptive price all three fixed schedules from one split and
-// one ifm sum.
-type volumes struct {
-	ifm, wgt, ofm int64 // one pass over each tensor, batch included
-	nhw, nj, ni   int64 // ofm-plane tiles, ofm-depth tiles, ifm-depth tiles
-}
-
-func newVolumes(l cnn.Layer, t Tiling, batch int) volumes {
-	b := int64(batch)
-	hs := splitDim(l.H, t.Th)
-	ws := splitDim(l.W, t.Tw)
-	js := splitDim(l.J, t.Tj)
-	is := splitDim(l.I, t.Ti)
-	var ifm int64
-	for _, sh := range hs.sizes() {
-		for _, sw := range ws.sizes() {
-			for _, si := range is.sizes() {
-				elems := int64(ifmSpan(sh.Size, l.Stride, l.P)) *
-					int64(ifmSpan(sw.Size, l.Stride, l.Q)) * int64(si.Size)
-				ifm += elems * sh.Count * sw.Count * si.Count
-			}
-		}
-	}
-	return volumes{
-		ifm: ifm * b, wgt: l.WgtElems() * b, ofm: l.OfmElems() * b,
-		nhw: hs.tiles() * ws.tiles(), nj: js.tiles(), ni: is.tiles(),
-	}
-}
-
-// traffic returns the element volumes under one fixed schedule.
-func (v volumes) traffic(s Schedule) Traffic {
-	tr := Traffic{Resolved: s}
-	switch s {
-	case IfmsReuse:
-		tr.IfmReadElems = v.ifm
-		tr.WgtReadElems = v.wgt * v.nhw
-		tr.OfmReadElems = v.ofm * (v.ni - 1)
-		tr.OfmWriteElems = v.ofm * v.ni
-	case WghsReuse:
-		tr.IfmReadElems = v.ifm * v.nj
-		tr.WgtReadElems = v.wgt
-		tr.OfmReadElems = v.ofm * (v.ni - 1)
-		tr.OfmWriteElems = v.ofm * v.ni
-	case OfmsReuse:
-		tr.IfmReadElems = v.ifm * v.nj
-		tr.WgtReadElems = v.wgt * v.nhw
-		tr.OfmWriteElems = v.ofm
-	}
-	return tr
-}
-
-// resolve returns the fixed schedule with the least total traffic; a
-// tie keeps the earlier of IfmsReuse, WghsReuse, OfmsReuse.
-func (v volumes) resolve() Schedule {
-	best := IfmsReuse
-	bestElems := v.traffic(IfmsReuse).TotalElems()
-	for _, s := range [...]Schedule{WghsReuse, OfmsReuse} {
-		if e := v.traffic(s).TotalElems(); e < bestElems {
-			best, bestElems = s, e
-		}
-	}
-	return best
-}
-
 // Estimate computes the traffic of a layer under a tiling and schedule
 // for one batch.
 func Estimate(l cnn.Layer, t Tiling, s Schedule, batch int) Traffic {
-	v := newVolumes(l, t, batch)
+	sp := SplitOf(l, t, batch)
 	if s == AdaptiveReuse {
-		s = v.resolve()
+		s = sp.Resolve()
 	}
-	return v.traffic(s)
+	return sp.traffic(s)
 }
 
 // ResolveAdaptive returns the fixed schedule with the least total
 // traffic for the layer and tiling, which is how the paper's
-// adaptive-reuse scheme chooses per layer. It splits the dimensions and
-// sums the ifm volume once for all three candidates.
+// adaptive-reuse scheme chooses per layer.
 func ResolveAdaptive(l cnn.Layer, t Tiling, batch int) Schedule {
-	return newVolumes(l, t, batch).resolve()
+	sp := SplitOf(l, t, batch)
+	return sp.Resolve()
 }
