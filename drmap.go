@@ -181,7 +181,9 @@ func EstimateTraffic(l Layer, t Tiling, s Schedule, batch int) Traffic {
 type (
 	// MappingPolicy is a DRAM data-mapping loop order.
 	MappingPolicy = mapping.Policy
-	// AccessCounts splits a tile stream into the four access categories.
+	// AccessCounts splits a tile stream into the access categories: an
+	// array indexed by category, in the order different column (row
+	// buffer hits), banks, subarrays, rows (incl. the first access).
 	AccessCounts = mapping.Counts
 )
 

@@ -26,35 +26,29 @@ import (
 	"drmap/internal/trace"
 )
 
-// AccessCosts holds the per-access stream cost of each category of the
-// analytical model for one DRAM architecture.
-type AccessCosts struct {
-	Hit      profile.Cost // N/E_dif_column
-	Bank     profile.Cost // N/E_dif_banks
-	Subarray profile.Cost // N/E_dif_subarrays
-	Row      profile.Cost // N/E_dif_rows
+// AccessCosts holds the per-access stream cost of each access category
+// of the analytical model (N/E_dif_column ... N/E_dif_rows) for one
+// DRAM architecture.
+type AccessCosts [mapping.NumCategories]profile.Cost
+
+// categoryKinds is the one table from the model's access categories to
+// the characterized stream conditions that price them.
+var categoryKinds = [mapping.NumCategories]trace.AccessKind{
+	mapping.DifColumn:    trace.AccessRowHit,
+	mapping.DifBanks:     trace.AccessBankSwitch,
+	mapping.DifSubarrays: trace.AccessSubarraySwitch,
+	mapping.DifRows:      trace.AccessRowConflict,
 }
 
-// CostsFromProfile extracts the four model inputs from a Fig. 1
-// characterization (read streams, the paper's convention).
-func CostsFromProfile(p *profile.Profile) AccessCosts {
-	return AccessCosts{
-		Hit:      p.Stream[trace.AccessRowHit],
-		Bank:     p.Stream[trace.AccessBankSwitch],
-		Subarray: p.Stream[trace.AccessSubarraySwitch],
-		Row:      p.Stream[trace.AccessRowConflict],
+// costsOf picks each category's cost from one stream table of a Fig. 1
+// characterization: Profile.Stream (read streams, the paper's
+// convention) or Profile.StreamWrite (the direction-aware refinement).
+func costsOf(stream map[trace.AccessKind]profile.Cost) AccessCosts {
+	var c AccessCosts
+	for k, kind := range categoryKinds {
+		c[k] = stream[kind]
 	}
-}
-
-// WriteCostsFromProfile extracts the write-stream counterparts, for the
-// direction-aware pricing refinement.
-func WriteCostsFromProfile(p *profile.Profile) AccessCosts {
-	return AccessCosts{
-		Hit:      p.StreamWrite[trace.AccessRowHit],
-		Bank:     p.StreamWrite[trace.AccessBankSwitch],
-		Subarray: p.StreamWrite[trace.AccessSubarraySwitch],
-		Row:      p.StreamWrite[trace.AccessRowConflict],
-	}
+	return c
 }
 
 // LayerEDP is the modeled DRAM cost of one layer (or one tile stream).
@@ -108,8 +102,8 @@ func NewEvaluator(p *profile.Profile, acfg accel.Config, batch int) (*Evaluator,
 	}
 	return &Evaluator{
 		Profile:    p,
-		Costs:      CostsFromProfile(p),
-		WriteCosts: WriteCostsFromProfile(p),
+		Costs:      costsOf(p.Stream),
+		WriteCosts: costsOf(p.StreamWrite),
 		Accel:      acfg,
 		Batch:      batch,
 	}, nil
@@ -155,18 +149,15 @@ func (ev *Evaluator) GroupCounts(pol mapping.Policy, groups []tiling.TileGroup) 
 	return total
 }
 
-// priceWith applies Eq. 2-3 under an explicit cost set.
+// priceWith applies Eq. 2-3 under an explicit cost set, summing the
+// categories in index order (left-associated, as PriceFlatInto does).
 func priceWith(costs AccessCosts, c mapping.Counts) LayerEDP {
-	return LayerEDP{
-		Cycles: float64(c.DifColumn)*costs.Hit.Cycles +
-			float64(c.DifBanks)*costs.Bank.Cycles +
-			float64(c.DifSubarrays)*costs.Subarray.Cycles +
-			float64(c.DifRows)*costs.Row.Cycles,
-		Energy: float64(c.DifColumn)*costs.Hit.Energy +
-			float64(c.DifBanks)*costs.Bank.Energy +
-			float64(c.DifSubarrays)*costs.Subarray.Energy +
-			float64(c.DifRows)*costs.Row.Energy,
+	var e LayerEDP
+	for k, n := range c {
+		e.Cycles += float64(n) * costs[k].Cycles
+		e.Energy += float64(n) * costs[k].Energy
 	}
+	return e
 }
 
 // Price applies Eq. 2-3: counts x per-category cycles and energy,

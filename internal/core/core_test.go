@@ -65,21 +65,23 @@ func TestNewEvaluatorRejectsBadInputs(t *testing.T) {
 func TestCostsFromProfileOrdering(t *testing.T) {
 	ev := evaluatorFor(t, dram.DDR3)
 	c := ev.Costs
-	if !(c.Hit.Cycles < c.Bank.Cycles && c.Bank.Cycles <= c.Subarray.Cycles && c.Subarray.Cycles <= c.Row.Cycles+1) {
+	hit, bank, sub, row := c[mapping.DifColumn], c[mapping.DifBanks], c[mapping.DifSubarrays], c[mapping.DifRows]
+	if !(hit.Cycles < bank.Cycles && bank.Cycles <= sub.Cycles && sub.Cycles <= row.Cycles+1) {
 		t.Errorf("DDR3 cost ordering violated: hit=%.1f bank=%.1f sub=%.1f row=%.1f",
-			c.Hit.Cycles, c.Bank.Cycles, c.Subarray.Cycles, c.Row.Cycles)
+			hit.Cycles, bank.Cycles, sub.Cycles, row.Cycles)
 	}
 }
 
 func TestPriceArithmetic(t *testing.T) {
 	ev := evaluatorFor(t, dram.DDR3)
-	counts := mapping.Counts{DifColumn: 10, DifBanks: 2, DifSubarrays: 3, DifRows: 4}
+	counts := mapping.Counts{mapping.DifColumn: 10, mapping.DifBanks: 2, mapping.DifSubarrays: 3, mapping.DifRows: 4}
 	got := ev.Price(counts)
-	want := 10*ev.Costs.Hit.Cycles + 2*ev.Costs.Bank.Cycles + 3*ev.Costs.Subarray.Cycles + 4*ev.Costs.Row.Cycles
+	hit, bank, sub, row := ev.Costs[mapping.DifColumn], ev.Costs[mapping.DifBanks], ev.Costs[mapping.DifSubarrays], ev.Costs[mapping.DifRows]
+	want := 10*hit.Cycles + 2*bank.Cycles + 3*sub.Cycles + 4*row.Cycles
 	if math.Abs(got.Cycles-want) > 1e-9 {
 		t.Errorf("Price cycles = %g, want %g", got.Cycles, want)
 	}
-	wantE := 10*ev.Costs.Hit.Energy + 2*ev.Costs.Bank.Energy + 3*ev.Costs.Subarray.Energy + 4*ev.Costs.Row.Energy
+	wantE := 10*hit.Energy + 2*bank.Energy + 3*sub.Energy + 4*row.Energy
 	if math.Abs(got.Energy-wantE) > 1e-18 {
 		t.Errorf("Price energy = %g, want %g", got.Energy, wantE)
 	}

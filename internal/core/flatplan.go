@@ -1,14 +1,14 @@
 // The count plan's storage. A FlatColumn holds a column's counts as
-// packed []float64 planes, per access category one of read counts and
-// one of read+write totals, in one contiguous backing array: repricing
-// is a branch-light linear scan over 4 sequential streams with a
-// precomputed cost vector, no per-cell struct walks and no integer
-// conversions - the warm path, where one plan is repriced for many
-// backends and objectives. The totals are stored from the exact int64
-// sums, so the paper's read-cost convention prices exactly the unsplit
-// counts, and the direction-aware convention derives each write count
-// as total - read, which is exact below 2^53; both stay bit-for-bit
-// identical to pricing the integer counts directly (see PriceFlatInto).
+// packed []float64 planes in one contiguous backing array, laid out from
+// mapping.NumCategories: the read counts of each access category, planes
+// [0, N), then their read+write totals, planes [N, 2N). Repricing is a
+// branch-light linear scan over N sequential streams, no per-cell struct
+// walks and no integer conversions - the warm path, where one plan is
+// repriced for many backends and objectives. The totals are stored from
+// the exact int64 sums, so the paper's read-cost convention prices
+// exactly the unsplit counts, and the direction-aware convention derives
+// each write count as total - read, which is exact below 2^53; both stay
+// bit-for-bit identical to pricing the integer counts directly.
 package core
 
 import (
@@ -18,20 +18,12 @@ import (
 	"drmap/internal/tiling"
 )
 
-// Plane indices of a FlatColumn: the read counts of the four access
-// categories of Eq. 2-3, then their read+write totals, which the paper's
-// read-cost convention prices. A write count is total - read.
-const (
-	planeReadColumn = iota
-	planeReadBanks
-	planeReadSubarrays
-	planeReadRows
-	planeTotalColumn
-	planeTotalBanks
-	planeTotalSubarrays
-	planeTotalRows
-	flatPlanes
-)
+// flatPlanes is the number of planes of a FlatColumn: each category's
+// reads, then each one's read+write total.
+const flatPlanes = 2 * int(mapping.NumCategories)
+
+// storeRow and PriceFlatInto name each category (see Counts.Add).
+var _ = [1]struct{}{}[mapping.NumCategories-4]
 
 // FlatColumn is the count plan of one (layer, schedule) grid column:
 // the counts of every (tiling, policy) design point the column searches,
@@ -58,7 +50,8 @@ type FlatColumn struct {
 	rowOf       []int32
 	firstTiling []int32
 	// data holds the flatPlanes planes back to back in one allocation;
-	// plane p spans data[p*n : (p+1)*n], n = rows*Policies.
+	// plane p spans data[p*n : (p+1)*n], n = rows*Policies: category k's
+	// reads are plane k, its read+write totals plane NumCategories+k.
 	data []float64
 }
 
@@ -77,30 +70,30 @@ func (fc *FlatColumn) storeRow(ri int, f tiling.Loads, ifm, wgt, ofm []mapping.C
 	d, n, lo := fc.data, fc.planeLen(), ri*fc.Policies
 	// One row's cells of each plane, each exactly np long, so the loop
 	// indexes them without bounds checks.
-	cell := func(p int) []float64 { return d[p*n+lo:][:np] }
-	rCol, rBank, rSub, rRow := cell(planeReadColumn), cell(planeReadBanks), cell(planeReadSubarrays), cell(planeReadRows)
-	tCol, tBank, tSub, tRow := cell(planeTotalColumn), cell(planeTotalBanks), cell(planeTotalSubarrays), cell(planeTotalRows)
+	cell := func(p mapping.Category) []float64 { return d[int(p)*n+lo:][:np] }
+	const col, bank, sub, row = mapping.DifColumn, mapping.DifBanks, mapping.DifSubarrays, mapping.DifRows
+	const t = mapping.NumCategories // first total plane
+	rCol, rBank, rSub, rRow := cell(col), cell(bank), cell(sub), cell(row)
+	tCol, tBank, tSub, tRow := cell(t+col), cell(t+bank), cell(t+sub), cell(t+row)
 	for k := range ifm {
-		var r, w mapping.Counts
-		r.Add(ifm[k], f.Ifm)
-		r.Add(wgt[k], f.Wgt)
-		r.Add(ofm[k], f.OfmRead)
-		w.Add(ofm[k], f.OfmWrite)
-		rCol[k] = float64(r.DifColumn)
-		rBank[k] = float64(r.DifBanks)
-		rSub[k] = float64(r.DifSubarrays)
-		rRow[k] = float64(r.DifRows)
-		tCol[k] = float64(r.DifColumn + w.DifColumn)
-		tBank[k] = float64(r.DifBanks + w.DifBanks)
-		tSub[k] = float64(r.DifSubarrays + w.DifSubarrays)
-		tRow[k] = float64(r.DifRows + w.DifRows)
+		// Indexing in place keeps the counts in registers; a Counts
+		// temporary is an array, which the compiler keeps on the stack.
+		a, b, o := &ifm[k], &wgt[k], &ofm[k]
+		r := a[col]*f.Ifm + b[col]*f.Wgt + o[col]*f.OfmRead
+		rCol[k], tCol[k] = float64(r), float64(r+o[col]*f.OfmWrite)
+		r = a[bank]*f.Ifm + b[bank]*f.Wgt + o[bank]*f.OfmRead
+		rBank[k], tBank[k] = float64(r), float64(r+o[bank]*f.OfmWrite)
+		r = a[sub]*f.Ifm + b[sub]*f.Wgt + o[sub]*f.OfmRead
+		rSub[k], tSub[k] = float64(r), float64(r+o[sub]*f.OfmWrite)
+		r = a[row]*f.Ifm + b[row]*f.Wgt + o[row]*f.OfmRead
+		rRow[k], tRow[k] = float64(r), float64(r+o[row]*f.OfmWrite)
 	}
 }
 
 // plane returns one packed plane.
-func (fc *FlatColumn) plane(p int) []float64 {
+func (fc *FlatColumn) plane(p mapping.Category) []float64 {
 	n := fc.planeLen()
-	return fc.data[p*n : (p+1)*n]
+	return fc.data[int(p)*n : int(p+1)*n]
 }
 
 // Tilings returns the number of candidate tilings the plan covers,
@@ -110,12 +103,22 @@ func (fc *FlatColumn) Tilings() int { return len(fc.rowOf) }
 // Cells returns the number of design points the plan covers.
 func (fc *FlatColumn) Cells() int { return len(fc.rowOf) * fc.Policies }
 
-// SizeBytes reports the plan's resident memory: the backing array, the
-// two index slices and the struct header - the unit the plan cache's
-// byte budget accounts.
-func (fc *FlatColumn) SizeBytes() int64 {
+// PlanBytes reports the resident memory of a run of count plans - the
+// unit the plan cache's byte budget accounts: each column's planes and
+// struct header, and each row index once however many adjacent columns
+// share it (the columns of one CountLayer call share theirs).
+func PlanBytes(cols []*FlatColumn) int64 {
 	const headerBytes = 96 // struct fields + three slice headers, rounded up
-	return int64(len(fc.data))*8 + int64(len(fc.rowOf)+len(fc.firstTiling))*4 + headerBytes
+	var n int64
+	var last []int32 // the previous column's row index
+	for _, fc := range cols {
+		n += int64(len(fc.data))*8 + headerBytes
+		if len(last) == 0 || len(fc.rowOf) == 0 || &fc.rowOf[0] != &last[0] {
+			n += int64(len(fc.rowOf)+len(fc.firstTiling)) * 4
+		}
+		last = fc.rowOf
+	}
+	return n
 }
 
 // At reconstructs the CellCounts of (tiling ti, policy pi) from the
@@ -124,31 +127,12 @@ func (fc *FlatColumn) SizeBytes() int64 {
 // 53-bit mantissa, which resolving a job checks (CheckCountRange).
 func (fc *FlatColumn) At(ti, pi int) CellCounts {
 	i := int(fc.rowOf[ti])*fc.Policies + pi
-	counts := func(column int) mapping.Counts { // column, banks, subarrays, rows planes in order
-		return mapping.Counts{
-			DifColumn:    int64(fc.plane(column)[i]),
-			DifBanks:     int64(fc.plane(column + 1)[i]),
-			DifSubarrays: int64(fc.plane(column + 2)[i]),
-			DifRows:      int64(fc.plane(column + 3)[i]),
-		}
+	var c CellCounts
+	for k := range mapping.NumCategories {
+		c.Read[k] = int64(fc.plane(k)[i])
+		c.Write[k] = int64(fc.plane(mapping.NumCategories + k)[i]) - c.Read[k]
 	}
-	read, write := counts(planeReadColumn), counts(planeTotalColumn)
-	write.Add(read, -1)
-	return CellCounts{Read: read, Write: write}
-}
-
-// flatCosts is the precomputed cost vector of one pricing scan: the
-// per-category cycle and energy costs the planes multiply against.
-type flatCosts struct {
-	colC, bankC, subC, rowC float64 // cycles
-	colE, bankE, subE, rowE float64 // energy
-}
-
-func costsVec(c AccessCosts) flatCosts {
-	return flatCosts{
-		colC: c.Hit.Cycles, bankC: c.Bank.Cycles, subC: c.Subarray.Cycles, rowC: c.Row.Cycles,
-		colE: c.Hit.Energy, bankE: c.Bank.Energy, subE: c.Subarray.Energy, rowE: c.Row.Energy,
-	}
+	return c
 }
 
 // PriceFlatInto reprices a count plan under this evaluator's cost sets,
@@ -187,26 +171,28 @@ func (ev *Evaluator) PriceFlatInto(fc *FlatColumn, obj Objective, out []CellResu
 			Value:         math.Inf(1),
 		}
 	}
-	read, write := costsVec(ev.Costs), costsVec(ev.WriteCosts)
+	read, write := ev.Costs, ev.WriteCosts
 	useWrite := ev.UseWriteCosts
+	const col, bank, sub, row = mapping.DifColumn, mapping.DifBanks, mapping.DifSubarrays, mapping.DifRows
 	// r is what the read costs price: the totals, or the reads alone
 	// when writes are priced apart as t - r.
-	tCol, tBank, tSub, tRow := fc.plane(planeTotalColumn), fc.plane(planeTotalBanks), fc.plane(planeTotalSubarrays), fc.plane(planeTotalRows)
+	const t = mapping.NumCategories // first total plane
+	tCol, tBank, tSub, tRow := fc.plane(t+col), fc.plane(t+bank), fc.plane(t+sub), fc.plane(t+row)
 	rCol, rBank, rSub, rRow := tCol, tBank, tSub, tRow
 	if useWrite {
-		rCol, rBank, rSub, rRow = fc.plane(planeReadColumn), fc.plane(planeReadBanks), fc.plane(planeReadSubarrays), fc.plane(planeReadRows)
+		rCol, rBank, rSub, rRow = fc.plane(col), fc.plane(bank), fc.plane(sub), fc.plane(row)
 	}
 	policies := fc.Policies
 	i := 0
 	for _, first := range fc.firstTiling {
 		ti := int(first)
 		for pi := 0; pi < policies; pi++ {
-			cycles := rCol[i]*read.colC + rBank[i]*read.bankC + rSub[i]*read.subC + rRow[i]*read.rowC
-			energy := rCol[i]*read.colE + rBank[i]*read.bankE + rSub[i]*read.subE + rRow[i]*read.rowE
+			cycles := rCol[i]*read[col].Cycles + rBank[i]*read[bank].Cycles + rSub[i]*read[sub].Cycles + rRow[i]*read[row].Cycles
+			energy := rCol[i]*read[col].Energy + rBank[i]*read[bank].Energy + rSub[i]*read[sub].Energy + rRow[i]*read[row].Energy
 			if useWrite {
 				wCol, wBank, wSub, wRow := tCol[i]-rCol[i], tBank[i]-rBank[i], tSub[i]-rSub[i], tRow[i]-rRow[i]
-				cycles += wCol*write.colC + wBank*write.bankC + wSub*write.subC + wRow*write.rowC
-				energy += wCol*write.colE + wBank*write.bankE + wSub*write.subE + wRow*write.rowE
+				cycles += wCol*write[col].Cycles + wBank*write[bank].Cycles + wSub*write[sub].Cycles + wRow*write[row].Cycles
+				energy += wCol*write[col].Energy + wBank*write[bank].Energy + wSub*write[sub].Energy + wRow*write[row].Energy
 			}
 			var v float64
 			switch obj {

@@ -78,12 +78,12 @@ func TestFlattenRoundTrip(t *testing.T) {
 		t.Fatalf("flat shape (%d tilings x %d policies, %d cells), want %d x %d",
 			flat.Tilings(), flat.Policies, flat.Cells(), len(lg.Tilings), len(policies))
 	}
-	planes := func(first, i int) mapping.Counts {
+	planes := func(first mapping.Category, i int) mapping.Counts {
 		return mapping.Counts{
-			DifColumn:    int64(flat.plane(first)[i]),
-			DifBanks:     int64(flat.plane(first + 1)[i]),
-			DifSubarrays: int64(flat.plane(first + 2)[i]),
-			DifRows:      int64(flat.plane(first + 3)[i]),
+			mapping.DifColumn:    int64(flat.plane(first + mapping.DifColumn)[i]),
+			mapping.DifBanks:     int64(flat.plane(first + mapping.DifBanks)[i]),
+			mapping.DifSubarrays: int64(flat.plane(first + mapping.DifSubarrays)[i]),
+			mapping.DifRows:      int64(flat.plane(first + mapping.DifRows)[i]),
 		}
 	}
 	for ti, tl := range lg.Tilings {
@@ -92,16 +92,16 @@ func TestFlattenRoundTrip(t *testing.T) {
 			read, total := ev.GroupCountsRW(pol, groups)
 			total.Add(read, 1)
 			i := int(flat.rowOf[ti])*flat.Policies + pi
-			if got := planes(planeReadColumn, i); got != read {
+			if got := planes(0, i); got != read {
 				t.Fatalf("cell (%d, %d): read planes = %+v, want %+v", ti, pi, got, read)
 			}
-			if got := planes(planeTotalColumn, i); got != total {
+			if got := planes(mapping.NumCategories, i); got != total {
 				t.Fatalf("cell (%d, %d): total planes = %+v, want exact sum %+v", ti, pi, got, total)
 			}
 		}
 	}
-	if min := int64(len(flat.data))*8 + int64(len(flat.rowOf)+len(flat.firstTiling))*4; flat.SizeBytes() < min {
-		t.Fatalf("SizeBytes() = %d, want at least the %d bytes of backing array and row indices", flat.SizeBytes(), min)
+	if min := int64(len(flat.data))*8 + int64(len(flat.rowOf)+len(flat.firstTiling))*4; PlanBytes([]*FlatColumn{flat}) < min {
+		t.Fatalf("PlanBytes = %d, want at least the %d bytes of backing array and row indices", PlanBytes([]*FlatColumn{flat}), min)
 	}
 }
 

@@ -77,13 +77,29 @@ func TestWriteCostRefinementSmallButPositive(t *testing.T) {
 	}
 }
 
+// TestWriteCostsFromProfileAccessor: on every registered backend, each
+// access category's read and write cost is the characterization's
+// Stream and StreamWrite entry for that category's stream condition.
 func TestWriteCostsFromProfileAccessor(t *testing.T) {
-	ev := evaluatorFor(t, dram.SALP1)
-	w := WriteCostsFromProfile(ev.Profile)
-	if w.Hit != ev.Profile.StreamWrite[trace.AccessRowHit] {
-		t.Error("WriteCostsFromProfile hit mismatch")
+	kinds := map[mapping.Category]trace.AccessKind{
+		mapping.DifColumn:    trace.AccessRowHit,
+		mapping.DifBanks:     trace.AccessBankSwitch,
+		mapping.DifSubarrays: trace.AccessSubarraySwitch,
+		mapping.DifRows:      trace.AccessRowConflict,
 	}
-	if w != ev.WriteCosts {
-		t.Error("evaluator did not capture write costs")
+	if len(kinds) != int(mapping.NumCategories) {
+		t.Fatalf("test covers %d categories, want %d", len(kinds), mapping.NumCategories)
+	}
+	for _, ev := range registryEvaluators(t) {
+		p := ev.Profile
+		for k := range mapping.NumCategories {
+			kind := kinds[k]
+			if got, want := ev.Costs[k], p.Stream[kind]; got != want {
+				t.Errorf("%s: %v read cost %+v, want Stream[%v] %+v", ev.Label(), k, got, kind, want)
+			}
+			if got, want := ev.WriteCosts[k], p.StreamWrite[kind]; got != want {
+				t.Errorf("%s: %v write cost %+v, want StreamWrite[%v] %+v", ev.Label(), k, got, kind, want)
+			}
+		}
 	}
 }

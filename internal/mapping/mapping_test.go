@@ -141,7 +141,7 @@ func TestDRMapCountsSmallTile(t *testing.T) {
 	// switch (at access 128), plus the opening row access.
 	g := geom(t)
 	c := DRMap().Counts(256, g)
-	if c.DifColumn != 254 || c.DifBanks != 1 || c.DifSubarrays != 0 || c.DifRows != 1 {
+	if c[DifColumn] != 254 || c[DifBanks] != 1 || c[DifSubarrays] != 0 || c[DifRows] != 1 {
 		t.Errorf("DRMap Counts(256) = %+v", c)
 	}
 }
@@ -150,10 +150,10 @@ func TestMapping2CountsSubarrayDominated(t *testing.T) {
 	g := geom(t)
 	c := TableI()[1].Counts(1024, g) // Mapping-2: subarray inner-most
 	// 7 of every 8 transitions advance the subarray loop.
-	if c.DifSubarrays < 800 {
-		t.Errorf("Mapping-2 subarray transitions = %d, want ~7/8 of 1023", c.DifSubarrays)
+	if c[DifSubarrays] < 800 {
+		t.Errorf("Mapping-2 subarray transitions = %d, want ~7/8 of 1023", c[DifSubarrays])
 	}
-	if c.DifColumn == 0 {
+	if c[DifColumn] == 0 {
 		t.Error("Mapping-2 should still have column transitions at level 2")
 	}
 }
@@ -161,8 +161,8 @@ func TestMapping2CountsSubarrayDominated(t *testing.T) {
 func TestMapping4CountsBankDominated(t *testing.T) {
 	g := geom(t)
 	c := TableI()[3].Counts(1024, g) // Mapping-4: bank inner-most
-	if c.DifBanks < 800 {
-		t.Errorf("Mapping-4 bank transitions = %d, want ~7/8 of 1023", c.DifBanks)
+	if c[DifBanks] < 800 {
+		t.Errorf("Mapping-4 bank transitions = %d, want ~7/8 of 1023", c[DifBanks])
 	}
 }
 
@@ -176,13 +176,13 @@ func TestDRMapMaximizesHitsAcrossTableI(t *testing.T) {
 		drmap := DRMap().Counts(n, g)
 		for _, p := range policies {
 			c := p.Counts(n, g)
-			if c.DifColumn > drmap.DifColumn {
-				t.Errorf("n=%d: %s has more hits (%d) than DRMap (%d)", n, p.Name, c.DifColumn, drmap.DifColumn)
+			if c[DifColumn] > drmap[DifColumn] {
+				t.Errorf("n=%d: %s has more hits (%d) than DRMap (%d)", n, p.Name, c[DifColumn], drmap[DifColumn])
 			}
 		}
 		m2 := policies[1].Counts(n, g)
-		if m2.DifColumn*4 > drmap.DifColumn {
-			t.Errorf("n=%d: Mapping-2 hits (%d) not far below DRMap hits (%d)", n, m2.DifColumn, drmap.DifColumn)
+		if m2[DifColumn]*4 > drmap[DifColumn] {
+			t.Errorf("n=%d: Mapping-2 hits (%d) not far below DRMap hits (%d)", n, m2[DifColumn], drmap[DifColumn])
 		}
 	}
 }
@@ -277,12 +277,12 @@ func TestPaperVsPhysicalDivergenceIsBounded(t *testing.T) {
 		n := int64(1 << 16)
 		paper := p.Counts(n, g)
 		phys := p.PhysicalCounts(n, g)
-		if paper.DifColumn != phys.DifColumn {
-			t.Errorf("%s: hit counts differ: paper %d phys %d", p.Name, paper.DifColumn, phys.DifColumn)
+		if paper[DifColumn] != phys[DifColumn] {
+			t.Errorf("%s: hit counts differ: paper %d phys %d", p.Name, paper[DifColumn], phys[DifColumn])
 		}
 		boundary := n / int64(g.Columns)
-		diff := abs64(paper.DifBanks-phys.DifBanks) + abs64(paper.DifSubarrays-phys.DifSubarrays) +
-			abs64(paper.DifRows-phys.DifRows)
+		diff := abs64(paper[DifBanks]-phys[DifBanks]) + abs64(paper[DifSubarrays]-phys[DifSubarrays]) +
+			abs64(paper[DifRows]-phys[DifRows])
 		if diff > 2*boundary {
 			t.Errorf("%s: divergence %d exceeds boundary bound %d", p.Name, diff, 2*boundary)
 		}
@@ -308,7 +308,7 @@ func TestCountsAdd(t *testing.T) {
 func TestStreamCountsFirstAccessOpensRow(t *testing.T) {
 	g := geom(t)
 	c := StreamCounts([]dram.Address{{Bank: 0, Row: 0, Column: 0}}, g)
-	if c.DifRows != 1 || c.Total() != 1 {
+	if c[DifRows] != 1 || c.Total() != 1 {
 		t.Errorf("single access counts = %+v", c)
 	}
 }
@@ -341,6 +341,18 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+func TestCategoryString(t *testing.T) {
+	cases := map[Category]string{
+		DifColumn: "column", DifBanks: "bank", DifSubarrays: "subarray",
+		DifRows: "row", NumCategories: "Category(4)", Category(-1): "Category(-1)",
+	}
+	for k, want := range cases {
+		if got := k.String(); got != want {
+			t.Errorf("Category(%d) = %q, want %q", int(k), got, want)
+		}
+	}
+}
+
 func TestPolicyString(t *testing.T) {
 	s := DRMap().String()
 	for _, sub := range []string{"Mapping-3", "column", "bank", "subarray", "row"} {
@@ -357,8 +369,8 @@ func TestCountsWithSingleSubarrayGeometry(t *testing.T) {
 	g.Subarrays = 1
 	for _, p := range TableI() {
 		c := p.Counts(1<<14, g)
-		if c.DifSubarrays != 0 {
-			t.Errorf("%s: %d subarray transitions with 1 subarray/bank", p.Name, c.DifSubarrays)
+		if c[DifSubarrays] != 0 {
+			t.Errorf("%s: %d subarray transitions with 1 subarray/bank", p.Name, c[DifSubarrays])
 		}
 		if c.Total() != 1<<14 {
 			t.Errorf("%s: total %d", p.Name, c.Total())

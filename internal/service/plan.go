@@ -44,13 +44,7 @@ func putCellBuf(buf []core.CellResult) {
 
 // planSizeBytes sizes a cached count plan - one layer run's columns -
 // for the plan cache's byte budget (Options.PlanCacheBytes).
-func planSizeBytes(v any) int64 {
-	var n int64
-	for _, fc := range v.([]*core.FlatColumn) {
-		n += fc.SizeBytes()
-	}
-	return n
-}
+func planSizeBytes(v any) int64 { return core.PlanBytes(v.([]*core.FlatColumn)) }
 
 // planColumns weighs a cached count plan by its column count, so the
 // plan cache's entry bound (Options.PlanCacheEntries) stays a bound in

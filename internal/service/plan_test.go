@@ -444,3 +444,32 @@ func TestPlanCacheBoundedInColumns(t *testing.T) {
 		t.Errorf("4-column runs in a 3-column cache: %d entries resident, want 0", st.Entries)
 	}
 }
+
+// TestPlanSizeBytesCountsSharedIndexOnce: the columns of one layer run
+// share its row index, so the plan cache's byte budget charges a run
+// its plane bytes, one header per column and that index once - not once
+// per column.
+func TestPlanSizeBytesCountsSharedIndexOnce(t *testing.T) {
+	svc := New(Options{Workers: 1, CacheEntries: 4})
+	ev, err := svc.evaluatorFor(DSEJob{Backend: dram.Backends()[0], Accel: accel.TableII(), Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-square layer stores one plan row per tiling.
+	l := cnn.Layer{Name: "rect", Kind: cnn.Conv, H: 15, W: 9, J: 24, I: 10, P: 5, Q: 3, Stride: 2, Pad: 1}
+	lg := core.LayerGrid{Layer: l, Tilings: tiling.Enumerate(l, accel.TableII())}
+	policies := mapping.TableI()
+	run := ev.CountLayer(lg, tiling.Schedules, policies)
+	if len(run) < 2 {
+		t.Fatalf("run of %d columns, want several", len(run))
+	}
+	planes := int64(2*mapping.NumCategories) * int64(run[0].Cells()) * 8
+	index := 2 * 4 * int64(run[0].Tilings()) // rowOf and firstTiling, an int32 per tiling each
+	header := planSizeBytes(run[:1]) - planes - index
+	if header <= 0 {
+		t.Fatalf("one column weighs %d bytes, want more than its %d plane and %d index bytes", planSizeBytes(run[:1]), planes, index)
+	}
+	if got, want := planSizeBytes(run), int64(len(run))*(planes+header)+index; got != want {
+		t.Errorf("a %d-column run weighs %d bytes, want %d: planes and header per column plus one %d-byte index", len(run), got, want, index)
+	}
+}
